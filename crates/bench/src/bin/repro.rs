@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--artifact all|table1|table2|table3|fig1|fig2|fig4|fig5|fig6|fig8|fig9|model|campaign]
-//!       [--span-secs N] [--seed N] [--json] [--serial] [--bench-json]
+//!       [--span-secs N] [--seed N] [--json] [--serial]
 //! ```
 //!
 //! Each artifact prints the paper's reported values next to the measured
@@ -13,22 +13,20 @@
 //! buffers on the bounded work-stealing pool (`probenet_core::sched`) and
 //! are printed in the fixed paper order afterwards — output is identical
 //! whatever the thread count. `--serial` forces everything onto one
-//! thread; `--bench-json` times a serial and a pooled pass and writes a
-//! machine-readable `BENCH_<date>.json` next to the working directory.
+//! thread. Speed is measured by `benchmark/run.sh`, not here.
 //!
 //! Figures 3 and 7 of the paper are schematics (the queueing model and the
 //! Lindley proof), realized as code in `probenet_queueing::{BolotModel,
 //! lindley}` and covered by that crate's tests.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant, SystemTime};
+use std::io::Write as _;
 
 use probenet_bench::*;
 use probenet_core::{
     analyze_losses, impairment_scenarios, render_histogram, render_phase_plot, render_table3,
     render_time_series, PeakLabel,
 };
-use serde::Serialize;
 
 /// `writeln!` into a `String` buffer (infallible, so the result is dropped).
 macro_rules! o {
@@ -37,18 +35,26 @@ macro_rules! o {
     };
 }
 
+/// What a golden-producing mode does with the bytes it rendered.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum GoldenMode {
+    /// Print them.
+    Print,
+    /// `--check`: diff them against the checked-in file.
+    Check,
+    /// `--bless`: rewrite the checked-in file.
+    Bless,
+}
+
 struct Args {
     artifact: String,
     span_secs: u64,
     seed: u64,
     json: bool,
     serial: bool,
-    bench_json: bool,
-    bench_gate: bool,
     impair: Option<String>,
     stream: bool,
-    check: bool,
-    bless: bool,
+    golden: GoldenMode,
     emit_frames: Option<String>,
     merge: Option<Vec<String>>,
     mesh: bool,
@@ -58,6 +64,17 @@ struct Args {
     live_duration_secs: u64,
 }
 
+impl Args {
+    /// Pool width: one thread under `--serial`, else the pool's maximum.
+    fn threads(&self) -> usize {
+        if self.serial {
+            1
+        } else {
+            probenet_core::sched::max_threads()
+        }
+    }
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         artifact: "all".to_string(),
@@ -65,12 +82,9 @@ fn parse_args() -> Args {
         seed: 1993,
         json: false,
         serial: false,
-        bench_json: false,
-        bench_gate: false,
         impair: None,
         stream: false,
-        check: false,
-        bless: false,
+        golden: GoldenMode::Print,
         emit_frames: None,
         merge: None,
         mesh: false,
@@ -81,34 +95,16 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        // `repro merge f1 f2 ...` — collect the frame files; trailing flags
-        // (--check/--bless) fall through to the normal flag loop.
-        if a == "merge" && args.merge.is_none() {
-            let mut files = Vec::new();
-            let mut rest = None;
-            for v in it.by_ref() {
-                if v.starts_with("--") {
-                    rest = Some(v);
-                    break;
-                }
-                files.push(v);
-            }
-            args.merge = Some(files);
-            if let Some(flag) = rest {
-                match flag.as_str() {
-                    "--check" => args.check = true,
-                    "--bless" => args.bless = true,
-                    other => {
-                        eprintln!("unknown argument: {other}");
-                        std::process::exit(2);
-                    }
-                }
-            }
+        // After `merge`, every non-flag word is a frame file.
+        if let Some(files) = args.merge.as_mut().filter(|_| !a.starts_with("--")) {
+            files.push(a);
             continue;
         }
         match a.as_str() {
+            // `repro merge f1 f2 ... [--check|--bless]`.
+            "merge" => args.merge = Some(Vec::new()),
             // `repro mesh [--check|--bless]` — the mesh campaign; takes no
-            // positional operands, trailing flags use the normal loop.
+            // positional operands.
             "mesh" => args.mesh = true,
             // `repro live [--sessions N] [--delta MS] [--duration S]` —
             // the live reactor loopback engine.
@@ -151,26 +147,33 @@ fn parse_args() -> Args {
             }
             "--json" => args.json = true,
             "--serial" => args.serial = true,
-            "--bench-json" => args.bench_json = true,
-            "--bench-gate" => args.bench_gate = true,
             "--impair" => args.impair = Some(it.next().expect("--impair needs a scenario name")),
             "--stream" => args.stream = true,
-            "--check" => args.check = true,
-            "--bless" => args.bless = true,
+            "--check" | "--bless" => {
+                let mode = if a == "--check" {
+                    GoldenMode::Check
+                } else {
+                    GoldenMode::Bless
+                };
+                if args.golden != GoldenMode::Print && args.golden != mode {
+                    eprintln!("--check and --bless are mutually exclusive");
+                    std::process::exit(2);
+                }
+                args.golden = mode;
+            }
             "--emit-frames" => {
                 args.emit_frames = Some(it.next().expect("--emit-frames needs a path prefix"))
             }
             "--help" | "-h" => {
                 println!(
                     "repro [--artifact all|table1|table2|table3|fig1|fig2|fig4|fig5|fig6|fig8|fig9|model|campaign] \
-                     [--span-secs N] [--seed N] [--json] [--serial] [--bench-json]\n\
+                     [--span-secs N] [--seed N] [--json] [--serial]\n\
                      repro --impair <scenario|list> [--span-secs N] [--seed N] [--json] [--serial]\n\
                      repro --stream [--check | --bless] [--serial] [--emit-frames <prefix>]   (streaming-collector snapshots)\n\
                      repro merge <frames.bin>... [--check | --bless]   (fold collector frame files)\n\
                      repro mesh [--check | --bless] [--serial]   (mesh campaign + per-link loss decomposition)\n\
                      repro live [--sessions N] [--delta MS] [--duration S] [--stream] [--json]   (live reactor loopback engine)\n\
-                     repro --check | --bless   (verify / regenerate the golden traces in tests/golden/)\n\
-                     repro --bench-gate   (fail if engine events/s regresses past tests/bench_baseline.json)"
+                     repro --check | --bless   (verify / regenerate the golden traces in tests/golden/)"
                 );
                 std::process::exit(0);
             }
@@ -662,314 +665,6 @@ const ARTIFACTS: &[Artifact] = &[
     ("campaign", campaign),
 ];
 
-/// Render the selected artifacts on `threads` workers. Results come back
-/// in `selected` order regardless of scheduling, so the printed report is
-/// deterministic.
-fn render_artifacts(
-    args: &Args,
-    selected: &[Artifact],
-    threads: usize,
-) -> Vec<(String, String, Duration)> {
-    probenet_core::sched::par_map_threads(threads, selected.to_vec(), |(name, f)| {
-        let started = Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) per-artifact wall-time report, not artifact data
-        let text = f(args);
-        (name.to_string(), text, started.elapsed())
-    })
-}
-
-/// Proleptic-Gregorian civil date from days since 1970-01-01
-/// (Howard Hinnant's `civil_from_days` algorithm).
-fn civil_from_days(days: i64) -> (i64, u32, u32) {
-    let z = days + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = z - era * 146_097;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let day = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let month = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    let year = yoe + era * 400 + i64::from(month <= 2);
-    (year, month, day)
-}
-
-fn today_utc() -> String {
-    let secs = SystemTime::now() // probenet-lint: allow(wall-clock-in-sim) BENCH_<date>.json filename stamp only
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days((secs / 86_400) as i64);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-#[derive(Serialize)]
-struct BenchArtifact {
-    name: String,
-    serial_ms: f64,
-}
-
-#[derive(Serialize)]
-struct BenchEngine {
-    events_processed: u64,
-    /// Events over the *minimum* per-iteration engine wall time across
-    /// `min_of_iters` warm runs. On the noisy single-core VM hosts this
-    /// project is benchmarked on, a single run's wall clock carries ±10%
-    /// of steal/frequency jitter; the minimum statistic is repeatable to
-    /// a few tenths of a percent.
-    events_per_sec: f64,
-    min_of_iters: u64,
-    peak_queue_depth: u64,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    date: String,
-    span_secs: u64,
-    seed: u64,
-    /// Physical parallelism reported by the host OS.
-    host_cores: u64,
-    /// Worker count the pool actually uses after applying the
-    /// `PROBENET_THREADS` override (`probenet_sim::effective_threads`).
-    threads_effective: u64,
-    pool_threads: u64,
-    artifacts: Vec<BenchArtifact>,
-    serial_wall_ms: f64,
-    parallel_wall_ms: f64,
-    /// `null` on single-core hosts: with one core the pool degenerates to
-    /// inline execution and the serial/pooled ratio only measures
-    /// run-to-run variance (warm caches on the second pass), not parallel
-    /// speedup — `parallelism_note` says so in the emitted JSON.
-    speedup_parallel_over_serial: Option<f64>,
-    parallelism_note: Option<String>,
-    /// Collector ingest throughput across 8 concurrent sessions.
-    stream_ingest: StreamIngest,
-    engine: BenchEngine,
-    /// Live reactor loopback engine at the committed `LIVE_BENCH_*`
-    /// sizing; `None` when the platform lacks the epoll reactor (the note
-    /// says why).
-    live_engine: Option<LiveEngineRun>,
-    live_engine_note: Option<String>,
-    /// Deep-tier lint runtime over this workspace; `None` when the bench
-    /// binary runs outside the repo checkout (no sources to analyze).
-    lint_deep: Option<LintDeepRun>,
-    /// Full-artifact serial wall time of this harness before the indexed
-    /// event queue, engine reuse and pooled artifact scheduling landed,
-    /// measured on the same host at span 120 s, seed 1993.
-    pre_optimization_serial_wall_ms: f64,
-    speedup_vs_pre_optimization: f64,
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Iterations for the min-statistic engine measurement. Each δ = 50 ms
-/// span-600 iteration is tens of milliseconds, so this stays cheap even
-/// in CI while leaving plenty of samples for the minimum to stabilize.
-const ENGINE_BENCH_ITERS: usize = 12;
-
-/// Sizing of the `live_engine` measurement and its `--bench-gate` floor:
-/// 256 concurrent δ = 20 ms loopback sessions, 50 probes each — about a
-/// second of schedule (12.8 k probes) plus the straggler drain, cheap
-/// enough for CI while still two orders of magnitude past one-socket,
-/// one-thread probing on the same host.
-const LIVE_BENCH_SESSIONS: usize = 256;
-/// Probe interval of the `live_engine` measurement, ms.
-const LIVE_BENCH_DELTA_MS: u64 = 20;
-/// Probes per session of the `live_engine` measurement.
-const LIVE_BENCH_COUNT: usize = 50;
-
-/// Serial engine throughput on the representative δ = 50 ms INRIA→UMd
-/// run: events over the minimum per-iteration engine wall across `iters`
-/// warm runs (one discarded warm-up run first). The minimum filters out
-/// VM steal/frequency noise that inflates any averaging statistic.
-fn engine_throughput(span_secs: u64, seed: u64, iters: usize) -> BenchEngine {
-    let scenario = probenet_core::PaperScenario::inria_umd(seed);
-    let config =
-        probenet_netdyn::ExperimentConfig::paper(probenet_sim::SimDuration::from_millis(50))
-            .with_count((span_secs * 1000 / 50) as usize);
-    scenario.run(&config); // warm-up: allocator pools, page cache
-    let mut best = f64::INFINITY;
-    let mut events = 0u64;
-    let mut peak = 0u64;
-    for _ in 0..iters.max(1) {
-        let stats = scenario.run(&config).engine_stats;
-        events = stats.events_processed;
-        peak = stats.peak_queue_depth as u64;
-        best = best.min(stats.wall.as_secs_f64());
-    }
-    BenchEngine {
-        events_processed: events,
-        events_per_sec: events as f64 / best,
-        min_of_iters: iters.max(1) as u64,
-        peak_queue_depth: peak,
-    }
-}
-
-/// Deep-tier lint runtime (`cargo xtask lint --deep` run in-process
-/// through the xtask library): the analyzer sits on the blocking CI path,
-/// so its wall time is budgeted like any other tool on that path.
-#[derive(serde::Serialize)]
-struct LintDeepRun {
-    /// Source files the analyzer read.
-    files: u64,
-    /// Functions in the workspace call graph.
-    functions: u64,
-    /// Resolved (deduplicated) call edges.
-    call_edges: u64,
-    /// End-to-end wall time: read + scrub + lex + call graph + taint BFS.
-    wall_ms: f64,
-}
-
-/// Run the deep lint tier against the workspace rooted at the current
-/// directory and time it end to end. Returns `None` (skip, not fail) when
-/// the sources are not present — e.g. the binary run outside the repo
-/// checkout, where there is nothing to analyze.
-fn lint_deep_run() -> Option<LintDeepRun> {
-    let started = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) bench harness timing
-    let files = xtask::read_workspace(std::path::Path::new(".")).ok()?;
-    if files.is_empty() {
-        return None;
-    }
-    let analysis = xtask::taint::analyze(&files);
-    let wall = started.elapsed();
-    assert!(
-        analysis.violations.is_empty(),
-        "deep lint must be clean when benched: {:?}",
-        analysis.violations
-    );
-    Some(LintDeepRun {
-        files: analysis.stats.files as u64,
-        functions: analysis.stats.functions as u64,
-        call_edges: analysis.stats.edges as u64,
-        wall_ms: ms(wall),
-    })
-}
-
-/// Committed engine-throughput floor for `--bench-gate`.
-#[derive(serde::Deserialize)]
-struct BenchBaseline {
-    span_secs: u64,
-    seed: u64,
-    /// Min-statistic serial engine throughput committed after the event
-    /// queue overhaul (see EXPERIMENTS.md for methodology).
-    engine_events_per_sec: f64,
-    /// Fractional drop tolerated before the gate fails (0.30 = 30%),
-    /// sized for cross-host variance: CI runners and the development VM
-    /// differ in absolute speed far more than any real regression hides.
-    max_regression: f64,
-    /// `live_engine` floor: aggregate probes/s the reactor must sustain
-    /// at the committed `LIVE_BENCH_*` sizing. Schedule-bound (the sizing
-    /// caps it at sessions/δ), so a shortfall means the reactor fell off
-    /// pace, not that the host is slow.
-    live_aggregate_pps: f64,
-    /// Absolute wall-time box for the deep lint tier (`lint --deep`), in
-    /// milliseconds. Unlike the throughput floors this is not a regression
-    /// ratio: the taint pass is designed to stay near-linear in workspace
-    /// size, so the budget is a hard ceiling sized far above the measured
-    /// wall time — it trips on accidental complexity blowups (an unbounded
-    /// taint frontier, quadratic call linking), not on runner speed.
-    lint_deep_budget_ms: f64,
-}
-
-/// `--bench-gate`: re-measure serial engine throughput with the same
-/// min-statistic methodology as `--bench-json` and fail (exit 1) if it
-/// dropped more than `max_regression` below the committed baseline.
-fn bench_gate() -> i32 {
-    let path = "tests/bench_baseline.json";
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench-gate: cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    let baseline: BenchBaseline = match serde_json::from_str(&body) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench-gate: cannot parse {path}: {e}");
-            return 2;
-        }
-    };
-    let engine = engine_throughput(baseline.span_secs, baseline.seed, ENGINE_BENCH_ITERS);
-    let floor = baseline.engine_events_per_sec * (1.0 - baseline.max_regression);
-    println!(
-        "bench-gate: measured {:.2} M events/s (min of {} runs, span {} s, seed {}) \
-         | baseline {:.2} M | floor {:.2} M",
-        engine.events_per_sec / 1e6,
-        engine.min_of_iters,
-        baseline.span_secs,
-        baseline.seed,
-        baseline.engine_events_per_sec / 1e6,
-        floor / 1e6,
-    );
-    let mut failed = false;
-    if engine.events_per_sec < floor {
-        println!(
-            "bench-gate: FAIL — engine throughput regressed more than {:.0}% below {path}",
-            baseline.max_regression * 100.0
-        );
-        failed = true;
-    }
-    // Live reactor pacing gate: the sizing is schedule-bound, so staying
-    // above the floor proves the reactor kept its probes on schedule.
-    match live_engine_run(LIVE_BENCH_SESSIONS, LIVE_BENCH_DELTA_MS, LIVE_BENCH_COUNT) {
-        Err(e) => {
-            // Missing epoll is a platform capability, not a regression.
-            println!("bench-gate: live engine skipped ({e})");
-        }
-        Ok((run, _)) => {
-            let live_floor = baseline.live_aggregate_pps * (1.0 - baseline.max_regression);
-            println!(
-                "bench-gate: live {:.0} probes/s over {} sessions | baseline {:.0} | floor {:.0}",
-                run.aggregate_pps, run.sessions, baseline.live_aggregate_pps, live_floor,
-            );
-            if !run.accounting_balanced() {
-                println!(
-                    "bench-gate: FAIL — live drop accounting violated: produced {} != records {} + dropped {}",
-                    run.produced, run.records, run.dropped
-                );
-                failed = true;
-            }
-            if run.aggregate_pps < live_floor {
-                println!(
-                    "bench-gate: FAIL — live probe rate regressed more than {:.0}% below {path}",
-                    baseline.max_regression * 100.0
-                );
-                failed = true;
-            }
-        }
-    }
-    // Deep-lint runtime box: the analyzer rides the blocking CI path, so a
-    // complexity regression fails here instead of silently stretching
-    // every build from now on.
-    match lint_deep_run() {
-        None => println!("bench-gate: deep lint skipped (workspace sources not found)"),
-        Some(lint) => {
-            println!(
-                "bench-gate: deep lint {:.0} ms over {} files / {} fns / {} edges | budget {:.0} ms",
-                lint.wall_ms,
-                lint.files,
-                lint.functions,
-                lint.call_edges,
-                baseline.lint_deep_budget_ms,
-            );
-            if lint.wall_ms > baseline.lint_deep_budget_ms {
-                println!(
-                    "bench-gate: FAIL — deep lint exceeded its {:.0} ms budget in {path}",
-                    baseline.lint_deep_budget_ms
-                );
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        1
-    } else {
-        println!("bench-gate: OK");
-        0
-    }
-}
-
 /// `repro live` — drive concurrent loopback probe sessions from the
 /// single-threaded reactor against an in-process echo server and report
 /// the sustained rate, timer-wheel lateness and the stream-collector
@@ -1040,131 +735,6 @@ fn live_cmd(a: &Args) -> i32 {
     0
 }
 
-/// Time a serial and a pooled full-artifact pass and write
-/// `BENCH_<date>.json`. Artifact *outputs* are discarded here — this mode
-/// only measures.
-fn bench(args: &Args) {
-    let threads = probenet_core::sched::max_threads();
-    let serial_started = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) bench harness timing
-    let serial = render_artifacts(args, ARTIFACTS, 1);
-    let serial_wall = serial_started.elapsed();
-
-    let parallel_started = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) bench harness timing
-    let parallel = render_artifacts(args, ARTIFACTS, threads);
-    let parallel_wall = parallel_started.elapsed();
-    // Pool scheduling must never change the report.
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.1, p.1, "artifact {} differs between serial and pool", s.0);
-    }
-
-    // Engine throughput, measured on a representative δ = 50 ms run.
-    let engine = engine_throughput(args.span_secs, args.seed, ENGINE_BENCH_ITERS);
-
-    // Streaming ingest: 8 producer sessions through one collector, blocking
-    // push, so the drop counter is structurally (and assertedly) zero.
-    let ingest = stream_ingest_throughput(8, 150_000);
-
-    // Live reactor: concurrent loopback sessions from one reactor thread,
-    // streamed into one collector over bounded rings.
-    let (live_engine, live_engine_note) =
-        match live_engine_run(LIVE_BENCH_SESSIONS, LIVE_BENCH_DELTA_MS, LIVE_BENCH_COUNT) {
-            Ok((run, _)) => {
-                assert!(
-                    run.accounting_balanced(),
-                    "live drop accounting violated: produced {} != records {} + dropped {}",
-                    run.produced,
-                    run.records,
-                    run.dropped
-                );
-                (Some(run), None)
-            }
-            Err(e) => (None, Some(format!("live reactor unavailable: {e}"))),
-        };
-
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1) as u64;
-    let (speedup, note) = if host_cores == 1 {
-        (
-            None,
-            Some(
-                "single-core host: the pool degenerates to inline execution, so a \
-                 serial/pooled wall ratio would measure cache warmth, not speedup"
-                    .to_string(),
-            ),
-        )
-    } else {
-        (Some(ms(serial_wall) / ms(parallel_wall)), None)
-    };
-    let report = BenchReport {
-        date: today_utc(),
-        span_secs: args.span_secs,
-        seed: args.seed,
-        host_cores,
-        threads_effective: probenet_sim::effective_threads() as u64,
-        pool_threads: threads as u64,
-        artifacts: serial
-            .iter()
-            .map(|(name, _, wall)| BenchArtifact {
-                name: name.clone(),
-                serial_ms: ms(*wall),
-            })
-            .collect(),
-        serial_wall_ms: ms(serial_wall),
-        parallel_wall_ms: ms(parallel_wall),
-        speedup_parallel_over_serial: speedup,
-        parallelism_note: note,
-        stream_ingest: ingest,
-        engine,
-        live_engine,
-        live_engine_note,
-        lint_deep: lint_deep_run(),
-        pre_optimization_serial_wall_ms: PRE_OPTIMIZATION_SERIAL_WALL_MS,
-        speedup_vs_pre_optimization: PRE_OPTIMIZATION_SERIAL_WALL_MS / ms(serial_wall),
-    };
-    let path = format!("BENCH_{}.json", report.date);
-    let body = serde_json::to_string_pretty(&report).expect("serializable report");
-    std::fs::write(&path, body.as_bytes()).expect("write bench report");
-    println!("wrote {path}");
-    println!(
-        "serial {:.0} ms | pool({}) {:.0} ms | engine {:.2} M events/s | {:.1}x vs pre-optimization ({:.0} ms)",
-        ms(serial_wall),
-        threads,
-        ms(parallel_wall),
-        report.engine.events_per_sec / 1e6,
-        report.speedup_vs_pre_optimization,
-        PRE_OPTIMIZATION_SERIAL_WALL_MS,
-    );
-    println!(
-        "stream ingest: {:.2} M records/s aggregate over {} sessions ({:.0} k records/s per session, {} dropped)",
-        report.stream_ingest.aggregate_records_per_sec / 1e6,
-        report.stream_ingest.sessions,
-        report.stream_ingest.per_session_records_per_sec / 1e3,
-        report.stream_ingest.dropped,
-    );
-    match (&report.live_engine, &report.live_engine_note) {
-        (Some(live), _) => println!(
-            "live engine: {} sessions/core, {:.0} probes/s aggregate, lateness p99 {} µs (max {} µs)",
-            live.sessions_per_core, live.aggregate_pps, live.lateness_p99_us, live.lateness_max_us,
-        ),
-        (None, note) => println!(
-            "live engine: skipped ({})",
-            note.as_deref().unwrap_or("unavailable")
-        ),
-    }
-    if let Some(lint) = &report.lint_deep {
-        println!(
-            "deep lint: {:.0} ms over {} files ({} fns, {} edges)",
-            lint.wall_ms, lint.files, lint.functions, lint.call_edges
-        );
-    }
-}
-
-/// Measured once on the development host (single core) at span 120 s,
-/// seed 1993, before the perf work: binary-heap event queue, fresh engine
-/// allocations per run, strictly sequential artifacts.
-const PRE_OPTIMIZATION_SERIAL_WALL_MS: f64 = 3786.0;
-
 /// `--impair <scenario>`: run a named fault-injection scenario at the two
 /// paper regimes and print its loss/ordering signature. `--impair list`
 /// enumerates the scenarios. Exit code doubles as the process status.
@@ -1180,12 +750,7 @@ fn impair(a: &Args, name: &str) -> i32 {
     // golden (8 ms, 60 s) and (500 ms, 300 s) slices.
     let base = a.span_secs.min(60);
     let slices = [(8u64, base), (500u64, base * 5)];
-    let threads = if a.serial {
-        1
-    } else {
-        probenet_core::sched::max_threads()
-    };
-    let Some(report) = impair_report(name, a.seed, &slices, threads) else {
+    let Some(report) = impair_report(name, a.seed, &slices, a.threads()) else {
         eprintln!("unknown impairment scenario: {name} (try --impair list)");
         return 2;
     };
@@ -1227,6 +792,40 @@ fn impair(a: &Args, name: &str) -> i32 {
     0
 }
 
+/// Apply `mode` to one rendered golden artifact: print `bytes`, diff them
+/// against the file at `path` (`--check`), or rewrite it (`--bless`).
+/// `false` on a mismatch or an unreadable golden.
+fn golden(label: &str, path: &str, bytes: &[u8], mode: GoldenMode) -> bool {
+    match mode {
+        GoldenMode::Print => {
+            std::io::stdout().write_all(bytes).expect("write stdout");
+            true
+        }
+        GoldenMode::Bless => {
+            std::fs::write(path, bytes).expect("write golden");
+            println!("{label}: blessed {path} ({} bytes)", bytes.len());
+            true
+        }
+        GoldenMode::Check => match std::fs::read(path) {
+            Ok(on_disk) if on_disk == bytes => {
+                println!("{label}: OK ({path})");
+                true
+            }
+            Ok(_) => {
+                println!(
+                    "{label}: MISMATCH against {path} — behavior drifted; \
+                     rerun with --bless if the change is intended"
+                );
+                false
+            }
+            Err(e) => {
+                println!("{label}: cannot read {path}: {e}");
+                false
+            }
+        },
+    }
+}
+
 /// `--stream`: regenerate the streaming-collector golden snapshots —
 /// serially and on the pool — verify both renderings are byte-identical,
 /// then print them, diff them against `tests/golden/stream-snapshots.json`
@@ -1240,11 +839,7 @@ fn impair(a: &Args, name: &str) -> i32 {
 /// report to be byte-identical to the single-process rendering;
 /// `--emit-frames <prefix>` writes the shards to `<prefix>-c<i>.bin`.
 fn stream_cmd(a: &Args) -> i32 {
-    let threads = if a.serial {
-        1
-    } else {
-        probenet_core::sched::max_threads()
-    };
+    let threads = a.threads();
     let report = stream_collector_report(1);
     let mut serial = report.to_json();
     serial.push('\n');
@@ -1261,49 +856,18 @@ fn stream_cmd(a: &Args) -> i32 {
             println!("stream: wrote {path} ({} bytes)", shard.len());
         }
     }
-    let path = stream_golden_path();
-    if a.bless {
-        std::fs::write(&path, serial.as_bytes()).expect("write stream golden");
-        println!("stream: blessed {path}");
-        for (i, shard) in shards.iter().enumerate() {
-            let shard_path = stream_frames_path(i);
-            std::fs::write(&shard_path, shard).expect("write golden frame shard");
-            println!("stream: blessed {shard_path} ({} bytes)", shard.len());
-        }
+    let mut ok = golden("stream", &stream_golden_path(), serial.as_bytes(), a.golden);
+    if a.golden == GoldenMode::Print {
         return 0;
     }
-    if a.check {
-        match std::fs::read_to_string(&path) {
-            Ok(golden) if golden == serial => println!("stream: OK ({path})"),
-            Ok(_) => {
-                println!(
-                    "stream: MISMATCH against {path} — behavior drifted; \
-                     rerun with --stream --bless if the change is intended"
-                );
-                return 1;
-            }
-            Err(e) => {
-                println!("stream: cannot read {path}: {e}");
-                return 1;
-            }
-        }
-        let shard_paths: Vec<String> = (0..GOLDEN_FRAME_SHARDS).map(stream_frames_path).collect();
-        for (shard, shard_path) in shards.iter().zip(&shard_paths) {
-            match std::fs::read(shard_path) {
-                Ok(golden) if &golden == shard => println!("stream: OK ({shard_path})"),
-                Ok(_) => {
-                    println!(
-                        "stream: MISMATCH against {shard_path} — frame encoding drifted; \
-                         rerun with --stream --bless if the change is intended"
-                    );
-                    return 1;
-                }
-                Err(e) => {
-                    println!("stream: cannot read {shard_path}: {e}");
-                    return 1;
-                }
-            }
-        }
+    let shard_paths: Vec<String> = (0..GOLDEN_FRAME_SHARDS).map(stream_frames_path).collect();
+    for (shard, shard_path) in shards.iter().zip(&shard_paths) {
+        ok &= golden("stream", shard_path, shard, a.golden);
+    }
+    if !ok {
+        return 1;
+    }
+    if a.golden == GoldenMode::Check {
         // The fleet-merge determinism contract: folding the checked-in
         // shards must reproduce the single-process report byte-for-byte.
         let merged = match probenet_merged::merge_files(&shard_paths) {
@@ -1326,9 +890,7 @@ fn stream_cmd(a: &Args) -> i32 {
             "stream: OK (merged {} frame shards byte-identical to single-process report)",
             shard_paths.len()
         );
-        return 0;
     }
-    print!("{serial}");
     0
 }
 
@@ -1349,30 +911,13 @@ fn merge_cmd(a: &Args, files: &[String]) -> i32 {
     };
     let mut rendered = report.to_json();
     rendered.push('\n');
-    let path = stream_golden_path();
-    if a.bless {
-        std::fs::write(&path, rendered.as_bytes()).expect("write stream golden");
-        println!("merge: blessed {path}");
-        return 0;
-    }
-    if a.check {
-        return match std::fs::read_to_string(&path) {
-            Ok(golden) if golden == rendered => {
-                println!("merge: OK — folded report matches {path}");
-                0
-            }
-            Ok(_) => {
-                println!("merge: MISMATCH — folded report differs from {path}");
-                1
-            }
-            Err(e) => {
-                println!("merge: cannot read {path}: {e}");
-                1
-            }
-        };
-    }
-    print!("{rendered}");
-    0
+    let ok = golden(
+        "merge",
+        &stream_golden_path(),
+        rendered.as_bytes(),
+        a.golden,
+    );
+    i32::from(!ok)
 }
 
 /// `repro mesh`: run the golden mesh campaign — serially and on the
@@ -1390,11 +935,7 @@ fn merge_cmd(a: &Args, files: &[String]) -> i32 {
 fn mesh_cmd(a: &Args) -> i32 {
     use probenet_mesh::{DegenerateSpec, MeshReport, MeshSpec};
 
-    let threads = if a.serial {
-        1
-    } else {
-        probenet_core::sched::max_threads()
-    };
+    let threads = a.threads();
 
     // Degenerate 2-host contract against the single-path pipeline.
     let degenerate = probenet_mesh::degenerate_report(
@@ -1451,78 +992,37 @@ fn mesh_cmd(a: &Args) -> i32 {
         println!("mesh: FAIL — pool({threads}) report differs from serial");
         return 1;
     }
-
-    let path = mesh_golden_path();
-    if a.bless {
-        std::fs::write(&path, serial.as_bytes()).expect("write mesh golden");
-        println!("mesh: blessed {path}");
-        return 0;
-    }
-    if a.check {
-        return match std::fs::read_to_string(&path) {
-            Ok(golden) if golden == serial => {
-                println!("mesh: OK ({path})");
-                0
-            }
-            Ok(_) => {
-                println!(
-                    "mesh: MISMATCH against {path} — behavior drifted; \
-                     rerun with mesh --bless if the change is intended"
-                );
-                1
-            }
-            Err(e) => {
-                println!("mesh: cannot read {path}: {e}");
-                1
-            }
-        };
-    }
-    print!("{serial}");
-    0
+    let ok = golden("mesh", &mesh_golden_path(), serial.as_bytes(), a.golden);
+    i32::from(!ok)
 }
 
 /// `--check` / `--bless`: regenerate the golden reports for the pinned
 /// seeds — serially and on the pool — and diff them byte-for-byte against
 /// `tests/golden/` (or, under `--bless`, rewrite the checked-in files).
-fn check_goldens(bless: bool) -> i32 {
+fn check_goldens(mode: GoldenMode) -> i32 {
     let threads = probenet_core::sched::max_threads();
     let mut failed = false;
     for seed in GOLDEN_SEEDS {
-        let path = golden_path(seed);
         let serial = golden_report(seed);
-        let pooled = golden_report_threads(seed, threads);
-        if serial != pooled {
+        if serial != golden_report_threads(seed, threads) {
             println!("seed {seed}: FAIL — pool({threads}) rendering differs from serial");
             failed = true;
             continue;
         }
-        if bless {
-            std::fs::write(&path, serial.as_bytes()).expect("write golden trace");
-            println!("seed {seed}: blessed {path}");
-            continue;
-        }
-        match std::fs::read_to_string(&path) {
-            Ok(golden) if golden == serial => println!("seed {seed}: OK ({path})"),
-            Ok(_) => {
-                println!(
-                    "seed {seed}: MISMATCH against {path} — behavior drifted; \
-                     rerun with --bless if the change is intended"
-                );
-                failed = true;
-            }
-            Err(e) => {
-                println!("seed {seed}: cannot read {path}: {e}");
-                failed = true;
-            }
-        }
+        failed |= !golden(
+            &format!("seed {seed}"),
+            &golden_path(seed),
+            serial.as_bytes(),
+            mode,
+        );
     }
     i32::from(failed)
 }
 
 fn main() {
     let args = parse_args();
-    if let Some(files) = args.merge.clone() {
-        std::process::exit(merge_cmd(&args, &files));
+    if let Some(files) = &args.merge {
+        std::process::exit(merge_cmd(&args, files));
     }
     if args.mesh {
         std::process::exit(mesh_cmd(&args));
@@ -1533,18 +1033,11 @@ fn main() {
     if args.stream {
         std::process::exit(stream_cmd(&args));
     }
-    if args.check || args.bless {
-        std::process::exit(check_goldens(args.bless));
+    if args.golden != GoldenMode::Print {
+        std::process::exit(check_goldens(args.golden));
     }
-    if let Some(name) = args.impair.clone() {
-        std::process::exit(impair(&args, &name));
-    }
-    if args.bench_gate {
-        std::process::exit(bench_gate());
-    }
-    if args.bench_json {
-        bench(&args);
-        return;
+    if let Some(name) = &args.impair {
+        std::process::exit(impair(&args, name));
     }
     let run_all = args.artifact == "all";
     let selected: Vec<Artifact> = ARTIFACTS
@@ -1561,12 +1054,10 @@ fn main() {
         "probenet repro harness | span {} s per experiment | seed {}",
         args.span_secs, args.seed
     );
-    let threads = if args.serial {
-        1
-    } else {
-        probenet_core::sched::max_threads()
-    };
-    for (_, text, _) in render_artifacts(&args, &selected, threads) {
+    // Results come back in `selected` order whatever the scheduling, so the
+    // printed report is deterministic.
+    let texts = probenet_core::sched::par_map_threads(args.threads(), selected, |(_, f)| f(&args));
+    for text in texts {
         print!("{text}");
     }
 }

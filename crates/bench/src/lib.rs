@@ -140,16 +140,6 @@ pub fn golden_path(seed: u64) -> String {
     format!("{}/{GOLDEN_SCENARIO}-seed{seed}.json", golden_dir())
 }
 
-/// FNV-1a 64-bit digest, as fixed-width hex.
-pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    format!("{h:016x}")
-}
-
 /// One δ-slice of a golden report: the headline loss and ordering metrics
 /// plus a digest over every per-probe record, so any behavioral drift —
 /// a single RTT one nanosecond off — changes the artifact byte-for-byte.
@@ -265,12 +255,11 @@ pub fn golden_report(seed: u64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming collector: golden snapshots and ingest throughput
+// Streaming collector: golden snapshots
 // ---------------------------------------------------------------------------
 
 use probenet_stream::{
-    BankConfig, Collector, CollectorConfig, CollectorReport, SessionKey, SessionProducer,
-    StreamRecord,
+    fnv1a_hex, BankConfig, Collector, CollectorConfig, CollectorReport, SessionKey, SessionProducer,
 };
 use probenet_wire::snapshot::SessionFrame;
 
@@ -387,101 +376,11 @@ pub fn stream_report() -> String {
     stream_report_threads(1)
 }
 
-/// Measured ingest throughput of the collector, as recorded in the
-/// `--bench-json` report.
-#[derive(Debug, Serialize)]
-pub struct StreamIngest {
-    /// Concurrent sessions (one producer thread each).
-    pub sessions: u64,
-    /// Records pushed per session.
-    pub records_per_session: u64,
-    /// Records folded across all sessions.
-    pub total_records: u64,
-    /// Wall time from collector start to report, ms.
-    pub wall_ms: f64,
-    /// Aggregate ingest rate across all sessions, records/sec.
-    pub aggregate_records_per_sec: f64,
-    /// Mean per-session ingest rate, records/sec.
-    pub per_session_records_per_sec: f64,
-    /// Records dropped (blocking `push` never drops; asserted zero).
-    pub dropped: u64,
-}
-
-/// Drive `sessions` producer threads of `records_per_session` synthetic
-/// records each through one collector and measure the ingest rate. Records
-/// are generated before the clock starts, so the measurement covers only
-/// channel transfer plus estimator folding; blocking `push` is used
-/// throughout, so `dropped` is structurally zero (and asserted).
-pub fn stream_ingest_throughput(sessions: usize, records_per_session: u64) -> StreamIngest {
-    let per_session: Vec<Vec<StreamRecord>> = (0..sessions as u64)
-        .map(|s| {
-            let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ (s + 1);
-            (0..records_per_session)
-                .map(|i| {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let lost = state.is_multiple_of(10);
-                    StreamRecord {
-                        seq: i,
-                        sent_at_ns: i * 20_000_000,
-                        rtt_ns: (!lost).then_some(100_000_000 + state % 50_000_000),
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let mut collector = Collector::new(CollectorConfig {
-        channel_capacity: 4096,
-        snapshot_every: 0,
-    });
-    let producers: Vec<SessionProducer> = (0..sessions as u64)
-        .map(|s| {
-            collector.add_session(
-                SessionKey::new("bench-ingest", 20, s),
-                BankConfig::bolot(20.0, 72, 0),
-            )
-        })
-        .collect();
-    let started = std::time::Instant::now(); // probenet-lint: allow(wall-clock-in-sim) ingest-throughput benchmark timing
-    let running = collector.start();
-    let handles: Vec<_> = producers
-        .into_iter()
-        .zip(per_session)
-        .map(|(p, records)| {
-            std::thread::spawn(move || {
-                for r in records {
-                    assert!(p.push(r), "collector exited early");
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("producer thread");
-    }
-    let report = running.join();
-    let wall = started.elapsed();
-    let total = report.total_records();
-    assert_eq!(total, sessions as u64 * records_per_session);
-    assert_eq!(report.total_dropped(), 0, "blocking push must never drop");
-    let secs = wall.as_secs_f64();
-    StreamIngest {
-        sessions: sessions as u64,
-        records_per_session,
-        total_records: total,
-        wall_ms: secs * 1e3,
-        aggregate_records_per_sec: total as f64 / secs,
-        per_session_records_per_sec: total as f64 / secs / sessions as f64,
-        dropped: report.total_dropped(),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Live reactor: loopback engine measurement (`repro live`, `live_engine`)
+// Live reactor: loopback engine measurement (`repro live`)
 // ---------------------------------------------------------------------------
 
-/// One live-reactor loopback measurement: the `live_engine` block of
-/// `--bench-json` and the payload behind `repro live`.
+/// One live-reactor loopback measurement: the payload behind `repro live`.
 #[derive(Serialize)]
 pub struct LiveEngineRun {
     /// Concurrent probe sessions driven.

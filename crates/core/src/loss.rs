@@ -15,78 +15,16 @@
 //! small fraction of the bottleneck.
 
 use probenet_netdyn::RttSeries;
-use probenet_stats::{lag1_independence, runs_test, Chi2Test, RunsTest};
+use probenet_stream::StreamingLoss;
 use serde::{Deserialize, Serialize};
 
-/// Loss metrics of one experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LossAnalysis {
-    /// Probes sent.
-    pub sent: usize,
-    /// Probes lost.
-    pub lost: usize,
-    /// Unconditional loss probability.
-    pub ulp: f64,
-    /// Conditional loss probability `P(loss_{n+1} | loss_n)`; `None` when
-    /// no probe except possibly the last was lost (undefined conditioning).
-    pub clp: Option<f64>,
-    /// Mean observed run of consecutive losses (`None` without losses).
-    pub plg_measured: Option<f64>,
-    /// The Palm identity prediction `1 / (1 − clp)`.
-    pub plg_palm: Option<f64>,
-    /// Distribution of loss-run lengths (`runs[k]` = number of maximal runs
-    /// of exactly `k + 1` consecutive losses).
-    pub run_lengths: Vec<usize>,
-    /// Wald–Wolfowitz runs test on the loss indicator sequence (`None` for
-    /// degenerate sequences).
-    pub runs_test: Option<RunsTestSummary>,
-    /// χ² lag-1 independence test (`None` for degenerate sequences).
-    pub lag1_test: Option<Chi2Summary>,
-}
+/// Loss metrics of one experiment: the streaming estimator's snapshot.
+pub use probenet_stream::{
+    Chi2Snapshot as Chi2Summary, LossSnapshot as LossAnalysis, RunsTestSnapshot as RunsTestSummary,
+};
 
-/// Serializable summary of a runs test.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct RunsTestSummary {
-    /// Observed runs.
-    pub runs: usize,
-    /// Expected runs under independence.
-    pub expected: f64,
-    /// z-score.
-    pub z: f64,
-    /// Two-sided p-value.
-    pub p_value: f64,
-}
-
-impl From<RunsTest> for RunsTestSummary {
-    fn from(r: RunsTest) -> Self {
-        RunsTestSummary {
-            runs: r.runs,
-            expected: r.expected,
-            z: r.z,
-            p_value: r.p_value,
-        }
-    }
-}
-
-/// Serializable summary of a χ² test.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Chi2Summary {
-    /// χ²(1) statistic.
-    pub statistic: f64,
-    /// p-value.
-    pub p_value: f64,
-}
-
-impl From<Chi2Test> for Chi2Summary {
-    fn from(t: Chi2Test) -> Self {
-        Chi2Summary {
-            statistic: t.statistic,
-            p_value: t.p_value,
-        }
-    }
-}
-
-/// Analyze a loss indicator sequence (`true` = lost).
+/// Analyze a loss indicator sequence (`true` = lost): a [`StreamingLoss`]
+/// fold over the whole sequence.
 ///
 /// ```
 /// use probenet_core::analyze_loss_flags;
@@ -99,86 +37,16 @@ impl From<Chi2Test> for Chi2Summary {
 /// assert_eq!(a.plg_measured, Some(1.0)); // loss gap of 1: "random" losses
 /// ```
 pub fn analyze_loss_flags(flags: &[bool]) -> LossAnalysis {
-    let sent = flags.len();
-    let lost = flags.iter().filter(|&&b| b).count();
-    let ulp = if sent == 0 {
-        0.0
-    } else {
-        lost as f64 / sent as f64
-    };
-
-    // clp: over positions n with flags[n] lost and n+1 existing.
-    let mut cond_base = 0usize;
-    let mut cond_loss = 0usize;
-    for w in flags.windows(2) {
-        if w[0] {
-            cond_base += 1;
-            if w[1] {
-                cond_loss += 1;
-            }
-        }
+    let mut fold = StreamingLoss::new();
+    for &lost in flags {
+        fold.push(lost);
     }
-    let clp = if cond_base == 0 {
-        None
-    } else {
-        Some(cond_loss as f64 / cond_base as f64)
-    };
-
-    // Maximal runs of consecutive losses.
-    let mut run_lengths_raw: Vec<usize> = Vec::new();
-    let mut current = 0usize;
-    for &f in flags {
-        if f {
-            current += 1;
-        } else if current > 0 {
-            run_lengths_raw.push(current);
-            current = 0;
-        }
-    }
-    if current > 0 {
-        run_lengths_raw.push(current);
-    }
-    let plg_measured = if run_lengths_raw.is_empty() {
-        None
-    } else {
-        Some(run_lengths_raw.iter().sum::<usize>() as f64 / run_lengths_raw.len() as f64)
-    };
-    let max_run = run_lengths_raw.iter().copied().max().unwrap_or(0);
-    let mut run_lengths = vec![0usize; max_run];
-    for r in run_lengths_raw {
-        run_lengths[r - 1] += 1;
-    }
-
-    let plg_palm = clp.and_then(|c| if c < 1.0 { Some(1.0 / (1.0 - c)) } else { None });
-
-    LossAnalysis {
-        sent,
-        lost,
-        ulp,
-        clp,
-        plg_measured,
-        plg_palm,
-        run_lengths,
-        runs_test: runs_test(flags).map(Into::into),
-        lag1_test: lag1_independence(flags).map(Into::into),
-    }
+    fold.snapshot()
 }
 
 /// Analyze the loss process of an RTT series.
 pub fn analyze_losses(series: &RttSeries) -> LossAnalysis {
     analyze_loss_flags(&series.loss_flags())
-}
-
-impl LossAnalysis {
-    /// The paper's random-loss verdict: losses look independent when the
-    /// lag-1 χ² test does not reject at the given significance level
-    /// (and trivially when there are too few losses to test).
-    pub fn losses_look_random(&self, alpha: f64) -> bool {
-        match &self.lag1_test {
-            Some(t) => t.p_value > alpha,
-            None => true,
-        }
-    }
 }
 
 /// The Gilbert two-state loss model: a Markov chain on {Good, Bad} where

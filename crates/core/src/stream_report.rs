@@ -1,39 +1,7 @@
-//! Adapters between the streaming layer (`probenet-stream`) and the batch
-//! analysis types of this crate.
-//!
-//! The streaming loss estimator retains sufficient statistics for every
-//! quantity `analyze_loss_flags` derives, so its snapshot converts to a
-//! [`LossAnalysis`] without loss: the differential suite serializes both
-//! sides to JSON and compares the bytes.
+//! Terminal rendering of the streaming layer's (`probenet-stream`)
+//! per-session snapshots.
 
-use crate::loss::{Chi2Summary, LossAnalysis, RunsTestSummary};
-use probenet_stream::{BankSnapshot, LossSnapshot, SessionKey};
-
-/// Rehydrate a batch [`LossAnalysis`] from a streaming snapshot. Field for
-/// field — the snapshot carries the same values with the same `None`
-/// conventions, so serializing the result matches the batch analyzer's
-/// output byte-for-byte.
-pub fn loss_analysis_from_stream(snap: &LossSnapshot) -> LossAnalysis {
-    LossAnalysis {
-        sent: snap.sent,
-        lost: snap.lost,
-        ulp: snap.ulp,
-        clp: snap.clp,
-        plg_measured: snap.plg_measured,
-        plg_palm: snap.plg_palm,
-        run_lengths: snap.run_lengths.clone(),
-        runs_test: snap.runs_test.map(|r| RunsTestSummary {
-            runs: r.runs,
-            expected: r.expected,
-            z: r.z,
-            p_value: r.p_value,
-        }),
-        lag1_test: snap.lag1_test.map(|t| Chi2Summary {
-            statistic: t.statistic,
-            p_value: t.p_value,
-        }),
-    }
-}
+use probenet_stream::{BankSnapshot, SessionKey};
 
 /// A compact terminal rendering of one session's streaming snapshot —
 /// the collector-side counterpart of this crate's batch report lines.
@@ -74,31 +42,7 @@ pub fn render_stream_snapshot(key: &SessionKey, snap: &BankSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::analyze_loss_flags;
-    use probenet_stream::{BankConfig, EstimatorBank, StreamRecord, StreamingLoss};
-
-    #[test]
-    fn stream_loss_round_trips_to_batch_bytes() {
-        let mut state = 123u64;
-        let flags: Vec<bool> = (0..2000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) < 0.2
-            })
-            .collect();
-        let mut s = StreamingLoss::new();
-        for &f in &flags {
-            s.push(f);
-        }
-        let from_stream = loss_analysis_from_stream(&s.snapshot());
-        let batch = analyze_loss_flags(&flags);
-        assert_eq!(
-            serde_json::to_string(&from_stream).unwrap(),
-            serde_json::to_string(&batch).unwrap()
-        );
-    }
+    use probenet_stream::{BankConfig, EstimatorBank, StreamRecord};
 
     #[test]
     fn render_is_total_for_empty_and_lossless_sessions() {

@@ -14,6 +14,7 @@
 
 use probenet_netdyn::RttSeries;
 use probenet_stats::{find_relative_peaks, Histogram};
+use probenet_stream::{workload_layout, StreamingWorkload};
 use serde::{Deserialize, Serialize};
 
 /// What a peak of the interarrival distribution means.
@@ -105,12 +106,20 @@ pub fn analyze_workload(
     let delta_ms = series.interval().as_millis_f64();
     let p_bits = series.wire_bytes as f64 * 8.0;
     let service_ms = p_bits / mu_bps * 1e3;
-    let g = interarrival_series(series);
 
-    let resolution_ms = series.clock_resolution_ns as f64 / 1e6;
-    let bin = resolution_ms.max(0.5);
-    let bins = ((max_ms / bin).ceil() as usize).max(10);
-    let histogram = Histogram::from_data(&g, 0.0, max_ms, bins);
+    // The histogram is the streaming estimator's, folded over the series.
+    let mut fold = StreamingWorkload::new(
+        delta_ms,
+        series.wire_bytes,
+        series.clock_resolution_ns,
+        mu_bps,
+        max_ms,
+    );
+    for r in &series.records {
+        fold.push(r.rtt);
+    }
+    let histogram = fold.histogram().clone();
+    let (bin, _) = workload_layout(max_ms, series.clock_resolution_ns);
     let freqs = histogram.frequencies();
     let raw_peaks = find_relative_peaks(&freqs, 0.02, 2, 1);
 

@@ -29,7 +29,9 @@ use probenet_core::sched::par_map_threads;
 use probenet_merged::{MergeError, MergeService};
 use probenet_netdyn::{ExperimentConfig, RttSeries, SimExperiment};
 use probenet_sim::{Direction, FlowClass, SimDuration};
-use probenet_stream::{BankConfig, Collector, CollectorConfig, CollectorReport, SessionKey};
+use probenet_stream::{
+    fnv1a_hex, BankConfig, Collector, CollectorConfig, CollectorReport, SessionKey,
+};
 use probenet_traffic::InternetMix;
 use probenet_wire::snapshot::{decode_frames, HopAnnotation, SessionFrame};
 use rand::rngs::StdRng;
@@ -322,16 +324,6 @@ pub struct MeshReport {
     pub max_frame_bytes: u64,
     /// Did every link's attribution land within tolerance?
     pub all_links_within_tolerance: bool,
-}
-
-/// FNV-1a 64-bit digest, fixed-width hex.
-fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    format!("{h:016x}")
 }
 
 impl MeshReport {

@@ -4,7 +4,7 @@
 
 use crate::acf::WindowedAcf;
 use crate::fnv::fnv1a_u64s;
-use crate::lindley::{StreamingWorkload, WorkloadSnapshot, WorkloadWireState};
+use crate::lindley::{workload_layout, StreamingWorkload, WorkloadSnapshot, WorkloadWireState};
 use crate::loss::{LossSnapshot, LossWireState, StreamingLoss};
 use crate::phase::{PhaseDensity, PhaseSnapshot, PhaseWireState};
 use crate::quantile::LogQuantileSketch;
@@ -76,13 +76,11 @@ pub struct BankWireState {
 }
 
 impl BankConfig {
-    /// The workload histogram bin count this config derives — exactly the
-    /// [`StreamingWorkload::new`] layout rule, exposed so decoders can
-    /// verify a claimed bin count without allocating it first.
+    /// The workload histogram bin count this config derives (the
+    /// [`workload_layout`] rule), exposed so decoders can verify a claimed
+    /// bin count without allocating it first.
     pub fn workload_bins(&self) -> usize {
-        let resolution_ms = self.clock_resolution_ns as f64 / 1e6;
-        let bin = resolution_ms.max(0.5);
-        ((self.workload_max_ms / bin).ceil() as usize).max(10)
+        workload_layout(self.workload_max_ms, self.clock_resolution_ns).1
     }
 
     /// Check every constructor precondition the bank's estimators assert,

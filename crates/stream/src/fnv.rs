@@ -1,20 +1,32 @@
-//! FNV-1a over little-endian `u64` words — a compact, dependency-free way
-//! to pin a large count grid in a JSON snapshot without serializing every
-//! cell. Same constants as the golden-trace hasher in `probenet-bench`.
+//! FNV-1a 64 — a compact, dependency-free digest that pins a large count
+//! grid or a rendered artifact in a JSON report without serializing it.
+//! The workspace's one definition: the streaming snapshots, the golden
+//! traces and the mesh report all hash through [`fnv1a`].
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
+/// Fold `bytes` into the running digest `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Hash a byte string and render the digest as 16 lowercase hex
+/// characters.
+pub fn fnv1a_hex(bytes: &[u8]) -> String {
+    format!("{:016x}", fnv1a(FNV_OFFSET, bytes))
+}
+
 /// Hash a sequence of `u64` words (as their 8 little-endian bytes each) and
 /// render the digest as 16 lowercase hex characters.
 pub fn fnv1a_u64s<I: IntoIterator<Item = u64>>(words: I) -> String {
-    let mut h = FNV_OFFSET;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
+    let h = words
+        .into_iter()
+        .fold(FNV_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()));
     format!("{h:016x}")
 }
 
@@ -28,5 +40,12 @@ mod tests {
         assert_eq!(a, fnv1a_u64s([1, 2, 3]));
         assert_ne!(a, fnv1a_u64s([3, 2, 1]));
         assert_eq!(a.len(), 16);
+    }
+
+    #[test]
+    fn words_hash_as_their_little_endian_bytes() {
+        // The published FNV-1a 64 test vector for "a".
+        assert_eq!(fnv1a_hex(b"a"), "af63dc4c8601ec8c");
+        assert_eq!(fnv1a_u64s([0x61]), fnv1a_hex(&[0x61, 0, 0, 0, 0, 0, 0, 0]));
     }
 }

@@ -23,8 +23,10 @@
 //!
 //! * **Byte-exact** — integer state only; serial folds *and* arbitrary
 //!   merge groupings reproduce the batch result bit-for-bit. This covers
-//!   [`StreamingLoss`] (all loss metrics incl. the runs/χ² tests), all
-//!   histogram and grid counts, and the quantile sketch's buckets.
+//!   [`StreamingLoss`] (all loss metrics incl. the runs/χ² tests — the
+//!   batch analyzer `probenet_core::analyze_loss_flags` *is* its serial
+//!   fold), all histogram and grid counts, and the quantile sketch's
+//!   buckets.
 //! * **ε-bounded** — float accumulators. A serial `push` fold performs the
 //!   batch's additions in the batch's order (bit-identical); `merge`
 //!   reassociates sums, so merged results carry reassociation error
@@ -59,8 +61,8 @@ pub use collector::{
     Collector, CollectorConfig, CollectorReport, InterimSnapshot, RunningCollector,
     SessionProducer, SessionReport,
 };
-pub use fnv::fnv1a_u64s;
-pub use lindley::{StreamingWorkload, WorkloadSnapshot, WorkloadWireState};
+pub use fnv::{fnv1a_hex, fnv1a_u64s};
+pub use lindley::{workload_layout, StreamingWorkload, WorkloadSnapshot, WorkloadWireState};
 pub use loss::{Chi2Snapshot, LossSnapshot, LossWireState, RunsTestSnapshot, StreamingLoss};
 pub use phase::{PhaseDensity, PhaseSnapshot, PhaseWireState};
 pub use quantile::LogQuantileSketch;

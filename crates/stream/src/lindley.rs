@@ -1,19 +1,18 @@
 //! Online workload estimation via the paper's Lindley recurrence (eq. 6).
 //!
-//! The batch analyzer (`probenet_core::analyze_workload`) materializes the
-//! full interarrival series `g_n = rtt_{n+1} − rtt_n + δ` before binning it
-//! and averaging the implied workloads `b̂_n = (μ·g_n − P)/8`. The streaming
-//! estimator consumes one record at a time, retaining only the previous
-//! record's RTT: each consecutive delivered pair contributes one `g_n` to a
-//! fixed-layout histogram (identical binning to the batch analysis) and one
-//! clamped workload estimate to a running sum.
+//! The estimator consumes one record at a time, retaining only the previous
+//! record's RTT: each consecutive delivered pair contributes one
+//! interarrival `g_n = rtt_{n+1} − rtt_n + δ` to a fixed-layout histogram
+//! and one clamped workload estimate `b̂_n = (μ·g_n − P)/8` to a running
+//! sum. The batch analyzer (`probenet_core::analyze_workload`) is a fold of
+//! this type over a whole series, so the layout, `g_n` and eq. (6) are
+//! written once, here.
 //!
-//! Exactness: all histogram counts are integers, so they match the batch
-//! histogram exactly under any merge grouping. The workload **sum** is a
-//! float accumulator — a serial `push` fold performs the same additions in
-//! the same order as the batch mean and is bit-identical to it; `merge`
-//! regroups the additions, so merged results agree only to floating-point
-//! reassociation error (documented as ≤ 1e-9 relative in DESIGN.md §11).
+//! Exactness: all histogram counts are integers, so they are identical
+//! under any merge grouping. The workload **sum** is a float accumulator —
+//! a serial `push` fold adds in sequence order; `merge` regroups the
+//! additions, so merged results agree only to floating-point reassociation
+//! error (documented as ≤ 1e-9 relative in DESIGN.md §11).
 
 use crate::fnv::fnv1a_u64s;
 use probenet_stats::Histogram;
@@ -87,10 +86,17 @@ pub struct WorkloadWireState {
     pub last: Option<Option<u64>>,
 }
 
+/// The workload histogram's layout rule, the workspace's one definition:
+/// `[0, max_ms)` in bins as wide as the measurement clock's resolution but
+/// no finer than 0.5 ms, and never fewer than 10 of them. Returns the
+/// nominal bin width in ms and the bin count.
+pub fn workload_layout(max_ms: f64, clock_resolution_ns: u64) -> (f64, usize) {
+    let bin_ms = (clock_resolution_ns as f64 / 1e6).max(0.5);
+    (bin_ms, ((max_ms / bin_ms).ceil() as usize).max(10))
+}
+
 impl StreamingWorkload {
-    /// A new estimator with the batch analyzer's histogram layout:
-    /// `[0, max_ms)` split into `max(ceil(max_ms / max(resolution, 0.5 ms)),
-    /// 10)` bins.
+    /// A new estimator over the [`workload_layout`] histogram.
     ///
     /// # Panics
     /// Panics if `mu_bps` or `max_ms` is not positive.
@@ -102,9 +108,7 @@ impl StreamingWorkload {
         max_ms: f64,
     ) -> Self {
         assert!(mu_bps > 0.0 && max_ms > 0.0, "positive parameters");
-        let resolution_ms = clock_resolution_ns as f64 / 1e6;
-        let bin = resolution_ms.max(0.5);
-        let bins = ((max_ms / bin).ceil() as usize).max(10);
+        let (_, bins) = workload_layout(max_ms, clock_resolution_ns);
         StreamingWorkload {
             delta_ms,
             mu_bps,
@@ -170,7 +174,7 @@ impl StreamingWorkload {
         self.pairs
     }
 
-    /// The interarrival histogram (batch-identical layout and counts).
+    /// The interarrival histogram.
     pub fn histogram(&self) -> &Histogram {
         &self.hist
     }

@@ -1,8 +1,8 @@
 //! Streaming loss-process characterization: Bolot's `ulp` / `clp` / `plg`
 //! triple, run-length distribution, and randomness tests — from O(1) state.
 //!
-//! Everything the batch analyzer (`probenet_core::analyze_loss_flags`)
-//! derives from a loss indicator sequence is a function of a small segment
+//! Everything the paper's §5 derives from a loss indicator sequence is a
+//! function of a small segment
 //! summary: total counts, the four lag-1 transition counts, and the loss
 //! runs split into *boundary* runs (touching the segment's ends, which may
 //! still grow or fuse when segments are concatenated) and *interior* runs
@@ -11,14 +11,15 @@
 //! pair, and fusing the left segment's tail run with the right segment's
 //! head run. Because every retained quantity is an integer, `merge` is
 //! **exact and associative** — the collector can fold per-session segments
-//! in any grouping and reproduce the batch analysis byte-for-byte.
+//! in any grouping and reproduce the one-pass analysis byte-for-byte. The
+//! batch entry point (`probenet_core::analyze_loss_flags`) is that one pass:
+//! a `push` fold of this type over the whole sequence.
 
 use probenet_stats::{lag1_independence_from_counts, runs_test_from_counts};
 use serde::{Deserialize, Serialize};
 
 /// Online loss-process estimator over a loss indicator stream
-/// (`true` = probe lost). Push flags in sequence order; `snapshot()`
-/// reproduces the batch `analyze_loss_flags` output exactly.
+/// (`true` = probe lost). Push flags in sequence order.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamingLoss {
     sent: u64,
@@ -43,9 +44,8 @@ pub struct StreamingLoss {
     closed: Vec<u64>,
 }
 
-/// Snapshot of [`StreamingLoss`]: the same quantities, same `None`
-/// conventions, and (for counts and ratios) the same bit patterns as the
-/// batch `LossAnalysis`.
+/// Loss metrics of a probe sequence: the snapshot of a [`StreamingLoss`]
+/// (`probenet_core` re-exports it as `LossAnalysis`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LossSnapshot {
     /// Probes sent.
@@ -54,21 +54,36 @@ pub struct LossSnapshot {
     pub lost: usize,
     /// Unconditional loss probability.
     pub ulp: f64,
-    /// Conditional loss probability `P(loss_{n+1} | loss_n)`.
+    /// Conditional loss probability `P(loss_{n+1} | loss_n)`; `None` when
+    /// no probe except possibly the last was lost (undefined conditioning).
     pub clp: Option<f64>,
-    /// Mean observed loss-run length.
+    /// Mean observed run of consecutive losses (`None` without losses).
     pub plg_measured: Option<f64>,
-    /// Palm prediction `1 / (1 − clp)`.
+    /// The Palm identity prediction `1 / (1 − clp)`.
     pub plg_palm: Option<f64>,
-    /// `run_lengths[k]` = number of maximal runs of exactly `k + 1` losses.
+    /// Distribution of loss-run lengths (`run_lengths[k]` = number of
+    /// maximal runs of exactly `k + 1` consecutive losses).
     pub run_lengths: Vec<usize>,
-    /// Wald–Wolfowitz runs test on the indicator sequence.
+    /// Wald–Wolfowitz runs test on the loss indicator sequence (`None` for
+    /// degenerate sequences).
     pub runs_test: Option<RunsTestSnapshot>,
-    /// χ² lag-1 independence test.
+    /// χ² lag-1 independence test (`None` for degenerate sequences).
     pub lag1_test: Option<Chi2Snapshot>,
 }
 
-/// Serializable runs-test summary (mirrors the batch `RunsTestSummary`).
+impl LossSnapshot {
+    /// The paper's random-loss verdict: losses look independent when the
+    /// lag-1 χ² test does not reject at the given significance level
+    /// (and trivially when there are too few losses to test).
+    pub fn losses_look_random(&self, alpha: f64) -> bool {
+        match &self.lag1_test {
+            Some(t) => t.p_value > alpha,
+            None => true,
+        }
+    }
+}
+
+/// Serializable summary of a runs test.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct RunsTestSnapshot {
     /// Observed runs.
@@ -81,7 +96,7 @@ pub struct RunsTestSnapshot {
     pub p_value: f64,
 }
 
-/// Serializable χ² summary (mirrors the batch `Chi2Summary`).
+/// Serializable summary of a χ² test.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Chi2Snapshot {
     /// χ²(1) statistic.
@@ -355,8 +370,7 @@ impl StreamingLoss {
         })
     }
 
-    /// Current loss metrics — bit-identical to
-    /// `probenet_core::analyze_loss_flags` over the pushed sequence.
+    /// Current loss metrics of the pushed sequence.
     pub fn snapshot(&self) -> LossSnapshot {
         let sent = self.sent as usize;
         let lost = self.lost as usize;
@@ -393,8 +407,8 @@ impl StreamingLoss {
             runs_by_len.pop();
         }
         let num_runs = runs_by_len.iter().sum::<usize>();
-        // Every loss belongs to exactly one maximal run, so the batch
-        // sum-of-run-lengths is exactly `lost`.
+        // Every loss belongs to exactly one maximal run, so the sum of
+        // run lengths is exactly `lost`.
         let plg_measured = if num_runs == 0 {
             None
         } else {
@@ -437,8 +451,8 @@ impl StreamingLoss {
 mod tests {
     use super::*;
 
-    /// Reference reimplementation of the batch analyzer's run accounting
-    /// (can't depend on probenet-core here — that would be a cycle).
+    /// Naive run accounting over the materialized sequence: the oracle
+    /// for the O(1)-state estimator.
     fn batch_runs(flags: &[bool]) -> Vec<usize> {
         let mut raw = Vec::new();
         let mut cur = 0usize;

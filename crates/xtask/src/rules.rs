@@ -195,9 +195,9 @@ This is the interprocedural tier (`cargo xtask lint --deep`): a from-
 scratch lexer and call-graph walk over the whole workspace, classifying
 nondeterminism *sources* (wall-clock reads, ambient RNG, HashMap/HashSet
 iteration, thread-id/env reads, address-as-value casts) and artifact
-*sinks* (report/JSON serializers, wire::snapshot encoders, golden writers,
---bench-json emitters), and reporting every source that can reach a sink
-through the call graph — the laundered-through-a-helper case the shallow
+*sinks* (report/JSON serializers, wire::snapshot encoders, golden
+writers), and reporting every source that can reach a sink through the
+call graph — the laundered-through-a-helper case the shallow
 line rules provably cannot see.
 
 The diagnostic anchors at the source site and prints the full call chain
@@ -297,7 +297,7 @@ fn is_serialization_fn(name: &str) -> bool {
 
 /// Artifact-sink predicate for the deep tier: functions whose output is (or
 /// feeds) a byte-compared artifact — report/JSON serializers, wire/snapshot
-/// encoders, golden writers, bench emitters. Name fragments are shared with
+/// encoders, golden writers. Name fragments are shared with
 /// the shallow serialization-context rule; file scope is the report/wire
 /// path only (NOT the whole live/mesh cast scope — a reactor poll loop is
 /// not a sink just because its crate holds codecs).

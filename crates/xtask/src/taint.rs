@@ -6,8 +6,8 @@
 //! on its own. This pass closes that hole. It classifies nondeterminism
 //! *sources* (wall-clock reads, ambient RNG, hash-ordered iteration,
 //! thread-id/env reads, address-as-value casts), marks artifact *sinks*
-//! (report/JSON serializers, wire/snapshot encoders, golden writers, bench
-//! emitters — `rules::is_deep_sink`), and walks the workspace
+//! (report/JSON serializers, wire/snapshot encoders, golden writers —
+//! `rules::is_deep_sink`), and walks the workspace
 //! call graph ([`crate::graph`]) from each source's enclosing function up
 //! through its callers. Any sink that can reach the source is a diagnostic,
 //! anchored at the source site with the full witness chain.

@@ -150,10 +150,21 @@ fn xtask_bin() -> std::process::Command {
 
 #[test]
 fn cli_deep_lint_workspace_is_clean() {
+    let started = std::time::Instant::now();
     let out = xtask_bin()
         .args(["lint", "--deep"])
         .output()
         .expect("run xtask lint --deep");
+    let wall = started.elapsed();
+    // The analyzer rides the blocking CI path. Its taint pass is designed
+    // to stay near-linear in workspace size (tens of ms in release, under a
+    // second in the debug build `cargo test` runs here), so the budget is
+    // an absolute ceiling that trips on a complexity blowup (an unbounded
+    // taint frontier, quadratic call linking), not on host speed.
+    assert!(
+        wall < std::time::Duration::from_secs(5),
+        "lint --deep took {wall:?}, over its 5 s budget"
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(

@@ -195,38 +195,6 @@ fn same_key_segment_folds_match_the_in_memory_merge() {
     );
 }
 
-/// Throughput probe behind the EXPERIMENTS.md "fleet merge" entry — run
-/// explicitly with `cargo test --release --test merge_equiv -- --ignored
-/// --nocapture` (wall-clock numbers are meaningless in debug builds).
-#[test]
-#[ignore = "throughput measurement, run by hand in release mode"]
-fn merge_throughput_probe() {
-    let shards: Vec<Vec<u8>> = (0..2)
-        .map(|i| {
-            std::fs::read(format!("tests/golden/stream-frames-c{i}.bin"))
-                .expect("blessed frame shards exist (repro --stream --bless)")
-        })
-        .collect();
-    let bytes_per_fold: usize = shards.iter().map(Vec::len).sum();
-    let mut sessions = 0usize;
-    const FOLDS: u32 = 200;
-    let started = std::time::Instant::now();
-    for _ in 0..FOLDS {
-        let mut service = MergeService::new();
-        for shard in &shards {
-            service.ingest_bytes(shard).expect("golden shards decode");
-        }
-        sessions += service.into_report().expect("fold succeeds").sessions.len();
-    }
-    let secs = started.elapsed().as_secs_f64();
-    println!(
-        "fleet merge: {FOLDS} folds of {bytes_per_fold} bytes in {secs:.3} s — \
-         {:.1} MB/s decode+fold, {:.0} sessions/s",
-        bytes_per_fold as f64 * f64::from(FOLDS) / secs / 1e6,
-        sessions as f64 / secs,
-    );
-}
-
 #[test]
 fn interim_snapshots_survive_the_fleet_round_trip() {
     // snapshot_every > 0 exercises the INTERIM frame section end-to-end.

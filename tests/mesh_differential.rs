@@ -9,10 +9,7 @@
 use probenet_bench::{
     stream_golden_path, stream_session_tasks, GOLDEN_FRAME_SHARDS, GOLDEN_SCENARIO,
 };
-use probenet_merged::MergeService;
-use probenet_mesh::{
-    campaign::run_campaign, degenerate_report, fold_through_daemon, DegenerateSpec, MeshSpec,
-};
+use probenet_mesh::{degenerate_report, fold_through_daemon, DegenerateSpec};
 use probenet_wire::snapshot::SessionFrame;
 
 fn golden_spec() -> DegenerateSpec {
@@ -64,35 +61,4 @@ fn degenerate_mesh_survives_the_daemon_fold_with_bounded_buffer() {
              over {shards} shards"
         );
     }
-}
-
-/// Mesh-scale fold-throughput probe behind the EXPERIMENTS.md "fleet
-/// merge at mesh scale" entry — run explicitly with `cargo test
-/// --release --test mesh_differential -- --ignored --nocapture`
-/// (wall-clock numbers are meaningless in debug builds).
-#[test]
-#[ignore = "throughput measurement, run by hand in release mode"]
-fn mesh_fold_throughput_probe() {
-    let run = run_campaign(&MeshSpec::golden(), 4).expect("golden campaign");
-    let bytes_per_fold: usize = run.host_streams.iter().map(Vec::len).sum();
-    let mut sessions = 0usize;
-    const FOLDS: u32 = 200;
-    let started = std::time::Instant::now();
-    for _ in 0..FOLDS {
-        let mut service = MergeService::new();
-        for stream in &run.host_streams {
-            service
-                .ingest_reader(&mut std::io::Cursor::new(stream))
-                .expect("own streams decode");
-        }
-        sessions += service.into_report().expect("fold succeeds").sessions.len();
-    }
-    let secs = started.elapsed().as_secs_f64();
-    println!(
-        "mesh fold: {FOLDS} folds of {} vantage streams ({bytes_per_fold} bytes) in {secs:.3} s — \
-         {:.1} MB/s incremental decode+fold, {:.0} sessions/s",
-        run.host_streams.len(),
-        bytes_per_fold as f64 * f64::from(FOLDS) / secs / 1e6,
-        sessions as f64 / secs,
-    );
 }
