@@ -10,7 +10,7 @@
 //! emits machine-readable results on stdout.
 //!
 //! Artifacts are independent, so they render into per-artifact string
-//! buffers on the bounded work-stealing pool (`probenet_core::sched`) and
+//! buffers on the bounded pool (`probenet_core::sched`) and
 //! are printed in the fixed paper order afterwards — output is identical
 //! whatever the thread count. `--serial` forces everything onto one
 //! thread. Speed is measured by `benchmark/run.sh`, not here.

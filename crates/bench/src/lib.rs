@@ -6,7 +6,7 @@ use probenet_core::{
     analyze_losses, analyze_workload, delta_sweep, impairment_scenario, LossAnalysis,
     PaperScenario, PhasePlot, SweepRow, WorkloadAnalysis,
 };
-use probenet_netdyn::{EchoServer, ExperimentConfig, RttSeries, UMD_CLOCK};
+use probenet_netdyn::{collect_sessions, EchoServer, ExperimentConfig, RttSeries, UMD_CLOCK};
 use probenet_sim::{discover_route, Path, SimDuration};
 use probenet_traffic::FTP_PACKET_BYTES;
 use serde::Serialize;
@@ -298,8 +298,8 @@ pub fn stream_session_tasks() -> Vec<(u64, u64, u64)> {
 
 /// Render the streaming-collector golden report: run every
 /// [`stream_session_tasks`] session of the pinned scenario (series
-/// generation scheduled on `threads` pool workers), feed each through its
-/// own producer thread into one [`Collector`], and return the report JSON.
+/// generation scheduled on `threads` pool workers), feed them all into one
+/// `Collector` ([`collect_sessions`]), and return the report JSON.
 ///
 /// Each session's records are folded in sequence order into its own bank
 /// and the report is sorted by session key, so the bytes are identical
@@ -328,33 +328,20 @@ pub fn stream_collector_report(threads: usize) -> CollectorReport {
             .series
         },
     );
-    let mut collector = Collector::new(CollectorConfig {
-        channel_capacity: 256,
-        snapshot_every: 0,
-    });
-    let mut producers = Vec::new();
-    for ((seed, delta_ms, _), series) in tasks.iter().zip(&series_by_task) {
-        let key = SessionKey::new(GOLDEN_SCENARIO, *delta_ms, *seed);
-        let bank = BankConfig::bolot(
-            *delta_ms as f64,
-            series.wire_bytes,
-            series.clock_resolution_ns,
-        );
-        producers.push(collector.add_session(key, bank));
-    }
-    let running = collector.start();
-    let mut handles = Vec::new();
-    for (p, series) in producers.into_iter().zip(series_by_task) {
-        handles.push(std::thread::spawn(move || {
-            for r in &series.records {
-                assert!(p.push(r.to_stream()), "collector exited early");
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("producer thread");
-    }
-    running.join()
+    let sessions: Vec<(SessionKey, &RttSeries)> = tasks
+        .iter()
+        .zip(&series_by_task)
+        .map(|(&(seed, delta_ms, _), series)| {
+            (SessionKey::new(GOLDEN_SCENARIO, delta_ms, seed), series)
+        })
+        .collect();
+    collect_sessions(
+        CollectorConfig {
+            channel_capacity: 256,
+            snapshot_every: 0,
+        },
+        &sessions,
+    )
 }
 
 /// Split a report's sessions round-robin across `shards` simulated

@@ -37,3 +37,19 @@ fn check_with_bless_is_a_usage_error() {
     assert!(stderr.contains("mutually exclusive"), "got: {stderr}");
     assert!(!stdout.contains("blessed"), "golden rewritten: {stdout}");
 }
+
+#[test]
+fn pool_width_does_not_change_the_json_bytes() {
+    let at = |threads: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--json", "--span-secs", "10"])
+            .env("PROBENET_THREADS", threads)
+            .output()
+            .expect("run repro");
+        assert!(out.status.success(), "PROBENET_THREADS={threads} failed");
+        out.stdout
+    };
+    let one = at("1");
+    assert!(!one.is_empty());
+    assert!(one == at("4"), "PROBENET_THREADS=4 changed the output");
+}

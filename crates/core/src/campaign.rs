@@ -3,7 +3,7 @@
 //! The paper reports single 10-minute runs per δ; a simulator can rerun the
 //! same experiment under many independent seeds and report the sampling
 //! variability of every metric — the error bars the original measurements
-//! could not have. Campaigns run on the bounded work-stealing pool in
+//! could not have. Campaigns run on the bounded pool in
 //! [`crate::sched`] (previously one unbounded OS thread per seed), and
 //! [`campaign_matrix`] schedules an entire δ × seed matrix as one flat task
 //! list so a big sweep saturates every core instead of parallelizing only

@@ -166,8 +166,8 @@ pub struct SweepRow {
 }
 
 /// Run the scenario for every paper interval (`span` of probing per
-/// experiment; the paper used 10 minutes) on the bounded work-stealing
-/// pool ([`crate::sched`]) and derive the Table-3 rows, in interval order.
+/// experiment; the paper used 10 minutes) on the bounded pool
+/// ([`crate::sched`]) and derive the Table-3 rows, in interval order.
 pub fn delta_sweep(
     scenario: &PaperScenario,
     span: SimDuration,

@@ -1,14 +1,17 @@
-//! Bounded work-stealing scheduler for independent simulation tasks.
+//! Bounded scheduler for independent simulation tasks.
 //!
 //! The campaign and sweep drivers used to spawn one OS thread per seed or
 //! per probe interval, which oversubscribes the machine as soon as the task
 //! matrix outgrows the core count. This module replaces that pattern with a
-//! fixed pool of `min(available_parallelism, tasks)` workers (overridable
-//! via the `PROBENET_THREADS` environment variable) fed from per-worker
-//! queues with work stealing: each worker drains its own queue from the
-//! back and steals from the front of a sibling's queue when it runs dry, so
-//! a skewed matrix (long runs clustered on one worker) still keeps every
-//! core busy.
+//! fixed pool of `min(max_threads(), tasks)` workers that claim task
+//! indices from one shared cursor. Tasks are a dozen to a few dozen
+//! simulation runs of at least 10 ms each, so a worker that finishes early
+//! simply claims the next index and a skewed matrix still keeps every core
+//! busy; the cursor is touched once per task.
+//!
+//! `PROBENET_THREADS` sizes this pool and nothing else. Each task runs the
+//! serial engine unless its caller asked for partitions explicitly
+//! (`SimExperiment::with_partitions`).
 //!
 //! Determinism: results are returned **in task order**, never in completion
 //! order, and tasks carry no shared mutable state, so the output of
@@ -16,15 +19,28 @@
 //! including `PROBENET_THREADS=1`, which runs inline with no pool at all.
 //! `tests/determinism.rs` pins this property against serial execution.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Worker-thread cap: the `PROBENET_THREADS` environment variable when set
-/// to a positive integer, otherwise [`std::thread::available_parallelism`].
-/// Shared with the partitioned simulation engine so one knob governs both
-/// layers of parallelism.
+/// (a value that is not a positive integer means 1), otherwise
+/// [`std::thread::available_parallelism`].
 pub fn max_threads() -> usize {
-    probenet_sim::effective_threads()
+    // Pool width only: results come back in task order at any width (module
+    // docs), so the width cannot alter artifact bytes.
+    // probenet-lint: allow(tainted-artifact-path) pool width only, results bit-identical at any width
+    match std::env::var("PROBENET_THREADS") {
+        Ok(v) => v
+            .trim()
+            .parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .unwrap_or(1),
+        // probenet-lint: allow(tainted-artifact-path) pool width only (see above)
+        Err(_) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    }
 }
 
 /// Apply `f` to every item on the bounded pool and return the results in
@@ -57,34 +73,15 @@ where
     // task while results keep a stable order.
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // Contiguous blocks per worker: neighbors in the task list often have
-    // similar cost (same δ, adjacent seeds), and block owners drain from
-    // the back while thieves take from the front, minimizing contention.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| {
-            let lo = n * w / threads;
-            let hi = n * (w + 1) / threads;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
+    let cursor = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queues = &queues;
-            let slots = &slots;
-            let results = &results;
-            let f = &f;
-            scope.spawn(move || loop {
-                let next = queues[w]
-                    .lock()
-                    .expect("lock poisoned")
-                    .pop_back()
-                    .or_else(|| {
-                        (0..threads)
-                            .filter(|&o| o != w)
-                            .find_map(|o| queues[o].lock().expect("lock poisoned").pop_front())
-                    });
-                let Some(i) = next else { break };
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
                 let item = slots[i]
                     .lock()
                     .expect("lock poisoned")
@@ -109,7 +106,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_keep_item_order() {
@@ -146,8 +142,8 @@ mod tests {
 
     #[test]
     fn skewed_costs_still_complete() {
-        // One huge task first: the owner chews on it while others steal
-        // the rest of its block.
+        // One huge task first: its worker chews on it while the others
+        // claim the rest.
         let out = par_map_threads(4, (0..20u64).collect::<Vec<_>>(), |i| {
             let spins = if i == 0 { 200_000 } else { 10 };
             let mut acc = i;

@@ -10,7 +10,8 @@
 //!    ([`probenet_netdyn::SimExperiment`]) with cross traffic whose
 //!    streams are seeded **per global link** — every path crossing a
 //!    shared link sees the same load.
-//! 2. One [`Collector`] per vantage host folds that host's sessions;
+//! 2. One [`Collector`](probenet_stream::Collector) per vantage host folds
+//!    that host's sessions ([`collect_sessions`]);
 //!    shard keys carry `(src, dst, δ, seed)` via
 //!    [`SessionKey::mesh`](probenet_stream::SessionKey::mesh).
 //! 3. Each vantage's report is encoded as a snapshot-frame stream with
@@ -27,11 +28,9 @@ use std::io::Cursor;
 
 use probenet_core::sched::par_map_threads;
 use probenet_merged::{MergeError, MergeService};
-use probenet_netdyn::{ExperimentConfig, RttSeries, SimExperiment};
+use probenet_netdyn::{collect_sessions, ExperimentConfig, RttSeries, SimExperiment};
 use probenet_sim::{Direction, FlowClass, SimDuration};
-use probenet_stream::{
-    fnv1a_hex, BankConfig, Collector, CollectorConfig, CollectorReport, SessionKey,
-};
+use probenet_stream::{fnv1a_hex, CollectorConfig, CollectorReport, SessionKey};
 use probenet_traffic::InternetMix;
 use probenet_wire::snapshot::{decode_frames, HopAnnotation, SessionFrame};
 use rand::rngs::StdRng;
@@ -177,26 +176,15 @@ pub fn run_campaign(spec: &MeshSpec, threads: usize) -> Result<MeshRun, MergeErr
         let own: Vec<&PathOutcome> = outcomes.iter().filter(|o| o.src == host).collect();
         let mut stream = Vec::new();
         if !own.is_empty() {
-            let mut collector = Collector::new(CollectorConfig {
-                channel_capacity: 256,
-                snapshot_every: 0,
-            });
-            let mut producers = Vec::new();
-            for oc in &own {
-                let bank = BankConfig::bolot(
-                    spec.delta_ms as f64,
-                    oc.series.wire_bytes,
-                    oc.series.clock_resolution_ns,
-                );
-                producers.push(collector.add_session(oc.key.clone(), bank));
-            }
-            let running = collector.start();
-            for (producer, oc) in producers.into_iter().zip(&own) {
-                for r in &oc.series.records {
-                    assert!(producer.push(r.to_stream()), "collector exited early");
-                }
-            }
-            let report = running.join();
+            let sessions: Vec<(SessionKey, &RttSeries)> =
+                own.iter().map(|oc| (oc.key.clone(), &oc.series)).collect();
+            let report = collect_sessions(
+                CollectorConfig {
+                    channel_capacity: 256,
+                    snapshot_every: 0,
+                },
+                &sessions,
+            );
             for session in &report.sessions {
                 let oc = own
                     .iter()
@@ -528,27 +516,24 @@ pub fn degenerate_report(spec: &DegenerateSpec, threads: usize) -> CollectorRepo
             .series
         },
     );
-    let mut collector = Collector::new(CollectorConfig {
-        channel_capacity: 256,
-        snapshot_every: 0,
-    });
-    let mut producers = Vec::new();
-    for ((seed, delta_ms, _), series) in spec.tasks.iter().zip(&series_by_task) {
-        let key = SessionKey::new(spec.scenario.clone(), *delta_ms, *seed);
-        let bank = BankConfig::bolot(
-            *delta_ms as f64,
-            series.wire_bytes,
-            series.clock_resolution_ns,
-        );
-        producers.push(collector.add_session(key, bank));
-    }
-    let running = collector.start();
-    for (producer, series) in producers.into_iter().zip(series_by_task) {
-        for r in &series.records {
-            assert!(producer.push(r.to_stream()), "collector exited early");
-        }
-    }
-    running.join()
+    let sessions: Vec<(SessionKey, &RttSeries)> = spec
+        .tasks
+        .iter()
+        .zip(&series_by_task)
+        .map(|(&(seed, delta_ms, _), series)| {
+            (
+                SessionKey::new(spec.scenario.clone(), delta_ms, seed),
+                series,
+            )
+        })
+        .collect();
+    collect_sessions(
+        CollectorConfig {
+            channel_capacity: 256,
+            snapshot_every: 0,
+        },
+        &sessions,
+    )
 }
 
 /// Split `report` into `shards` round-robin frame streams and fold them

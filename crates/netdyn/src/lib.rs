@@ -39,7 +39,9 @@ pub use config::{
     WIRE_OVERHEAD_BYTES,
 };
 pub use csv::{from_csv, to_csv, CsvError};
-pub use series::{measured_rtt, quantize, quantized_rtt, skew, RttRecord, RttSeries};
+pub use series::{
+    collect_sessions, measured_rtt, quantize, quantized_rtt, skew, RttRecord, RttSeries,
+};
 pub use sim_driver::{recycle_engine, recycle_run, CrossTrafficBinding, SimExperiment, SimRun};
 pub use udp::{
     run_probes, run_probes_with_sink, run_probes_with_sink_legacy, send_probes_via,

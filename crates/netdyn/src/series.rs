@@ -4,6 +4,7 @@
 //! `rtt_n` sequence, with `rtt_n = 0` standing for a lost probe (§3).
 
 use probenet_sim::{SimDuration, SimTime};
+use probenet_stream::{BankConfig, Collector, CollectorConfig, CollectorReport, SessionKey};
 use serde::{Deserialize, Serialize};
 
 /// One probe's fate.
@@ -33,6 +34,39 @@ impl RttRecord {
             rtt_ns: self.rtt,
         }
     }
+}
+
+/// Fold whole series through one [`Collector`], one session per entry, and
+/// return its report. Each session's bank is
+/// [`BankConfig::bolot`] at the series' own δ, wire size and clock
+/// resolution; records are pushed from the calling thread with the
+/// blocking [`probenet_stream::SessionProducer::push`], so none is dropped.
+///
+/// # Panics
+/// Panics on a duplicate session key.
+pub fn collect_sessions(
+    config: CollectorConfig,
+    sessions: &[(SessionKey, &RttSeries)],
+) -> CollectorReport {
+    let mut collector = Collector::new(config);
+    let producers: Vec<_> = sessions
+        .iter()
+        .map(|(key, series)| {
+            let bank = BankConfig::bolot(
+                series.interval_ns as f64 / 1e6,
+                series.wire_bytes,
+                series.clock_resolution_ns,
+            );
+            collector.add_session(key.clone(), bank)
+        })
+        .collect();
+    let running = collector.start();
+    for (producer, (_, series)) in producers.into_iter().zip(sessions) {
+        for r in &series.records {
+            assert!(producer.push(r.to_stream()), "collector exited early");
+        }
+    }
+    running.join()
 }
 
 /// Serializable nanosecond instant (mirror of `SimTime` for serde).

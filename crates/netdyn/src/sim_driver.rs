@@ -105,12 +105,11 @@ pub struct SimExperiment {
     pub cross_traffic: Vec<CrossTrafficBinding>,
     /// Seed for the simulator's randomness (link loss).
     pub seed: u64,
-    /// Partition count for the conservative-parallel engine. `None` (the
-    /// default) defers to [`probenet_sim::effective_threads`] —
-    /// `PROBENET_THREADS` or the host's parallelism; `Some(n)` pins it,
-    /// which tests use to compare widths without touching the environment.
-    /// Results are bit-identical at every width.
-    pub partitions: Option<usize>,
+    /// Partition count for the conservative-parallel engine
+    /// (`probenet_sim::run_partitioned`). 1, the default, runs the serial
+    /// engine; only [`SimExperiment::with_partitions`] changes it, never
+    /// the environment. Results are bit-identical at every width.
+    pub partitions: usize,
 }
 
 impl SimExperiment {
@@ -121,13 +120,13 @@ impl SimExperiment {
             path,
             cross_traffic: Vec::new(),
             seed,
-            partitions: None,
+            partitions: 1,
         }
     }
 
-    /// Pin the partition count (see [`SimExperiment::partitions`]).
+    /// Set the partition count (see [`SimExperiment::partitions`]).
     pub fn with_partitions(mut self, partitions: usize) -> Self {
-        self.partitions = Some(partitions);
+        self.partitions = partitions;
         self
     }
 
@@ -160,10 +159,6 @@ impl SimExperiment {
     /// will contain, so a streaming fold over the sink matches a batch
     /// analysis of the returned series byte-for-byte.
     pub fn run_with_sink<F: FnMut(&RttRecord)>(self, mut sink: F) -> (RttSeries, SimRun) {
-        let width = self
-            .partitions
-            .unwrap_or_else(probenet_sim::effective_threads)
-            .max(1);
         let wire = self.config.wire_bytes();
         let mut records: Vec<RttRecord> = (0..self.config.count as u64)
             .map(|n| RttRecord {
@@ -202,7 +197,7 @@ impl SimExperiment {
             });
         };
 
-        let run = if width <= 1 {
+        let run = if self.partitions <= 1 {
             let mut engine = checkout_engine(&self.path, self.seed);
             let cross_total: usize = self.cross_traffic.iter().map(|b| b.arrivals.len()).sum();
             engine.reserve(self.config.count, cross_total);
@@ -261,7 +256,7 @@ impl SimExperiment {
                     .collect(),
             }
             .with_serial_ids();
-            let out = run_partitioned(&self.path, self.seed, &plan, width);
+            let out = run_partitioned(&self.path, self.seed, &plan, self.partitions);
             for d in out
                 .deliveries
                 .iter()
@@ -382,6 +377,13 @@ mod tests {
             assert_eq!(rec.seq, i as u64);
             assert_eq!(rec.sent_at, (i as u64) * 10_000_000);
         }
+    }
+
+    #[test]
+    fn default_run_is_serial_whatever_the_host() {
+        let cfg = ExperimentConfig::quick(SimDuration::from_millis(50), 20);
+        let (_, run) = SimExperiment::new(cfg, Path::inria_umd_1992(), 1).run();
+        assert_eq!(run.partitions, 1);
     }
 
     #[test]

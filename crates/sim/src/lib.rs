@@ -70,8 +70,7 @@ pub use packet::{
     DEFAULT_TTL,
 };
 pub use parallel::{
-    effective_threads, run_partitioned, CrossAttachment, InjectionPlan, ParallelOutcome,
-    ProbeInjection,
+    run_partitioned, CrossAttachment, InjectionPlan, ParallelOutcome, ProbeInjection,
 };
 pub use path::{figure3_model, BufferLimit, LinkSpec, Path, PathBuilder, QueuePolicy};
 pub use queue::{Admission, Port, PortStats};

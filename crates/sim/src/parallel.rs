@@ -46,26 +46,6 @@ use crate::path::{LinkSpec, Path};
 use crate::queue::PortStats;
 use crate::time::SimTime;
 
-/// Number of worker threads the environment asks for: `PROBENET_THREADS`
-/// when set (minimum 1), otherwise the host's available parallelism.
-pub fn effective_threads() -> usize {
-    // Pool width only: DESIGN.md §13 pins bit-identical results at any
-    // thread count, so the width cannot alter artifact bytes.
-    // probenet-lint: allow(tainted-artifact-path) pool width only, results bit-identical at any width
-    match std::env::var("PROBENET_THREADS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or(1),
-        // probenet-lint: allow(tainted-artifact-path) pool width only (see above)
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
 /// One probe to inject at the source (node 0).
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeInjection {

@@ -14,6 +14,13 @@
 //! records/sec aggregate the acceptance bar asks for, because producers and
 //! the consumer exchange whole batches per lock acquisition (see
 //! [`Consumer::drain`]).
+//!
+//! There is one condvar, `not_full`, for the one party that waits: a
+//! producer blocked in [`Producer::send`]. The consumer never waits on a
+//! ring. The collector is one thread draining N rings, so it cannot sleep
+//! on any single one; it polls them all with [`Consumer::drain`] and backs
+//! off when every ring was empty. A "not empty" signal would be a futex
+//! syscall per record that nobody receives.
 
 use std::collections::VecDeque;
 
@@ -42,7 +49,6 @@ struct Inner<T> {
 struct Shared<T> {
     inner: Mutex<Inner<T>>,
     not_full: Condvar,
-    not_empty: Condvar,
     capacity: usize,
     dropped: AtomicU64,
 }
@@ -67,7 +73,6 @@ pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
             consumer_gone: false,
         }),
         not_full: Condvar::new(),
-        not_empty: Condvar::new(),
         capacity,
         dropped: AtomicU64::new(0),
     });
@@ -90,8 +95,6 @@ impl<T> Producer<T> {
             }
             if inner.queue.len() < self.shared.capacity {
                 inner.queue.push_back(value);
-                drop(inner);
-                self.shared.not_empty.notify_one();
                 return Ok(());
             }
             inner = self.shared.not_full.wait(inner).expect("channel lock");
@@ -109,8 +112,6 @@ impl<T> Producer<T> {
             return false;
         }
         inner.queue.push_back(value);
-        drop(inner);
-        self.shared.not_empty.notify_one();
         true
     }
 
@@ -124,8 +125,6 @@ impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
         let mut inner = self.shared.inner.lock().expect("channel lock");
         inner.producer_gone = true;
-        drop(inner);
-        self.shared.not_empty.notify_one();
     }
 }
 

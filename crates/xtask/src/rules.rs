@@ -167,7 +167,7 @@ splitting a u48 into u16/u32 halves), annotate it:
         summary: "cross-partition merges must declare their fixed partition order",
         explain: "\
 The parallel engine's contract is byte-identity with the serial run at any
-`PROBENET_THREADS` (DESIGN.md §13): after the partitions quiesce, their
+partition count (DESIGN.md §13): after the partitions quiesce, their
 per-partition results are concatenated into one outcome, and that merge is
 only reproducible if it iterates partitions in a fixed order independent
 of thread completion. An `.extend(..)`/`.append(..)` that collects

@@ -59,7 +59,7 @@ fn sweep_is_reproducible_despite_parallelism() {
 
 #[test]
 fn pooled_campaign_and_sweep_match_serial_byte_for_byte() {
-    // The work-stealing pool must be invisible in results: a campaign over
+    // The pool must be invisible in results: a campaign over
     // several seeds and a full δ sweep, run through the pool, serialize to
     // exactly the JSON a forced single-thread run produces.
     let span = SimDuration::from_secs(15);

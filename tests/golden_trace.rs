@@ -2,7 +2,7 @@
 //! scenario: the full report — loss metrics plus an FNV-1a digest over
 //! every per-probe record — must match the checked-in artifacts under
 //! `tests/golden/` byte for byte, whether the slices are rendered serially
-//! or on the work-stealing pool.
+//! or on the pool.
 //!
 //! A mismatch means simulator behavior drifted. If the drift is intended,
 //! regenerate the artifacts with `cargo run --release --bin repro -- --bless`

@@ -1,6 +1,6 @@
 //! Differential fleet suite: one campaign's records, split across N
 //! simulated collectors and shipped through the `probenet-merged` fold as
-//! snapshot frames, must reproduce the single-process [`Collector`] report
+//! snapshot frames, must reproduce the single-process `Collector` report
 //! **byte-for-byte** — whatever the worker-pool width (the in-process
 //! equivalent of the CI matrix `PROBENET_THREADS ∈ {1,4,8}`), the fleet
 //! size (N ∈ {1,2,8}), the frame arrival order, or the transport (bytes
@@ -12,11 +12,9 @@ use std::io::Write as _;
 use probenet_bench::frame_shards;
 use probenet_core::impairment_scenario;
 use probenet_merged::{serve_tcp, MergeService};
-use probenet_netdyn::RttSeries;
+use probenet_netdyn::{collect_sessions, RttSeries};
 use probenet_sim::SimDuration;
-use probenet_stream::{
-    BankConfig, Collector, CollectorConfig, CollectorReport, EstimatorBank, SessionKey,
-};
+use probenet_stream::{BankConfig, CollectorConfig, CollectorReport, EstimatorBank, SessionKey};
 use probenet_wire::snapshot::SessionFrame;
 
 /// The campaign: four sessions over three impairment scenarios, short
@@ -52,33 +50,20 @@ fn campaign_report(threads: usize, snapshot_every: u64) -> CollectorReport {
         probenet_core::sched::par_map_threads(threads, tasks.clone(), |(s, d, seed)| {
             session_series(&s, d, seed)
         });
-    let mut collector = Collector::new(CollectorConfig {
-        channel_capacity: 256,
-        snapshot_every,
-    });
-    let mut producers = Vec::new();
-    for ((scenario, delta_ms, seed), series) in tasks.iter().zip(&series_by_task) {
-        let key = SessionKey::new(scenario, *delta_ms, *seed);
-        let bank = BankConfig::bolot(
-            *delta_ms as f64,
-            series.wire_bytes,
-            series.clock_resolution_ns,
-        );
-        producers.push(collector.add_session(key, bank));
-    }
-    let running = collector.start();
-    let mut handles = Vec::new();
-    for (p, series) in producers.into_iter().zip(series_by_task) {
-        handles.push(std::thread::spawn(move || {
-            for r in &series.records {
-                assert!(p.push(r.to_stream()), "collector exited early");
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("producer thread");
-    }
-    running.join()
+    let sessions: Vec<(SessionKey, &RttSeries)> = tasks
+        .iter()
+        .zip(&series_by_task)
+        .map(|((scenario, delta_ms, seed), series)| {
+            (SessionKey::new(scenario, *delta_ms, *seed), series)
+        })
+        .collect();
+    collect_sessions(
+        CollectorConfig {
+            channel_capacity: 256,
+            snapshot_every,
+        },
+        &sessions,
+    )
 }
 
 fn render(report: &CollectorReport) -> String {
