@@ -56,7 +56,6 @@ struct Args {
     stream: bool,
     golden: GoldenMode,
     emit_frames: Option<String>,
-    merge: Option<Vec<String>>,
     mesh: bool,
     live: bool,
     live_sessions: usize,
@@ -86,7 +85,6 @@ fn parse_args() -> Args {
         stream: false,
         golden: GoldenMode::Print,
         emit_frames: None,
-        merge: None,
         mesh: false,
         live: false,
         live_sessions: 64,
@@ -95,14 +93,7 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        // After `merge`, every non-flag word is a frame file.
-        if let Some(files) = args.merge.as_mut().filter(|_| !a.starts_with("--")) {
-            files.push(a);
-            continue;
-        }
         match a.as_str() {
-            // `repro merge f1 f2 ... [--check|--bless]`.
-            "merge" => args.merge = Some(Vec::new()),
             // `repro mesh [--check|--bless]` — the mesh campaign; takes no
             // positional operands.
             "mesh" => args.mesh = true,
@@ -170,7 +161,6 @@ fn parse_args() -> Args {
                      [--span-secs N] [--seed N] [--json] [--serial]\n\
                      repro --impair <scenario|list> [--span-secs N] [--seed N] [--json] [--serial]\n\
                      repro --stream [--check | --bless] [--serial] [--emit-frames <prefix>]   (streaming-collector snapshots)\n\
-                     repro merge <frames.bin>... [--check | --bless]   (fold collector frame files)\n\
                      repro mesh [--check | --bless] [--serial]   (mesh campaign + per-link loss decomposition)\n\
                      repro live [--sessions N] [--delta MS] [--duration S] [--stream] [--json]   (live reactor loopback engine)\n\
                      repro --check | --bless   (verify / regenerate the golden traces in tests/golden/)"
@@ -894,85 +884,14 @@ fn stream_cmd(a: &Args) -> i32 {
     0
 }
 
-/// `repro merge <frames.bin>...`: fold collector frame files through the
-/// fleet merge service and print the report — or diff it against the
-/// streaming golden (`--check`) / rewrite that golden (`--bless`).
-fn merge_cmd(a: &Args, files: &[String]) -> i32 {
-    if files.is_empty() {
-        eprintln!("repro merge: needs at least one frame file");
-        return 2;
-    }
-    let report = match probenet_merged::merge_files(files) {
-        Ok(r) => r,
-        Err(e) => {
-            println!("merge: FAIL — {e}");
-            return 1;
-        }
-    };
-    let mut rendered = report.to_json();
-    rendered.push('\n');
-    let ok = golden(
-        "merge",
-        &stream_golden_path(),
-        rendered.as_bytes(),
-        a.golden,
-    );
-    i32::from(!ok)
-}
-
 /// `repro mesh`: run the golden mesh campaign — serially and on the
 /// pool, requiring byte-identical reports — and print the artifact,
 /// diff it against `tests/golden/mesh-report.json` (`--check`), or
 /// rewrite that golden (`--bless`).
-///
-/// Before touching the mesh golden, the degenerate contract is enforced:
-/// a 2-host mesh is the single-path pipeline, so the mesh crate's
-/// degenerate campaign over the streaming golden sessions must render
-/// byte-identically to the `--stream` report, and splitting it into
-/// [`GOLDEN_FRAME_SHARDS`] streams and folding them back through the
-/// merge daemon's incremental reader must reproduce it again, with the
-/// staging buffer bounded by the largest single frame.
 fn mesh_cmd(a: &Args) -> i32 {
-    use probenet_mesh::{DegenerateSpec, MeshReport, MeshSpec};
+    use probenet_mesh::{MeshReport, MeshSpec};
 
     let threads = a.threads();
-
-    // Degenerate 2-host contract against the single-path pipeline.
-    let degenerate = probenet_mesh::degenerate_report(
-        &DegenerateSpec {
-            scenario: GOLDEN_SCENARIO.to_string(),
-            tasks: stream_session_tasks(),
-        },
-        threads,
-    );
-    let mut degenerate_json = degenerate.to_json();
-    degenerate_json.push('\n');
-    let mut single_path = stream_collector_report(1).to_json();
-    single_path.push('\n');
-    if degenerate_json != single_path {
-        println!("mesh: FAIL — degenerate campaign differs from the single-path --stream report");
-        return 1;
-    }
-    let (folded, peak) = match probenet_mesh::fold_through_daemon(&degenerate, GOLDEN_FRAME_SHARDS)
-    {
-        Ok(r) => r,
-        Err(e) => {
-            println!("mesh: FAIL — folding degenerate frames: {e}");
-            return 1;
-        }
-    };
-    let mut folded_json = folded.to_json();
-    folded_json.push('\n');
-    if folded_json != degenerate_json {
-        println!("mesh: FAIL — daemon fold of degenerate frames differs from its input");
-        return 1;
-    }
-    println!(
-        "mesh: degenerate 2-host campaign byte-identical to --stream \
-         (fold peak buffer {peak} bytes)"
-    );
-
-    // The mesh campaign proper, serial vs pooled.
     let spec = MeshSpec::golden();
     let serial = match MeshReport::generate(&spec, 1) {
         Ok(r) => r.to_json(),
@@ -1021,9 +940,6 @@ fn check_goldens(mode: GoldenMode) -> i32 {
 
 fn main() {
     let args = parse_args();
-    if let Some(files) = &args.merge {
-        std::process::exit(merge_cmd(&args, files));
-    }
     if args.mesh {
         std::process::exit(mesh_cmd(&args));
     }

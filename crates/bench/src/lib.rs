@@ -453,8 +453,11 @@ pub fn live_engine_run(
         })
         .collect();
 
+    // A finished session offers its whole record vector in one burst, so
+    // each ring holds one session's probes: nothing is dropped for want of
+    // room, whatever the session length.
     let mut collector = Collector::new(CollectorConfig {
-        channel_capacity: 1024,
+        channel_capacity: probes_per_session.max(1),
         snapshot_every: 0,
     });
     // One producer per session, indexed by the seed the spec carries.
@@ -479,9 +482,9 @@ pub fn live_engine_run(
                 .expect("one outcome per session");
             for record in outcome.records {
                 produced += 1;
-                // Non-blocking offer: the bounded ring may reject under
-                // pressure, but every rejection lands in the session's
-                // drop counter — the identity below stays exact.
+                // Non-blocking offer: a rejection (the collector gone)
+                // lands in the session's drop counter — the identity
+                // below stays exact.
                 producer.offer(record);
             }
         },
@@ -543,5 +546,17 @@ mod tests {
         assert!(run.accounting_balanced(), "produced != records + dropped");
         assert_eq!(report.sessions.len(), 8);
         assert!(run.aggregate_pps > 0.0);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn live_engine_run_folds_sessions_longer_than_the_default_ring() {
+        // 1 500 probes per session arrive as one burst, more than a
+        // default 1 024-slot ring holds; the identity balances either way,
+        // so only `dropped` shows a ring that is too small.
+        let (run, _) = live_engine_run(2, 1, 1_500).expect("loopback live run");
+        assert_eq!(run.produced, 2 * 1_500);
+        assert_eq!(run.dropped, 0, "the ring must hold a whole session");
+        assert_eq!(run.records, run.produced);
     }
 }

@@ -3,8 +3,6 @@
 
 use std::process::{Command, Output};
 
-use probenet_bench::stream_frames_path;
-
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
@@ -13,24 +11,8 @@ fn repro(args: &[&str]) -> Output {
 }
 
 #[test]
-fn merge_takes_trailing_flags_in_any_order() {
-    let (c0, c1) = (stream_frames_path(0), stream_frames_path(1));
-    for flags in [["--serial", "--check"], ["--check", "--serial"]] {
-        let out = repro(&["merge", &c0, &c1, flags[0], flags[1]]);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            out.status.success(),
-            "merge {flags:?} failed\nstdout:\n{stdout}\nstderr:\n{stderr}"
-        );
-        assert!(stdout.contains("merge: OK"), "got: {stdout}");
-    }
-}
-
-#[test]
 fn check_with_bless_is_a_usage_error() {
-    let (c0, c1) = (stream_frames_path(0), stream_frames_path(1));
-    let out = repro(&["merge", &c0, &c1, "--check", "--bless"]);
+    let out = repro(&["--stream", "--check", "--bless"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stdout:\n{stdout}");

@@ -3,10 +3,10 @@
 //! The reactor-based live probe engine: one thread, one `epoll` loop,
 //! thousands of concurrent probe sessions.
 //!
-//! The thread-per-session prober in `probenet-netdyn` tops out at tens of
-//! sessions before scheduler jitter swamps the pacing; fleet-scale
-//! measurement (ETOMIC-style meshes) needs an event-driven engine. This
-//! crate provides it:
+//! A thread per session tops out at tens of sessions before scheduler
+//! jitter swamps the pacing; fleet-scale measurement (ETOMIC-style meshes)
+//! needs an event-driven engine. This crate is the one live probe driver
+//! (`probenet_netdyn::run_probes` is a one-session reactor):
 //!
 //! * a **readiness loop** over the vendored [`rawpoll`] epoll shim, with a
 //!   self-pipe for control/shutdown wakeups that bypass the data path;
@@ -63,34 +63,20 @@ pub struct LiveConfig {
     /// How long a session lingers for stragglers after its last send
     /// before declaring unresolved probes lost.
     pub drain: Duration,
-    /// Max datagrams per `sendmmsg`/`recvmmsg` submission.
-    pub batch: usize,
     /// Sessions multiplexed onto one lane socket (1 = socket per session;
     /// capped at 4096 by the seq-tag width).
     pub sessions_per_lane: usize,
-    /// Per-session out-buffer capacity (packets); a full buffer defers the
-    /// send by one timer tick and counts a backpressure deferral.
-    pub out_buffer_capacity: usize,
     /// Skip the batched syscalls and exercise the `send_to`/`recv_from`
     /// fallback rung directly (the ladder's test hook).
     pub force_fallback: bool,
-    /// Requested `SO_RCVBUF`/`SO_SNDBUF` per lane socket (bytes, best
-    /// effort; 0 = leave the kernel default).
-    pub socket_buffer_bytes: usize,
-    /// Timer wheel tick quantum.
-    pub timer_tick: Duration,
 }
 
 impl Default for LiveConfig {
     fn default() -> Self {
         LiveConfig {
             drain: Duration::from_millis(500),
-            batch: 32,
             sessions_per_lane: 64,
-            out_buffer_capacity: 64,
             force_fallback: false,
-            socket_buffer_bytes: 1 << 20,
-            timer_tick: Duration::from_millis(1),
         }
     }
 }
@@ -191,8 +177,8 @@ pub fn run_sessions<F: FnMut(SessionOutcome)>(
 }
 
 /// Quantize a measurement to a clock of `resolution_ns` (floor; 0 =
-/// identity) — the same arithmetic `probenet-netdyn` applies, kept in sync
-/// by the reactor-vs-thread differential test.
+/// identity) — the same arithmetic `probenet_netdyn::quantize` applies to
+/// simulated RTTs.
 pub(crate) fn quantize_ns(ns: u64, resolution_ns: u64) -> u64 {
     match resolution_ns {
         0 => ns,

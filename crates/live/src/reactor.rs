@@ -48,6 +48,16 @@ const RECV_BUF_BYTES: usize = 2048;
 /// Cap on consecutive receive submissions per readiness event so one
 /// flooding lane cannot starve the timer wheel.
 const MAX_RECV_ROUNDS: usize = 64;
+/// Max datagrams per `sendmmsg`/`recvmmsg` submission.
+const BATCH: usize = 32;
+/// Per-session out-buffer capacity (packets); a full buffer defers the
+/// send by one timer tick and counts a backpressure deferral.
+const OUT_BUFFER_CAPACITY: usize = 64;
+/// Requested `SO_RCVBUF`/`SO_SNDBUF` per lane socket (best effort: the
+/// kernel clamps to its rmem/wmem caps).
+const SOCKET_BUFFER_BYTES: usize = 1 << 20;
+/// Timer wheel tick quantum.
+const TIMER_TICK_NS: u64 = 1_000_000;
 
 fn send_token(session: usize) -> u64 {
     (session as u64) << 1
@@ -218,14 +228,11 @@ impl Reactor {
             for chunk in members.chunks(per_lane) {
                 let socket = UdpSocket::bind(bind_addr)?;
                 socket.set_nonblocking(true)?;
-                if config.socket_buffer_bytes > 0 {
-                    // Best effort: the kernel clamps to its rmem/wmem caps.
-                    let _ = rawpoll::set_socket_buffers(
-                        socket.as_raw_fd(),
-                        config.socket_buffer_bytes,
-                        config.socket_buffer_bytes,
-                    );
-                }
+                let _ = rawpoll::set_socket_buffers(
+                    socket.as_raw_fd(),
+                    SOCKET_BUFFER_BYTES,
+                    SOCKET_BUFFER_BYTES,
+                );
                 let lane_idx = lanes.len();
                 epoll.add(socket.as_raw_fd(), lane_idx as u64, Interest::READ)?;
                 for (slot, &session_idx) in chunk.iter().enumerate() {
@@ -243,8 +250,6 @@ impl Reactor {
             }
         }
 
-        let batch = config.batch.max(1);
-        let tick_ns = (config.timer_tick.as_nanos() as u64).max(1);
         let slots = (sessions.len() * 2).next_power_of_two().clamp(64, 4096);
         let stop = Arc::new(AtomicBool::new(false));
         let handle = LiveHandle {
@@ -259,7 +264,7 @@ impl Reactor {
             epoll,
             wake,
             stop,
-            wheel: TimerWheel::new(tick_ns, slots),
+            wheel: TimerWheel::new(TIMER_TICK_NS, slots),
             lateness: LatenessHistogram::default(),
             sessions,
             lanes,
@@ -269,8 +274,8 @@ impl Reactor {
             use_batching,
             tagged,
             base_ns: 0,
-            recv_bufs: (0..batch).map(|_| vec![0u8; RECV_BUF_BYTES]).collect(),
-            recv_meta: vec![RecvMeta::default(); batch],
+            recv_bufs: (0..BATCH).map(|_| vec![0u8; RECV_BUF_BYTES]).collect(),
+            recv_meta: vec![RecvMeta::default(); BATCH],
         };
         Ok((reactor, handle))
     }
@@ -381,7 +386,7 @@ impl Reactor {
         if session.phase != Phase::Sending {
             return;
         }
-        if session.out.len() >= self.config.out_buffer_capacity {
+        if session.out.len() >= OUT_BUFFER_CAPACITY {
             // Explicit backpressure: the probe is deferred, never dropped;
             // the deferral is visible in the outcome and the stats.
             session.backpressure += 1;
@@ -475,17 +480,16 @@ impl Reactor {
     fn pump_lane(&mut self, lane_idx: usize) {
         let now = self.clock.now_ns();
         let drain_ns = self.config.drain.as_nanos() as u64;
-        let batch = self.recv_bufs.len();
         let mut blocked = false;
 
         while self.lanes[lane_idx].queued > 0 && !blocked {
             // Pop up to one batch, round-robin so no session starves.
-            let mut items: Vec<(usize, Vec<u8>)> = Vec::with_capacity(batch);
+            let mut items: Vec<(usize, Vec<u8>)> = Vec::with_capacity(BATCH);
             {
                 let lane = &mut self.lanes[lane_idx];
                 let members = lane.sessions.len();
                 let mut scanned = 0;
-                while items.len() < batch && lane.queued > 0 && scanned < members {
+                while items.len() < BATCH && lane.queued > 0 && scanned < members {
                     let idx = lane.sessions[lane.rr % members];
                     lane.rr = (lane.rr + 1) % members;
                     match self.sessions[idx].out.pop_front() {
@@ -667,8 +671,7 @@ impl Reactor {
             Ok(p) => p,
             Err(_) => {
                 // On a dedicated lane the sender is unambiguous, so the
-                // error is attributable (matching the thread-per-session
-                // prober); on a shared lane it is a stray.
+                // error is attributable; on a shared lane it is a stray.
                 if self.lanes[lane_idx].sessions.len() == 1 {
                     let idx = self.lanes[lane_idx].sessions[0];
                     self.sessions[idx].decode_errors += 1;
@@ -692,8 +695,8 @@ impl Reactor {
         let session = &mut self.sessions[idx];
         let n = usize::try_from(n).expect("probe number fits usize");
         if n >= session.rtts.len() {
-            // Same accounting as the thread prober: an in-format reply
-            // naming a probe that was never sent is a decode error.
+            // An in-format reply naming a probe that was never sent is
+            // a decode error.
             session.decode_errors += 1;
             return;
         }

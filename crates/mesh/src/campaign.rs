@@ -477,84 +477,3 @@ impl MeshReport {
         body
     }
 }
-
-// ---------------------------------------------------------------------------
-// Degenerate 2-host mesh: the single-path pipeline, bit for bit
-// ---------------------------------------------------------------------------
-
-/// The degenerate mesh campaign: one vantage probing one destination —
-/// exactly the single-path streaming pipeline. Parameterized by the
-/// scenario and `(seed, δ ms, span s)` session list so the caller (the
-/// `repro` harness, the differential suite) pins it to the existing
-/// `--stream` golden without duplicating its constants.
-#[derive(Debug, Clone)]
-pub struct DegenerateSpec {
-    /// Named impairment scenario every session runs.
-    pub scenario: String,
-    /// The `(seed, delta_ms, span_secs)` sessions.
-    pub tasks: Vec<(u64, u64, u64)>,
-}
-
-/// Run the degenerate campaign: each task's series is generated on the
-/// pool, all sessions feed one collector (the single vantage), and the
-/// report comes back exactly as the single-path `--stream` pipeline
-/// produces it — byte-identical at any `threads`.
-///
-/// # Panics
-/// Panics if `spec.scenario` names no impairment scenario.
-pub fn degenerate_report(spec: &DegenerateSpec, threads: usize) -> CollectorReport {
-    let sc = probenet_core::impairment_scenario(&spec.scenario).expect("scenario exists");
-    let series_by_task = par_map_threads(
-        threads,
-        spec.tasks.clone(),
-        |(seed, delta_ms, span_secs)| {
-            sc.run(
-                seed,
-                SimDuration::from_millis(delta_ms),
-                SimDuration::from_secs(span_secs),
-            )
-            .series
-        },
-    );
-    let sessions: Vec<(SessionKey, &RttSeries)> = spec
-        .tasks
-        .iter()
-        .zip(&series_by_task)
-        .map(|(&(seed, delta_ms, _), series)| {
-            (
-                SessionKey::new(spec.scenario.clone(), delta_ms, seed),
-                series,
-            )
-        })
-        .collect();
-    collect_sessions(
-        CollectorConfig {
-            channel_capacity: 256,
-            snapshot_every: 0,
-        },
-        &sessions,
-    )
-}
-
-/// Split `report` into `shards` round-robin frame streams and fold them
-/// back through the daemon's incremental reader. Returns the folded
-/// report and the reader's staging high-water mark — the differential
-/// suite asserts the former byte-identical to the input and the latter
-/// bounded by the largest frame.
-pub fn fold_through_daemon(
-    report: &CollectorReport,
-    shards: usize,
-) -> Result<(CollectorReport, usize), MergeError> {
-    assert!(shards > 0, "at least one shard");
-    let mut streams = vec![Vec::new(); shards];
-    for (i, session) in report.sessions.iter().enumerate() {
-        // probenet-lint: allow(unordered-partition-merge) round-robin over key-sorted sessions, shard order fixed by index
-        streams[i % shards].extend_from_slice(&SessionFrame::from_report(session).encode());
-    }
-    let mut service = MergeService::new();
-    for stream in &streams {
-        service.ingest_reader(&mut Cursor::new(stream))?;
-    }
-    let peak = service.peak_buffer_bytes();
-    Ok((service.into_report()?, peak))
-}

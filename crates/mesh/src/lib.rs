@@ -12,18 +12,17 @@
 //! shared links; [`tomography`] is the decomposition itself, validated
 //! against the simulator's ground-truth per-link drop counters.
 //!
-//! A 2-host mesh degenerates to exactly the single-path pipeline:
-//! [`campaign::degenerate_report`] reproduces the `--stream` golden
-//! artifact byte for byte (the differential suite pins this at several
-//! thread counts).
+//! The single-path pipeline (series → collector → frames → merge daemon)
+//! is not re-implemented here: the campaign calls
+//! `probenet_netdyn::collect_sessions` and `MergeService::ingest_reader`,
+//! the same functions `repro --stream` and `probenet-merged` run.
 
 pub mod campaign;
 pub mod tomography;
 pub mod topology;
 
 pub use campaign::{
-    degenerate_report, fold_through_daemon, DegenerateSpec, LinkRow, MeshReport, MeshRun, PathRow,
-    TOLERANCE_ABS, TOLERANCE_RATE, TOLERANCE_REL,
+    LinkRow, MeshReport, MeshRun, PathRow, TOLERANCE_ABS, TOLERANCE_RATE, TOLERANCE_REL,
 };
 pub use tomography::{attribute_losses, infer_link_exponents, rate_from_exponent, PathObservation};
 pub use topology::{splitmix64, LinkKind, MeshLink, MeshSpec, MeshTopology};

@@ -44,6 +44,5 @@ pub use series::{
 };
 pub use sim_driver::{recycle_engine, recycle_run, CrossTrafficBinding, SimExperiment, SimRun};
 pub use udp::{
-    run_probes, run_probes_with_sink, run_probes_with_sink_legacy, send_probes_via,
-    DestinationCollector, EchoServer, EchoServerStats, ProbeRunStats,
+    run_probes, send_probes_via, DestinationCollector, EchoServer, EchoServerStats, ProbeRunStats,
 };

@@ -149,16 +149,6 @@ impl SimExperiment {
     /// network-side outcome for callers that want queue statistics or drop
     /// records.
     pub fn run(self) -> (RttSeries, SimRun) {
-        self.run_with_sink(|_| {})
-    }
-
-    /// [`SimExperiment::run`], additionally feeding every finished record —
-    /// in sequence order, losses included — to `sink` before the series is
-    /// returned. This is the simulator-side tap for streaming ingest
-    /// (`probenet-stream`): the sink sees exactly the records the series
-    /// will contain, so a streaming fold over the sink matches a batch
-    /// analysis of the returned series byte-for-byte.
-    pub fn run_with_sink<F: FnMut(&RttRecord)>(self, mut sink: F) -> (RttSeries, SimRun) {
         let wire = self.config.wire_bytes();
         let mut records: Vec<RttRecord> = (0..self.config.count as u64)
             .map(|n| RttRecord {
@@ -275,9 +265,6 @@ impl SimExperiment {
             }
         };
 
-        for record in &records {
-            sink(record);
-        }
         let series = RttSeries::new(
             self.config.interval,
             wire,

@@ -21,7 +21,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use probenet_live::{LiveConfig, Reactor, SessionSpec};
-use probenet_sim::SimDuration;
 use probenet_stream::SessionKey;
 use probenet_wire::{ProbePacket, Timestamp48, PROBE_PAYLOAD_BYTES};
 use rand::rngs::StdRng;
@@ -410,60 +409,26 @@ pub struct ProbeRunStats {
 /// The measured RTT is `dest_ts − source_ts` from the packet's own
 /// timestamp fields, exactly as NetDyn computes it, then quantized to
 /// `config.clock_resolution`.
+///
+/// The run is a one-session [`Reactor`] on a dedicated lane socket: the
+/// pacing comes from the timer wheel, which is what lets callers hold
+/// thousands of these sessions on one core through `probenet-live`
+/// directly. The series (plus [`RttRecord::to_stream`]) is the hand-off to
+/// streaming ingest: a probe is only *known lost* once the drain window
+/// closes, so there is nothing to hand over earlier.
+///
+/// # Errors
+/// `Unsupported` where epoll does not exist (the reactor is Linux-only);
+/// socket and epoll failures otherwise.
 pub fn run_probes(
     server: SocketAddr,
     config: &ExperimentConfig,
     drain: Duration,
 ) -> io::Result<(RttSeries, ProbeRunStats)> {
-    run_probes_with_sink(server, config, drain, |_| {})
-}
-
-/// [`run_probes`], additionally feeding every finished record to `sink` in
-/// sequence order, losses included — the real-UDP tap for streaming ingest
-/// (`probenet-stream`).
-///
-/// The sink fires after the drain window closes, not per datagram: a probe
-/// is only *known lost* once the run stops waiting for stragglers, and the
-/// streaming estimators consume loss outcomes in sequence order. The sink
-/// sees exactly the records of the returned series, so a streaming fold
-/// matches a batch analysis of that series byte-for-byte.
-///
-/// Since the live-engine rewire this runs on the `probenet-live` reactor
-/// (a one-session [`Reactor`]): same records, same accounting, but the
-/// pacing comes from the timer wheel instead of sleep slicing, which is
-/// what lets callers hold thousands of these sessions on one core. On
-/// platforms without epoll it transparently falls back to
-/// [`run_probes_with_sink_legacy`]; that reference implementation also
-/// stays available directly, and the reactor-vs-thread differential test
-/// pins the two paths to equivalent reports.
-pub fn run_probes_with_sink<F: FnMut(probenet_stream::StreamRecord)>(
-    server: SocketAddr,
-    config: &ExperimentConfig,
-    drain: Duration,
-    mut sink: F,
-) -> io::Result<(RttSeries, ProbeRunStats)> {
     assert_eq!(
         config.payload_bytes as usize, PROBE_PAYLOAD_BYTES,
         "the wire format carries exactly the 32-byte NetDyn payload"
     );
-    match run_probes_reactor(server, config, drain, &mut sink) {
-        Ok(result) => Ok(result),
-        Err(e) if e.kind() == io::ErrorKind::Unsupported => {
-            run_probes_with_sink_legacy(server, config, drain, sink)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// The reactor-backed implementation behind [`run_probes_with_sink`]: one
-/// session, one dedicated lane socket, records rebuilt into the same
-/// [`RttSeries`] shape the thread prober returns.
-fn run_probes_reactor<F: FnMut(probenet_stream::StreamRecord)>(
-    server: SocketAddr,
-    config: &ExperimentConfig,
-    drain: Duration,
-    sink: &mut F,
-) -> io::Result<(RttSeries, ProbeRunStats)> {
     let interval = Duration::from_nanos(config.interval.as_nanos());
     let spec = SessionSpec {
         key: SessionKey {
@@ -501,9 +466,6 @@ fn run_probes_reactor<F: FnMut(probenet_stream::StreamRecord)>(
             rtt: outcome.records.get(n).and_then(|r| r.rtt_ns),
         })
         .collect();
-    for record in &records {
-        sink(record.to_stream());
-    }
     Ok((
         RttSeries::new(
             config.interval,
@@ -513,114 +475,6 @@ fn run_probes_reactor<F: FnMut(probenet_stream::StreamRecord)>(
         ),
         stats,
     ))
-}
-
-/// The original thread-inline implementation of [`run_probes_with_sink`]:
-/// a blocking pacing loop on a connected socket. Kept as the reference the
-/// reactor path is differentially tested against, and as the working
-/// fallback on platforms without epoll.
-pub fn run_probes_with_sink_legacy<F: FnMut(probenet_stream::StreamRecord)>(
-    server: SocketAddr,
-    config: &ExperimentConfig,
-    drain: Duration,
-    mut sink: F,
-) -> io::Result<(RttSeries, ProbeRunStats)> {
-    assert_eq!(
-        config.payload_bytes as usize, PROBE_PAYLOAD_BYTES,
-        "the wire format carries exactly the 32-byte NetDyn payload"
-    );
-    let socket = UdpSocket::bind(("0.0.0.0", 0))?;
-    socket.connect(server)?;
-    socket.set_nonblocking(true)?;
-
-    let epoch = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real probe epoch for RTT timestamps
-    let interval = Duration::from_nanos(config.interval.as_nanos());
-    let mut rtts: Vec<Option<u64>> = vec![None; config.count];
-    let mut echoes: Vec<Option<u64>> = vec![None; config.count];
-    let mut stats = ProbeRunStats::default();
-    let mut buf = [0u8; 2048];
-
-    let mut receive = |rtts: &mut Vec<Option<u64>>,
-                       echoes: &mut Vec<Option<u64>>,
-                       stats: &mut ProbeRunStats| loop {
-        match socket.recv(&mut buf) {
-            Ok(len) => match ProbePacket::decode(&buf[..len]) {
-                Ok(mut probe) => {
-                    probe.dest_ts = monotonic_micros(epoch);
-                    let n = probe.seq as usize;
-                    if n >= rtts.len() {
-                        stats.decode_errors += 1;
-                        continue;
-                    }
-                    if rtts[n].is_some() {
-                        stats.duplicates += 1;
-                        continue;
-                    }
-                    rtts[n] = Some(probe.rtt_micros() * 1_000); // µs -> ns
-                                                                // Echo-host clock reading; comparable to sent_at only
-                                                                // under synchronized clocks (see RttRecord::echoed_at).
-                    echoes[n] = Some(probe.echo_ts.as_micros() * 1_000);
-                }
-                Err(_) => stats.decode_errors += 1,
-            },
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) => {
-                // Treat transient errors (e.g. ICMP-induced ECONNREFUSED on
-                // some platforms) as "nothing received".
-                let _ = e;
-                break;
-            }
-        }
-    };
-
-    let start = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real pacing clock
-    for n in 0..config.count {
-        let target = start + interval * n as u32;
-        // Service the receive queue while waiting for the send slot.
-        loop {
-            let now = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real pacing clock
-            if now >= target {
-                break;
-            }
-            receive(&mut rtts, &mut echoes, &mut stats);
-            let remaining = target - now;
-            std::thread::sleep(remaining.min(Duration::from_micros(200)));
-        }
-        let probe = ProbePacket::outgoing(n as u32, monotonic_micros(epoch));
-        let _ = socket.send(&probe.to_bytes());
-    }
-    // Drain stragglers.
-    let deadline = Instant::now() + drain; // probenet-lint: allow(wall-clock-in-sim) straggler drain timeout on the real socket
-    while Instant::now() < deadline {
-        receive(&mut rtts, &mut echoes, &mut stats);
-        std::thread::sleep(Duration::from_micros(500));
-    }
-
-    let resolution = config.clock_resolution;
-    let records: Vec<RttRecord> = rtts
-        .into_iter()
-        .enumerate()
-        .map(|(n, rtt)| RttRecord {
-            seq: n as u64,
-            sent_at: config.interval.as_nanos() * n as u64,
-            echoed_at: echoes[n],
-            rtt: rtt.map(|ns| quantize_ns(ns, resolution)),
-        })
-        .collect();
-    for record in &records {
-        sink(record.to_stream());
-    }
-    Ok((
-        RttSeries::new(config.interval, config.wire_bytes(), resolution, records),
-        stats,
-    ))
-}
-
-fn quantize_ns(ns: u64, resolution: SimDuration) -> u64 {
-    match resolution.as_nanos() {
-        0 => ns,
-        r => ns / r * r,
-    }
 }
 
 #[cfg(test)]

