@@ -695,14 +695,15 @@ fn live_cmd(a: &Args) -> i32 {
             run.timers_fired
         );
         println!(
-            "io: {} probes sent, {} replies, batched syscalls {}",
+            "io: {} probes sent, {} replies, batched syscalls {}, {} epoll waits",
             run.probes_sent,
             run.replies_received,
             if run.used_batching {
                 "yes"
             } else {
                 "no (fallback ladder)"
-            }
+            },
+            run.poll_waits
         );
         println!(
             "stream accounting: produced {} = records {} + dropped {} [{}]",

@@ -403,6 +403,12 @@ pub struct LiveEngineRun {
     pub probes_sent: u64,
     /// Valid echo replies folded into sessions.
     pub replies_received: u64,
+    /// Receive submissions (`recvmmsg` calls plus fallback `recv_from`s).
+    pub recv_submissions: u64,
+    /// Epoll waits the reactor made. Each ends on a firing tick or a ready
+    /// lane, so `timers_fired + recv_submissions` bounds it on a run that
+    /// never fills a socket buffer; a reactor that spins exceeds it.
+    pub poll_waits: u64,
     /// Records the reactor produced (one per scheduled probe).
     pub produced: u64,
     /// Records the stream collector folded.
@@ -508,6 +514,8 @@ pub fn live_engine_run(
         used_batching: report.used_batching,
         probes_sent: report.stats.probes_sent,
         replies_received: report.stats.replies_received,
+        recv_submissions: report.stats.batched_recv_calls + report.stats.fallback_recv_datagrams,
+        poll_waits: report.stats.poll_waits,
         produced,
         records: collected.total_records(),
         dropped: collected.total_dropped(),

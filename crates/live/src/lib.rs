@@ -126,6 +126,11 @@ pub struct ReactorStats {
     pub backpressure_deferrals: u64,
     /// Datagram sends that failed outright (counted, probe rides as lost).
     pub send_errors: u64,
+    /// Epoll waits made: the reactor's loop turns. Each one ends on a
+    /// firing tick, a ready lane or a shutdown, so this stays within
+    /// timers fired + receive submissions + write-ready events (plus the
+    /// odd wake-up); a loop that wakes with nothing to do shows up here.
+    pub poll_waits: u64,
 }
 
 /// What one reactor run looked like, beyond the per-session outcomes.

@@ -6,7 +6,7 @@
 //!   timer wheel ──(send deadlines)──▶ per-session out-buffers
 //!        ▲                                   │ round-robin
 //!        │ re-arm                            ▼
-//!   epoll wait ◀──(poll timeout = next deadline)── lane sockets
+//!   epoll wait ◀──(timeout = next firing tick)──── lane sockets
 //!        │ readable            │ writable  (sendmmsg → send_to ladder)
 //!        ▼                     ▼
 //!   recv_batch → demux by seq tag → session bookkeeping → early exit
@@ -14,11 +14,16 @@
 //!
 //! Lanes are shared UDP sockets: up to 4096 sessions ride one socket, with
 //! the probe's sequence number carrying a lane-local slot tag so replies
-//! demultiplex without per-session fds. Control (shutdown) arrives over a
-//! self-pipe registered in the same epoll set, so it bypasses the data
-//! path entirely: a `LiveHandle::shutdown` from any thread wakes the loop
-//! even when every socket is idle, and the join is bounded by one loop
-//! iteration rather than a read timeout.
+//! demultiplex without per-session fds. The loop has one blocking call, a
+//! nanosecond-timeout epoll wait that ends at the wheel's next firing tick
+//! ([`TimerWheel::next_fire`]) or when a lane turns ready, whichever comes
+//! first: between the two the thread is asleep, and every wake-up has a
+//! timer, a datagram or a writable socket to show for it
+//! ([`ReactorStats::poll_waits`] counts them). Control (shutdown) arrives
+//! over a self-pipe registered in the same epoll set, so it bypasses the
+//! data path entirely: a `LiveHandle::shutdown` from any thread wakes the
+//! loop even when every socket is idle, and the join is bounded by one
+//! loop iteration rather than a read timeout.
 
 use crate::clock::MonoClock;
 use crate::wheel::{LatenessHistogram, TimerWheel};
@@ -58,6 +63,9 @@ const OUT_BUFFER_CAPACITY: usize = 64;
 const SOCKET_BUFFER_BYTES: usize = 1 << 20;
 /// Timer wheel tick quantum.
 const TIMER_TICK_NS: u64 = 1_000_000;
+/// Wait timeout while no timer is armed (sessions parked on a full socket
+/// buffer): readiness or shutdown ends the wait, this only bounds it.
+const IDLE_WAIT_NS: u64 = 200_000_000;
 
 fn send_token(session: usize) -> u64 {
     (session as u64) << 1
@@ -151,6 +159,12 @@ pub struct Reactor {
     base_ns: u64,
     recv_bufs: Vec<Vec<u8>>,
     recv_meta: Vec<RecvMeta>,
+    /// `(token, lateness)` of the timers one `advance_timers` call fired.
+    due: Vec<(u64, u64)>,
+    /// The batch `pump_lane` is submitting, as `send_batch` takes it, and
+    /// the session each datagram belongs to (parallel to `batch`).
+    batch: Vec<(Vec<u8>, Option<SocketAddr>)>,
+    batch_sessions: Vec<usize>,
 }
 
 impl Reactor {
@@ -276,6 +290,9 @@ impl Reactor {
             base_ns: 0,
             recv_bufs: (0..BATCH).map(|_| vec![0u8; RECV_BUF_BYTES]).collect(),
             recv_meta: vec![RecvMeta::default(); BATCH],
+            due: Vec::new(),
+            batch: Vec::with_capacity(BATCH),
+            batch_sessions: Vec::with_capacity(BATCH),
         };
         Ok((reactor, handle))
     }
@@ -316,8 +333,13 @@ impl Reactor {
             if self.active == 0 {
                 break;
             }
-            let timeout = self.poll_timeout_ms(self.clock.now_ns());
-            self.epoll.wait(&mut events, timeout)?;
+            // Sleep until the wheel's next firing tick or lane readiness.
+            let timeout = match self.wheel.next_fire() {
+                Some(at) => at.saturating_sub(self.clock.now_ns()),
+                None => IDLE_WAIT_NS,
+            };
+            self.epoll.wait_ns(&mut events, timeout)?;
+            self.stats.poll_waits += 1;
             for event in events.iter() {
                 if event.token == WAKE_TOKEN {
                     self.wake.drain();
@@ -349,23 +371,11 @@ impl Reactor {
         })
     }
 
-    /// Poll timeout bridging to the next timer deadline (capped at 1 s;
-    /// 200 ms heartbeat when nothing is armed).
-    fn poll_timeout_ms(&self, now: u64) -> i32 {
-        match self.wheel.next_deadline() {
-            Some(deadline) => {
-                let ms = deadline.saturating_sub(now).div_ceil(1_000_000).min(1_000);
-                i32::try_from(ms).expect("timeout capped at 1000")
-            }
-            None => 200,
-        }
-    }
-
     fn advance_timers(&mut self, now: u64) {
-        let mut due: Vec<(u64, u64)> = Vec::new();
+        let mut due = std::mem::take(&mut self.due);
         self.wheel
             .advance(now, |token, lateness| due.push((token, lateness)));
-        for (token, lateness) in due {
+        for (token, lateness) in due.drain(..) {
             let idx = usize::try_from(token >> 1).expect("session tokens fit usize");
             if token & 1 == 0 {
                 // Only send timers grade pacing; drain timers are coarse
@@ -376,6 +386,7 @@ impl Reactor {
                 self.fire_drain(idx);
             }
         }
+        self.due = due;
     }
 
     /// A session's send deadline came due: encode the probe into its
@@ -482,40 +493,38 @@ impl Reactor {
         let drain_ns = self.config.drain.as_nanos() as u64;
         let mut blocked = false;
 
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut owners = std::mem::take(&mut self.batch_sessions);
         while self.lanes[lane_idx].queued > 0 && !blocked {
             // Pop up to one batch, round-robin so no session starves.
-            let mut items: Vec<(usize, Vec<u8>)> = Vec::with_capacity(BATCH);
             {
                 let lane = &mut self.lanes[lane_idx];
                 let members = lane.sessions.len();
                 let mut scanned = 0;
-                while items.len() < BATCH && lane.queued > 0 && scanned < members {
+                while batch.len() < BATCH && lane.queued > 0 && scanned < members {
                     let idx = lane.sessions[lane.rr % members];
                     lane.rr = (lane.rr + 1) % members;
                     match self.sessions[idx].out.pop_front() {
                         Some(bytes) => {
                             lane.queued -= 1;
                             scanned = 0;
-                            items.push((idx, bytes));
+                            batch.push((bytes, Some(self.sessions[idx].spec.target)));
+                            owners.push(idx);
                         }
                         None => scanned += 1,
                     }
                 }
             }
-            if items.is_empty() {
+            if batch.is_empty() {
                 break;
             }
 
             let fd = self.lanes[lane_idx].socket.as_raw_fd();
             let accepted = if self.use_batching {
-                let msgs: Vec<(&[u8], Option<SocketAddr>)> = items
-                    .iter()
-                    .map(|(idx, bytes)| (bytes.as_slice(), Some(self.sessions[*idx].spec.target)))
-                    .collect();
-                match rawpoll::send_batch(fd, &msgs) {
+                match rawpoll::send_batch(fd, &batch) {
                     Ok(n) => {
                         self.stats.batched_send_calls += 1;
-                        blocked = n < items.len();
+                        blocked = n < batch.len();
                         n
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -525,43 +534,47 @@ impl Reactor {
                     Err(e) if e.kind() == io::ErrorKind::Unsupported => {
                         // Step down the ladder for the rest of the run.
                         self.use_batching = false;
-                        self.send_fallback(lane_idx, &items, &mut blocked)
+                        self.send_fallback(lane_idx, &batch, &mut blocked)
                     }
                     // Batch submission failed outright; retry this batch
                     // per-datagram so a poisoned message cannot wedge the
                     // whole lane.
-                    Err(_) => self.send_fallback(lane_idx, &items, &mut blocked),
+                    Err(_) => self.send_fallback(lane_idx, &batch, &mut blocked),
                 }
             } else {
-                self.send_fallback(lane_idx, &items, &mut blocked)
+                self.send_fallback(lane_idx, &batch, &mut blocked)
             };
 
             // Requeue what the kernel did not take, preserving order.
-            for (idx, bytes) in items.drain(accepted..).rev() {
+            let refused = batch.drain(accepted..).zip(owners.drain(accepted..));
+            for ((bytes, _), idx) in refused.rev() {
                 self.sessions[idx].out.push_front(bytes);
                 self.lanes[lane_idx].queued += 1;
             }
-            for (idx, _) in &items {
+            batch.clear();
+            for idx in owners.drain(..) {
                 self.stats.probes_sent += 1;
-                self.after_departure(*idx, now + drain_ns);
+                self.after_departure(idx, now + drain_ns);
             }
         }
+        self.batch = batch;
+        self.batch_sessions = owners;
 
         self.update_write_interest(lane_idx);
     }
 
-    /// Per-datagram rung of the send ladder. Returns how many of `items`
+    /// Per-datagram rung of the send ladder. Returns how many of `batch`
     /// were consumed (sent or failed-and-counted); `blocked` is set when
     /// the socket buffer filled.
     fn send_fallback(
         &mut self,
         lane_idx: usize,
-        items: &[(usize, Vec<u8>)],
+        batch: &[(Vec<u8>, Option<SocketAddr>)],
         blocked: &mut bool,
     ) -> usize {
         let mut consumed = 0;
-        for (idx, bytes) in items {
-            let target = self.sessions[*idx].spec.target;
+        for (bytes, target) in batch {
+            let target = target.expect("every probe has a target");
             match self.lanes[lane_idx].socket.send_to(bytes, target) {
                 Ok(_) => {
                     self.stats.fallback_send_datagrams += 1;
@@ -623,12 +636,7 @@ impl Reactor {
 
         for _ in 0..MAX_RECV_ROUNDS {
             if self.use_batching {
-                let received = {
-                    let mut slices: Vec<&mut [u8]> =
-                        bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-                    rawpoll::recv_batch(fd, &mut slices, &mut meta)
-                };
-                match received {
+                match rawpoll::recv_batch(fd, &mut bufs, &mut meta) {
                     Ok(0) => break,
                     Ok(n) => {
                         self.stats.batched_recv_calls += 1;

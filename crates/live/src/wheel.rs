@@ -8,6 +8,8 @@
 //! schedules — and deadlines are quantized *up* to tick boundaries, so a
 //! timer never fires before its deadline (early sends would compress the
 //! probe stream the way late ones cannot be avoided).
+//! [`TimerWheel::next_fire`] names the instant of the next tick that fires
+//! something, which is what the reactor sleeps until.
 
 /// Power-of-two-bucketed histogram of timer lateness (fire time minus
 /// deadline). Lateness is the reactor's pacing-quality metric: the
@@ -179,20 +181,45 @@ impl TimerWheel {
         }
     }
 
-    /// The earliest armed deadline, if any — what the reactor turns into
-    /// its poll timeout. O(armed); called once per sleep, not per event.
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .flat_map(|s| s.iter().map(|e| e.deadline_ns))
-            .chain(self.overdue.iter().map(|e| e.deadline_ns))
-            .min()
+    /// The instant (ns) at which [`TimerWheel::advance`] will next fire
+    /// something, `None` with nothing armed: `advance(next_fire)` fires at
+    /// least one timer and no earlier instant fires any. This is what the
+    /// reactor sleeps until. It is the firing *tick*, not the deadline: an
+    /// entry fires on `ceil(deadline / tick)`, so a loop that waits for
+    /// the raw deadline wakes up to one tick early and has nothing to do
+    /// but spin. Entries parked in `overdue` are due now (0).
+    ///
+    /// Called once per reactor loop turn. Walks the slots forward from the
+    /// cursor and stops at the first tick no later entry can beat, which
+    /// with timers armed in the current revolution is the first non-empty
+    /// slot; entries of later revolutions cost one full lap.
+    pub fn next_fire(&self) -> Option<u64> {
+        if self.armed == 0 {
+            return None;
+        }
+        if !self.overdue.is_empty() {
+            return Some(0);
+        }
+        let slots = self.slots.len() as u64;
+        let mut earliest: Option<u64> = None;
+        for tick in self.cursor..self.cursor + slots {
+            // Every entry still ahead in the walk sits in the slot of a
+            // tick >= `tick`, so its own tick is >= `tick` too.
+            if earliest.is_some_and(|e| e <= tick) {
+                break;
+            }
+            let slot = &self.slots[(tick % slots) as usize];
+            earliest = slot.iter().map(|e| e.tick).chain(earliest).min();
+        }
+        earliest.map(|tick| tick * self.tick_ns)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     const MS: u64 = 1_000_000;
 
@@ -249,14 +276,78 @@ mod tests {
     }
 
     #[test]
-    fn next_deadline_tracks_the_minimum() {
+    fn next_fire_tracks_the_minimum() {
         let mut wheel = TimerWheel::new(MS, 16);
-        assert_eq!(wheel.next_deadline(), None);
+        assert_eq!(wheel.next_fire(), None);
         wheel.arm(8 * MS, 1);
-        wheel.arm(3 * MS, 2);
-        assert_eq!(wheel.next_deadline(), Some(3 * MS));
+        wheel.arm(3 * MS - 1, 2); // fires on tick 3, not at its deadline
+        assert_eq!(wheel.next_fire(), Some(3 * MS));
         wheel.advance(4 * MS, |_, _| {});
-        assert_eq!(wheel.next_deadline(), Some(8 * MS));
+        assert_eq!(wheel.next_fire(), Some(8 * MS));
+        wheel.arm(MS, 3); // behind the cursor: parked in `overdue`, due now
+        assert_eq!(wheel.next_fire(), Some(0));
+    }
+
+    /// What `next_fire` must equal, by brute force over every entry.
+    fn brute_force_next_fire(wheel: &TimerWheel) -> Option<u64> {
+        if !wheel.overdue.is_empty() {
+            return Some(0);
+        }
+        wheel
+            .slots
+            .iter()
+            .flatten()
+            .map(|e| e.tick * wheel.tick_ns)
+            .min()
+    }
+
+    /// Tokens `advance(now)` would fire, on a copy so the wheel is kept.
+    fn fired_at(wheel: &TimerWheel, now: u64) -> usize {
+        let mut copy = TimerWheel::new(wheel.tick_ns, wheel.slots.len());
+        copy.cursor = wheel.cursor;
+        for e in wheel.slots.iter().flatten().chain(&wheel.overdue) {
+            copy.arm(e.deadline_ns, e.token);
+        }
+        let mut fired = 0;
+        copy.advance(now, |_, _| fired += 1);
+        fired
+    }
+
+    proptest! {
+        /// Random `arm`/`advance` sequences on an 8-slot wheel: deadlines up
+        /// to five revolutions out, deadlines behind the cursor (`overdue`),
+        /// and advances long enough to empty the wheel so the cursor skips.
+        /// After every step `next_fire` equals the brute-force minimum, and
+        /// it is the first instant at which `advance` fires anything.
+        #[test]
+        fn next_fire_matches_brute_force(
+            ops in vec((0u8..4, 0u64..40 * MS), 1..60),
+        ) {
+            let mut wheel = TimerWheel::new(MS, 8);
+            let mut now = 0u64;
+            for (token, (kind, amount)) in ops.into_iter().enumerate() {
+                match kind {
+                    // Arm ahead of now (0 to 40 ticks: up to 5 revolutions).
+                    0 | 1 => wheel.arm(now + amount, token as u64),
+                    // Arm behind now; lands in `overdue` once the cursor passed.
+                    2 => wheel.arm(now.saturating_sub(amount), token as u64),
+                    // Advance; long jumps empty the wheel and skip the cursor.
+                    _ => {
+                        now += amount;
+                        wheel.advance(now, |_, _| {});
+                    }
+                }
+                let next = wheel.next_fire();
+                prop_assert_eq!(next, brute_force_next_fire(&wheel));
+                prop_assert_eq!(next.is_none(), wheel.armed() == 0);
+                if let Some(at) = next {
+                    prop_assert!(fired_at(&wheel, at) >= 1);
+                    if at > 0 {
+                        prop_assert_eq!(fired_at(&wheel, at - 1), 0);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! simulator driver callback or the real-UDP receive loop) push
 //! [`StreamRecord`]s; the collector thread round-robins over the sessions,
 //! drains each channel in batches, and folds the records into that
-//! session's bank. Because every record is folded into exactly one bank in
-//! its session's sequence order, the final report is **independent of
-//! thread interleaving** — the same guarantee the batch pipeline gets from
-//! ordered `par_map`, extended to live ingest.
+//! session's bank. All the channels share one [`Doorbell`]: a pass that
+//! moved nothing is followed by a sleep on it, not by another pass, and the
+//! first record of a burst or a dropped producer ends the sleep, so a
+//! collector whose sessions are all quiet (thousands of live sessions that
+//! report when they end) uses no CPU until one of them speaks. Because
+//! every record is folded into exactly one bank in its session's sequence
+//! order, the final report is **independent of thread interleaving** — the
+//! same guarantee the batch pipeline gets from ordered `par_map`, extended
+//! to live ingest.
 //!
 //! Backpressure is explicit: [`SessionProducer::push`] blocks until there
 //! is room, [`SessionProducer::offer`] refuses and counts. The per-session
@@ -18,10 +23,10 @@
 
 use crate::bank::{BankConfig, BankSnapshot, EstimatorBank};
 use crate::record::{SessionKey, StreamRecord};
-use crate::spsc::{self, Consumer, Producer};
+use crate::spsc::{Consumer, Doorbell, Producer};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::thread;
-use std::time::Duration;
 
 /// Collector tuning knobs.
 #[derive(Debug, Clone)]
@@ -90,6 +95,13 @@ pub struct InterimSnapshot {
 pub struct Collector {
     config: CollectorConfig,
     sessions: Vec<SessionSlot>,
+    /// Keys registered so far, for the duplicate check.
+    keys: BTreeSet<SessionKey>,
+    /// Rung by every session's producer; the folding thread sleeps on it.
+    bell: Doorbell,
+    /// Passes over the rings the folding thread has made.
+    #[cfg(test)]
+    passes: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
 
 /// A started collector; [`RunningCollector::join`] waits for every
@@ -144,6 +156,10 @@ impl Collector {
         Collector {
             config,
             sessions: Vec::new(),
+            keys: BTreeSet::new(),
+            bell: Doorbell::new(),
+            #[cfg(test)]
+            passes: Default::default(),
         }
     }
 
@@ -152,11 +168,8 @@ impl Collector {
     /// # Panics
     /// Panics if the key is already registered.
     pub fn add_session(&mut self, key: SessionKey, bank: BankConfig) -> SessionProducer {
-        assert!(
-            self.sessions.iter().all(|s| s.key != key),
-            "duplicate session key {key}"
-        );
-        let (tx, rx) = spsc::channel(self.config.channel_capacity);
+        assert!(self.keys.insert(key.clone()), "duplicate session key {key}");
+        let (tx, rx) = self.bell.channel(self.config.channel_capacity);
         self.sessions.push(SessionSlot {
             key,
             bank: EstimatorBank::new(bank),
@@ -182,14 +195,19 @@ impl Collector {
         let snapshot_every = self.config.snapshot_every;
         let mut buf: Vec<StreamRecord> = Vec::with_capacity(1024);
         loop {
+            #[cfg(test)]
+            self.passes
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            // Rings made from here on are about records this pass may miss.
+            self.bell.reset();
             let mut moved = 0usize;
             let mut all_finished = true;
             for slot in &mut self.sessions {
                 if slot.finished {
                     continue;
                 }
-                let n = slot.rx.drain(&mut buf, 1024);
-                moved += n;
+                let polled = slot.rx.poll(&mut buf, 1024);
+                moved += polled.moved;
                 for r in buf.drain(..) {
                     slot.bank.push(&r);
                     slot.records += 1;
@@ -200,7 +218,7 @@ impl Collector {
                         });
                     }
                 }
-                if n == 0 && slot.rx.is_finished() {
+                if polled.finished {
                     slot.finished = true;
                 } else {
                     all_finished = false;
@@ -210,9 +228,9 @@ impl Collector {
                 break;
             }
             if moved == 0 {
-                // Nothing ready on any channel: back off briefly instead of
-                // spinning a core the producers need (this host has one).
-                thread::sleep(Duration::from_micros(50));
+                // Every ring was empty and some producer still lives: sleep
+                // until one of them enqueues or drops.
+                self.bell.wait();
             }
         }
 
@@ -415,5 +433,45 @@ mod tests {
         let mut c = Collector::new(CollectorConfig::default());
         let _a = c.add_session(SessionKey::new("x", 20, 1), BankConfig::bolot(20.0, 72, 0));
         let _b = c.add_session(SessionKey::new("x", 20, 1), BankConfig::bolot(20.0, 72, 0));
+    }
+
+    #[test]
+    fn idle_collector_sleeps_until_the_first_record() {
+        use std::sync::atomic::Ordering;
+
+        let mut collector = Collector::new(CollectorConfig::default());
+        let producers: Vec<SessionProducer> = (0..1_000)
+            .map(|i| {
+                collector.add_session(
+                    SessionKey::new("idle", 20, i),
+                    BankConfig::bolot(20.0, 72, 0),
+                )
+            })
+            .collect();
+        let bell = collector.bell.clone();
+        let passes = std::sync::Arc::clone(&collector.passes);
+        let running = collector.start();
+
+        // The folding thread looks at its 1 000 empty rings once and goes
+        // to sleep on the doorbell. Asleep there (no timeout) it cannot
+        // start a pass until a producer rings, so the count read below
+        // holds for however long the sessions stay quiet.
+        while !bell.has_sleeper() {
+            thread::yield_now();
+        }
+        assert_eq!(passes.load(Ordering::SeqCst), 1, "an idle collector polled");
+
+        // One late record on one ring wakes it and is folded.
+        assert!(producers[417].push(record(0, Some(100.0))));
+        drop(producers);
+        let report = running.join();
+        assert_eq!(report.sessions.len(), 1_000);
+        assert_eq!(report.total_records() + report.total_dropped(), 1);
+        assert_eq!(report.total_dropped(), 0);
+        let late = &report.sessions[417];
+        assert_eq!((late.records, late.snapshot.sent), (1, 1));
+        // Woken at most once per ring event (one record, 1 000 drops), each
+        // followed by the pass that finds nothing more.
+        assert!(passes.load(Ordering::SeqCst) <= 2 * 1_001 + 2);
     }
 }

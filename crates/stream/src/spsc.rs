@@ -15,12 +15,29 @@
 //! the consumer exchange whole batches per lock acquisition (see
 //! [`Consumer::drain`]).
 //!
-//! There is one condvar, `not_full`, for the one party that waits: a
-//! producer blocked in [`Producer::send`]. The consumer never waits on a
-//! ring. The collector is one thread draining N rings, so it cannot sleep
-//! on any single one; it polls them all with [`Consumer::drain`] and backs
-//! off when every ring was empty. A "not empty" signal would be a futex
-//! syscall per record that nobody receives.
+//! Each ring has one condvar, `not_full`, for the one party that waits on
+//! a ring: a producer blocked in [`Producer::send`]. The consumer never
+//! waits on a ring. The collector is one thread draining N rings, so it
+//! cannot sleep on any single one; it sleeps on the one [`Doorbell`] all of
+//! its rings share ([`Doorbell::channel`]). A producer rings it when its
+//! enqueue finds the ring empty (the first record of a burst, not every
+//! record) and once when it is dropped; the consumer calls
+//! [`Doorbell::reset`], makes a pass over its rings with
+//! [`Consumer::poll`], and calls [`Doorbell::wait`] when the pass moved
+//! nothing. Ringing sets a flag under the doorbell's own lock, and
+//! makes a futex wake only when the consumer is in fact asleep, so a busy
+//! consumer costs its producers no syscall. A ring made by [`channel`] has
+//! no doorbell and rings nothing.
+//!
+//! Why no wake-up is lost: the flag is cleared only by `reset`, before the
+//! pass begins. If the pass finds ring R empty (under R's lock), an
+//! enqueue to R it did not see came after that look, found R empty and
+//! rang after the reset, so `wait` finds the flag set and returns at once.
+//! An enqueue to a non-empty R rings nothing and needs nothing: the
+//! records ahead of it are still to be drained, so the consumer has a pass
+//! to make. A ring the reset did clear belongs to an enqueue made before
+//! the pass, which the pass sees.
+//! `tests/loom.rs` checks this over every interleaving.
 
 use std::collections::VecDeque;
 
@@ -51,6 +68,103 @@ struct Shared<T> {
     not_full: Condvar,
     capacity: usize,
     dropped: AtomicU64,
+    /// The consumer's doorbell, for rings made by [`Doorbell::channel`].
+    bell: Option<Arc<Bell>>,
+}
+
+impl<T> Shared<T> {
+    fn ring_bell(&self) {
+        if let Some(bell) = &self.bell {
+            bell.ring();
+        }
+    }
+}
+
+struct Bell {
+    state: Mutex<BellState>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct BellState {
+    /// Set by [`Bell::ring`], cleared by [`Doorbell::reset`].
+    rung: bool,
+    /// True while the consumer is blocked inside [`Doorbell::wait`].
+    asleep: bool,
+}
+
+impl Bell {
+    fn ring(&self) {
+        let mut state = self.state.lock().expect("doorbell lock");
+        if !state.rung {
+            state.rung = true;
+            // A notify with no waiter is still a futex syscall: skip it
+            // unless the consumer is in fact asleep.
+            if state.asleep {
+                self.wake.notify_one();
+            }
+        }
+    }
+}
+
+/// The wake target shared by every ring one consumer thread drains: rings
+/// made by [`Doorbell::channel`] ring it, the consumer sleeps on it with
+/// [`Doorbell::wait`]. Clones share the bell.
+#[derive(Clone)]
+pub struct Doorbell {
+    bell: Arc<Bell>,
+}
+
+impl Default for Doorbell {
+    fn default() -> Self {
+        Doorbell::new()
+    }
+}
+
+impl Doorbell {
+    /// A doorbell nobody has rung.
+    pub fn new() -> Doorbell {
+        Doorbell {
+            bell: Arc::new(Bell {
+                state: Mutex::new(BellState::default()),
+                wake: Condvar::new(),
+            }),
+        }
+    }
+
+    /// A bounded SPSC channel of the given capacity (≥ 1) whose producer
+    /// rings this doorbell: on each enqueue that finds the ring empty and
+    /// once when it is dropped.
+    pub fn channel<T>(&self, capacity: usize) -> (Producer<T>, Consumer<T>) {
+        new_channel(capacity, Some(Arc::clone(&self.bell)))
+    }
+
+    /// Forget every ring so far. The consumer calls this before each pass
+    /// over its rings: whatever was enqueued before the call, the pass
+    /// will see, so only a ring made after it is news.
+    pub fn reset(&self) {
+        self.bell.state.lock().expect("doorbell lock").rung = false;
+    }
+
+    /// Block until the doorbell has been rung since the last
+    /// [`Doorbell::reset`] (return at once if it already has). No timeout:
+    /// a consumer calls this only while a producer that will ring or drop
+    /// still lives.
+    pub fn wait(&self) {
+        let mut state = self.bell.state.lock().expect("doorbell lock");
+        state.asleep = true;
+        while !state.rung {
+            state = self.bell.wake.wait(state).expect("doorbell lock");
+        }
+        state.asleep = false;
+    }
+
+    /// Whether the consumer is blocked in [`Doorbell::wait`] right now.
+    #[cfg(test)]
+    pub(crate) fn has_sleeper(&self) -> bool {
+        let state = self.bell.state.lock().expect("doorbell lock");
+        state.asleep && !state.rung
+    }
 }
 
 /// The sending half. Dropping it closes the channel.
@@ -63,8 +177,13 @@ pub struct Consumer<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// A bounded SPSC channel of the given capacity (≥ 1).
+/// A bounded SPSC channel of the given capacity (≥ 1), with no doorbell:
+/// its consumer polls.
 pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
+    new_channel(capacity, None)
+}
+
+fn new_channel<T>(capacity: usize, bell: Option<Arc<Bell>>) -> (Producer<T>, Consumer<T>) {
     assert!(capacity >= 1, "channel capacity must be at least 1");
     let shared = Arc::new(Shared {
         inner: Mutex::new(Inner {
@@ -75,6 +194,7 @@ pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         not_full: Condvar::new(),
         capacity,
         dropped: AtomicU64::new(0),
+        bell,
     });
     (
         Producer {
@@ -94,7 +214,12 @@ impl<T> Producer<T> {
                 return Err(value);
             }
             if inner.queue.len() < self.shared.capacity {
+                let was_empty = inner.queue.is_empty();
                 inner.queue.push_back(value);
+                drop(inner);
+                if was_empty {
+                    self.shared.ring_bell();
+                }
                 return Ok(());
             }
             inner = self.shared.not_full.wait(inner).expect("channel lock");
@@ -111,7 +236,12 @@ impl<T> Producer<T> {
             self.shared.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
+        let was_empty = inner.queue.is_empty();
         inner.queue.push_back(value);
+        drop(inner);
+        if was_empty {
+            self.shared.ring_bell();
+        }
         true
     }
 
@@ -125,22 +255,43 @@ impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
         let mut inner = self.shared.inner.lock().expect("channel lock");
         inner.producer_gone = true;
+        drop(inner);
+        // Rung whatever the ring holds: "finished" is news by itself.
+        self.shared.ring_bell();
     }
+}
+
+/// What one [`Consumer::poll`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Polled {
+    /// Values moved into `out`.
+    pub moved: usize,
+    /// The producer is gone and the queue is empty: nothing more will ever
+    /// arrive (what [`Consumer::is_finished`] would say, under one lock).
+    pub finished: bool,
 }
 
 impl<T> Consumer<T> {
     /// Move up to `max` queued values into `out`. Returns the number moved.
     /// Never blocks.
     pub fn drain(&self, out: &mut Vec<T>, max: usize) -> usize {
+        self.poll(out, max).moved
+    }
+
+    /// [`Consumer::drain`] that also reports, under the same lock, whether
+    /// the ring is finished: one lock per ring per pass for a consumer
+    /// that visits many rings.
+    pub fn poll(&self, out: &mut Vec<T>, max: usize) -> Polled {
         let mut inner = self.shared.inner.lock().expect("channel lock");
         let n = inner.queue.len().min(max);
         out.extend(inner.queue.drain(..n));
         let was_full = inner.queue.len() + n >= self.shared.capacity;
+        let finished = inner.producer_gone && inner.queue.is_empty();
         drop(inner);
         if n > 0 && was_full {
             self.shared.not_full.notify_one();
         }
-        n
+        Polled { moved: n, finished }
     }
 
     /// True once the producer is gone **and** the queue is empty: nothing

@@ -1,7 +1,8 @@
 //! Live-reactor integration contracts: a 1,000-session loopback soak into
 //! one streaming collector (the tentpole's sessions-per-core claim plus
-//! exact drop accounting), and the seeded-echo oracle: the reactor must
-//! report exactly the probes a seeded lossy echo dropped.
+//! exact drop accounting), the seeded-echo oracle: the reactor must
+//! report exactly the probes a seeded lossy echo dropped, and the no-spin
+//! bound: the reactor never wakes without a timer or a datagram to handle.
 
 #![cfg(target_os = "linux")]
 
@@ -147,4 +148,53 @@ fn reactor_reports_exactly_the_seeded_echo_loss_set() {
     assert_eq!(echo.echoed, (PROBES - expected_lost.len()) as u64);
     assert_eq!(stats.duplicates, 0);
     assert_eq!(stats.decode_errors, 0);
+}
+
+/// The reactor's one blocking call returns on a firing wheel tick, a
+/// ready lane or a shutdown, so its count is bounded by the work the run
+/// did. A loop that wakes before the tick it is waiting for (a millisecond
+/// timeout bridging to a raw deadline, say) and spins to the boundary makes
+/// thousands of empty turns per second and fails this without any clock
+/// being read here.
+#[test]
+fn reactor_never_wakes_without_work() {
+    const SESSIONS: usize = 64;
+    const COUNT: usize = 25;
+    const DELTA_MS: u64 = 20;
+
+    let server = EchoServer::spawn("127.0.0.1:0").expect("bind echo server");
+    let delta = Duration::from_millis(DELTA_MS);
+    let specs: Vec<SessionSpec> = (0..SESSIONS)
+        .map(|i| SessionSpec {
+            key: SessionKey::new("soak/no-spin", DELTA_MS, i as u64),
+            target: server.local_addr(),
+            interval: delta,
+            count: COUNT,
+            start_offset: Duration::from_nanos(
+                delta.as_nanos() as u64 * i as u64 / SESSIONS as u64,
+            ),
+            clock_resolution_ns: 0,
+        })
+        .collect();
+    let mut outcomes = 0;
+    let report =
+        run_sessions(specs, &LiveConfig::default(), |_| outcomes += 1).expect("loopback run");
+    server.shutdown();
+
+    assert_eq!(outcomes, SESSIONS);
+    let stats = &report.stats;
+    assert_eq!(stats.probes_sent, (SESSIONS * COUNT) as u64);
+    // Write-ready events would join the bound, but they follow a send the
+    // kernel refused, and 64 sessions at 50 probes/s never fill a 1 MiB
+    // socket buffer.
+    let recv_submissions = stats.batched_recv_calls + stats.fallback_recv_datagrams;
+    let bound = report.timers_fired + recv_submissions + 16;
+    assert!(
+        stats.poll_waits <= bound,
+        "{} epoll waits for {} timers fired and {} receive submissions",
+        stats.poll_waits,
+        report.timers_fired,
+        recv_submissions
+    );
+    assert!(stats.poll_waits > 0);
 }

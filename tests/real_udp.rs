@@ -6,8 +6,8 @@
 //! under the hood: [`run_probes`] paces sends off the reactor's timer
 //! wheel and sweeps the socket once more before declaring losses, instead
 //! of the legacy sleep-loop pacing whose scheduling jitter made loopback
-//! delivery counts flake under load. `tests/live_soak.rs` pins the two
-//! drivers to byte-equivalent loss reports.
+//! delivery counts flake under load. `tests/live_soak.rs` pins the
+//! reactor's loss report to the exact set a seeded lossy echo dropped.
 
 use std::time::Duration;
 
