@@ -21,6 +21,7 @@
 
 use std::fmt::Write as _;
 use std::io::Write as _;
+use std::num::{NonZeroU64, NonZeroUsize};
 
 use probenet_bench::*;
 use probenet_core::{
@@ -101,44 +102,22 @@ fn parse_args() -> Args {
             // the live reactor loopback engine.
             "live" => args.live = true,
             "--sessions" => {
-                args.live_sessions = it
-                    .next()
-                    .expect("--sessions needs a value")
-                    .parse()
-                    .expect("sessions must be an integer")
+                args.live_sessions =
+                    flag_value::<NonZeroUsize>(&mut it, &a, "a positive integer").get()
             }
             "--delta" => {
-                args.live_delta_ms = it
-                    .next()
-                    .expect("--delta needs a value (ms)")
-                    .parse()
-                    .expect("delta must be an integer (ms)")
+                args.live_delta_ms =
+                    flag_value::<NonZeroU64>(&mut it, &a, "a positive integer (ms)").get()
             }
             "--duration" => {
-                args.live_duration_secs = it
-                    .next()
-                    .expect("--duration needs a value (seconds)")
-                    .parse()
-                    .expect("duration must be an integer (seconds)")
+                args.live_duration_secs = flag_value(&mut it, &a, "an integer (seconds)")
             }
-            "--artifact" => args.artifact = it.next().expect("--artifact needs a value"),
-            "--span-secs" => {
-                args.span_secs = it
-                    .next()
-                    .expect("--span-secs needs a value")
-                    .parse()
-                    .expect("span must be an integer")
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be an integer")
-            }
+            "--artifact" => args.artifact = flag_value(&mut it, &a, "an artifact name"),
+            "--span-secs" => args.span_secs = flag_value(&mut it, &a, "an integer (seconds)"),
+            "--seed" => args.seed = flag_value(&mut it, &a, "an integer"),
             "--json" => args.json = true,
             "--serial" => args.serial = true,
-            "--impair" => args.impair = Some(it.next().expect("--impair needs a scenario name")),
+            "--impair" => args.impair = Some(flag_value(&mut it, &a, "a scenario name")),
             "--stream" => args.stream = true,
             "--check" | "--bless" => {
                 let mode = if a == "--check" {
@@ -152,9 +131,7 @@ fn parse_args() -> Args {
                 }
                 args.golden = mode;
             }
-            "--emit-frames" => {
-                args.emit_frames = Some(it.next().expect("--emit-frames needs a path prefix"))
-            }
+            "--emit-frames" => args.emit_frames = Some(flag_value(&mut it, &a, "a path prefix")),
             "--help" | "-h" => {
                 println!(
                     "repro [--artifact all|table1|table2|table3|fig1|fig2|fig4|fig5|fig6|fig8|fig9|model|campaign] \
@@ -174,6 +151,22 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// The operand after `flag`, parsed as `T`. A missing or malformed operand
+/// is a usage error (`<flag> needs <what>`, exit 2), not a panic.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    match it.next().map(|v| v.parse()) {
+        Some(Ok(v)) => v,
+        _ => {
+            eprintln!("{flag} needs {what}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn heading(out: &mut String, s: &str) {
@@ -661,7 +654,7 @@ const ARTIFACTS: &[Artifact] = &[
 /// drop-accounting identity. Exits 1 if `produced != records + dropped`,
 /// 2 when the platform lacks the reactor (no epoll).
 fn live_cmd(a: &Args) -> i32 {
-    let count = usize::try_from((a.live_duration_secs * 1000) / a.live_delta_ms.max(1))
+    let count = usize::try_from((a.live_duration_secs * 1000) / a.live_delta_ms)
         .expect("probe count fits usize")
         .max(1);
     let (run, report) = match live_engine_run(a.live_sessions, a.live_delta_ms, count) {

@@ -1,6 +1,7 @@
-//! Shared experiment plumbing for the `repro` harness and the criterion
-//! benches: one function per paper artifact, so a figure is regenerated the
-//! same way whether it is being printed, benchmarked, or tested.
+//! Shared experiment plumbing for the `repro` harness and the integration
+//! tests: one function per paper artifact, so a figure is regenerated the
+//! same way whether it is being printed, checked against a golden, or
+//! tested.
 
 use probenet_core::{
     analyze_losses, analyze_workload, delta_sweep, impairment_scenario, LossAnalysis,

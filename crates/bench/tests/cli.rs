@@ -20,6 +20,37 @@ fn check_with_bless_is_a_usage_error() {
     assert!(!stdout.contains("blessed"), "golden rewritten: {stdout}");
 }
 
+/// A bad flag operand exits 2 naming the flag; a panic would exit 101.
+fn assert_usage_error(args: &[&str], flag: &str) {
+    let out = repro(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("{flag} needs")),
+        "{args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn non_integer_span_is_a_usage_error() {
+    assert_usage_error(&["--span-secs", "1.5"], "--span-secs");
+}
+
+#[test]
+fn trailing_seed_without_value_is_a_usage_error() {
+    assert_usage_error(&["--seed"], "--seed");
+}
+
+#[test]
+fn zero_live_sessions_is_a_usage_error() {
+    assert_usage_error(&["live", "--sessions", "0"], "--sessions");
+}
+
+#[test]
+fn zero_live_delta_is_a_usage_error() {
+    assert_usage_error(&["live", "--delta", "0"], "--delta");
+}
+
 #[test]
 fn pool_width_does_not_change_the_json_bytes() {
     let at = |threads: &str| {

@@ -47,7 +47,6 @@ pub mod recovery;
 pub mod report;
 pub mod routechange;
 pub mod sched;
-pub mod stream_report;
 pub mod summary;
 pub mod workload;
 
@@ -69,7 +68,6 @@ pub use phase::{BottleneckEstimate, PhasePlot, PhasePoint};
 pub use recovery::{fec_overhead, fec_recovery, repetition_recovery, RecoveryStats};
 pub use report::{render_histogram, render_phase_plot, render_table3, render_time_series};
 pub use routechange::{detect_route_changes, RouteChange};
-pub use stream_report::render_stream_snapshot;
 pub use summary::{full_report, render_report, FullReport, MeasurementSummary};
 pub use workload::{
     analyze_workload, interarrival_series, workload_estimates, LabeledPeak, PeakLabel,

@@ -98,18 +98,6 @@ pub struct EngineStats {
     pub wall: std::time::Duration,
 }
 
-impl EngineStats {
-    /// Events handled per wall-clock second (0 when nothing ran).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.events_processed as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// A packet that crossed a partition boundary: it arrives at `node` (owned
 /// by a neighboring partition) at instant `at`.
 #[derive(Debug)]
@@ -375,12 +363,6 @@ impl Engine {
     /// The simulated path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The contiguous node range this engine owns (the whole path for a
-    /// serial engine).
-    pub fn owned_nodes(&self) -> Range<usize> {
-        self.owned.clone()
     }
 
     /// Current simulated time.

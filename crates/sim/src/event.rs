@@ -466,8 +466,7 @@ impl<E> EventQueue<E> {
 /// The original comparison-based implementation, kept as a reference
 /// oracle: the differential tests pin the indexed queue's pop order to it
 /// (including across epoch boundaries; see
-/// `crates/sim/tests/properties.rs`), and `benches/simulator.rs` races the
-/// two.
+/// `crates/sim/tests/properties.rs`).
 pub mod reference {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -743,7 +742,10 @@ mod tests {
     /// An adversarial same-bucket cascade: every popped event schedules
     /// follow-ups into the bucket still being drained, growing the run far
     /// past `RUN_SPLICE_MAX` so the `late` heap path engages. Pop order
-    /// must match the binary-heap oracle exactly.
+    /// must match the binary-heap oracle exactly, and no sorted insert may
+    /// land in a run longer than the splice bound: that is the quadratic
+    /// cliff the `late` heap exists to prevent, asserted structurally here
+    /// rather than timed.
     #[test]
     fn same_bucket_cascade_overflows_to_late_heap_in_order() {
         let mut q = EventQueue::new();
@@ -752,6 +754,7 @@ mod tests {
         q.schedule(t0, 0u64);
         oracle.schedule(t0, 0u64);
         let mut next = 1u64;
+        let mut late_peak = 0;
         loop {
             let (a, b) = (q.pop(), oracle.pop());
             assert_eq!(a, b);
@@ -761,13 +764,24 @@ mod tests {
                 let jitter = (v.wrapping_mul(2_654_435_761)) % 3_000;
                 for d in [jitter, 1_500 + jitter / 2] {
                     let at2 = at + SimDuration::from_nanos(d);
+                    // Only a schedule into the drained bucket can grow
+                    // `run` (the sorted insert), so its length before the
+                    // call is the run the insert went into.
+                    let run_before = q.run.len();
                     q.schedule(at2, next);
+                    assert!(
+                        q.run.len() == run_before || run_before <= RUN_SPLICE_MAX,
+                        "event {next} sorted-inserted into a run of {run_before} \
+                         (> RUN_SPLICE_MAX = {RUN_SPLICE_MAX}) instead of the late heap"
+                    );
+                    late_peak = late_peak.max(q.late.len());
                     oracle.schedule(at2, next);
                     next += 1;
                 }
             }
         }
         assert!(q.is_empty());
+        assert!(late_peak > 0, "the cascade never reached the late heap");
     }
 
     #[test]

@@ -122,7 +122,8 @@ pub struct ParallelOutcome {
     /// engine's final clock).
     pub now: SimTime,
     /// Merged work counters; `wall` is the facade's elapsed time around the
-    /// whole run, so `events_per_sec` reflects real parallel throughput.
+    /// whole run, so `events_processed / wall` is the real parallel
+    /// throughput.
     pub stats: EngineStats,
     /// Per-port statistics in global port-index order (`2 * links`), each
     /// taken from the partition that owns the port.

@@ -133,12 +133,6 @@ impl SimDuration {
         SimDuration(secs_f64_to_nanos(s))
     }
 
-    /// Construct from floating-point milliseconds (rounded to the nearest ns).
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        SimDuration(secs_f64_to_nanos(ms / 1e3))
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {

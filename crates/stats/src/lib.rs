@@ -27,7 +27,6 @@ pub mod histogram;
 pub mod independence;
 pub mod moments;
 pub mod peaks;
-pub mod quantile;
 pub mod special;
 pub mod timescale;
 
@@ -42,7 +41,6 @@ pub use independence::{
 };
 pub use moments::{correlation, ols, Moments, MomentsState};
 pub use peaks::{find_peaks, find_relative_peaks, smooth, Peak};
-pub use quantile::P2Quantile;
 pub use special::{digamma, gamma_cdf, ln_gamma, reg_lower_gamma, trigamma};
 pub use timescale::{
     aggregate_variance, hurst_aggregate_variance, variance_time_plot, VariancePoint,

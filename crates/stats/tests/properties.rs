@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use probenet_stats::{autocorrelation, Ecdf, Histogram, Moments, P2Quantile};
+use probenet_stats::{autocorrelation, Ecdf, Histogram, Moments};
 
 /// Finite, reasonably scaled samples (no NaN/inf, no overflow drama).
 fn samples(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
@@ -61,23 +61,6 @@ proptest! {
         // The CDF itself is monotone too.
         prop_assert!(ecdf.eval(lo - 1.0) == 0.0);
         prop_assert!(ecdf.eval(hi + 1.0) == 1.0);
-    }
-
-    /// The streaming P² quantile estimate stays inside the data range.
-    #[test]
-    fn prop_p2_estimate_within_range(
-        data in samples(5..300),
-        q in 0.01..0.99f64,
-    ) {
-        let mut p2 = P2Quantile::new(q);
-        for &x in &data {
-            p2.push(x);
-        }
-        let est = p2.estimate().expect("non-empty stream");
-        let lo = data.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(est >= lo && est <= hi, "P2({q}) = {est} outside [{lo}, {hi}]");
-        prop_assert_eq!(p2.count(), data.len());
     }
 
     /// ACF normalization: lag 0 is exactly 1 and every lag is in [-1, 1]

@@ -253,13 +253,7 @@ const SERIALIZATION_FNS: &[&str] = &[
 ];
 
 /// File stems that are always serialization context (the report/wire path).
-const SERIALIZATION_FILES: &[&str] = &[
-    "report.rs",
-    "stream_report.rs",
-    "trace.rs",
-    "csv.rs",
-    "collector.rs",
-];
+const SERIALIZATION_FILES: &[&str] = &["report.rs", "trace.rs", "csv.rs", "collector.rs"];
 
 fn file_name(path: &str) -> &str {
     path.rsplit('/').next().unwrap_or(path)
