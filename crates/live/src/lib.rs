@@ -229,8 +229,11 @@ mod tests {
                             if let Ok(mut probe) = ProbePacket::decode(&buf[..len]) {
                                 stamp += 1;
                                 probe.echo_ts = Timestamp48::from_micros(stamp);
-                                if socket.send_to(&probe.to_bytes(), peer).is_ok() {
-                                    echoed.fetch_add(1, Ordering::SeqCst);
+                                // Counted before the send, so a reply the
+                                // reactor holds is already counted.
+                                echoed.fetch_add(1, Ordering::SeqCst);
+                                if socket.send_to(&probe.to_bytes(), peer).is_err() {
+                                    echoed.fetch_sub(1, Ordering::SeqCst);
                                 }
                             }
                         }

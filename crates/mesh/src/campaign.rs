@@ -9,7 +9,8 @@
 //!    linear path is simulated independently
 //!    ([`probenet_netdyn::SimExperiment`]) with cross traffic whose
 //!    streams are seeded **per global link** — every path crossing a
-//!    shared link sees the same load.
+//!    shared link sees the same load. Each link's streams are generated
+//!    once per campaign and copied into every pair that crosses it.
 //! 2. One [`Collector`](probenet_stream::Collector) per vantage host folds
 //!    that host's sessions ([`collect_sessions`]);
 //!    shard keys carry `(src, dst, δ, seed)` via
@@ -31,7 +32,7 @@ use probenet_merged::{MergeError, MergeService};
 use probenet_netdyn::{collect_sessions, ExperimentConfig, RttSeries, SimExperiment};
 use probenet_sim::{Direction, FlowClass, SimDuration};
 use probenet_stream::{fnv1a_hex, CollectorConfig, CollectorReport, SessionKey};
-use probenet_traffic::InternetMix;
+use probenet_traffic::{Arrival, InternetMix};
 use probenet_wire::snapshot::{decode_frames, HopAnnotation, SessionFrame};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,8 +89,37 @@ pub struct PathOutcome {
     pub base_rtt_ms: f64,
 }
 
+/// Cross traffic of every global link, by id: the outbound and inbound
+/// streams of each backbone link, `None` for access links.
+type LinkStreams = Vec<Option<[Vec<Arrival>; 2]>>;
+
+/// Generate each backbone link's two streams once for the campaign. They
+/// are seeded by the *global* link id: every path crossing a shared link
+/// competes with the identical load, which is what correlates their
+/// losses.
+fn link_streams(spec: &MeshSpec, topo: &MeshTopology, threads: usize) -> LinkStreams {
+    let horizon = SimDuration::from_secs(spec.span_secs + 2);
+    par_map_threads(threads, topo.links.iter().collect(), |link| {
+        if !matches!(link.kind, LinkKind::Backbone { .. }) {
+            return None;
+        }
+        let mix = InternetMix::calibrated(link.spec.bandwidth_bps, CROSS_UTILIZATION, 0.2, 3.0);
+        Some([0u64, 1].map(|salt| {
+            let stream_seed =
+                splitmix64(spec.seed ^ 0xc055_0000 ^ (u64::from(link.id) << 8) ^ salt);
+            mix.generate(&mut StdRng::seed_from_u64(stream_seed), horizon)
+        }))
+    })
+}
+
 /// Simulate one pair of the mesh.
-fn run_pair(spec: &MeshSpec, topo: &MeshTopology, src: usize, dst: usize) -> PathOutcome {
+fn run_pair(
+    spec: &MeshSpec,
+    topo: &MeshTopology,
+    streams: &LinkStreams,
+    src: usize,
+    dst: usize,
+) -> PathOutcome {
     let (path, link_ids) = topo.path_between(src, dst);
     let delta = SimDuration::from_millis(spec.delta_ms);
     let config = ExperimentConfig::quick(delta, spec.probes_per_pair());
@@ -97,21 +127,13 @@ fn run_pair(spec: &MeshSpec, topo: &MeshTopology, src: usize, dst: usize) -> Pat
     let pair_seed =
         splitmix64(spec.seed ^ 0x7061_6972_0000_0000 ^ ((src as u64) << 20) ^ dst as u64);
     let mut experiment = SimExperiment::new(config, path.clone(), pair_seed);
-    // Cross traffic per backbone link, seeded by the *global* link id:
-    // every path crossing a shared link competes with the identical
-    // load, which is what correlates their losses.
-    let horizon = SimDuration::from_secs(spec.span_secs + 2);
     for (local, &gid) in link_ids.iter().enumerate() {
-        let link = &topo.links[gid as usize];
-        if !matches!(link.kind, LinkKind::Backbone { .. }) {
+        let Some([outbound, inbound]) = &streams[gid as usize] else {
             continue;
-        }
-        let mix = InternetMix::calibrated(link.spec.bandwidth_bps, CROSS_UTILIZATION, 0.2, 3.0);
-        for (direction, salt) in [(Direction::Outbound, 0u64), (Direction::Inbound, 1)] {
-            let stream_seed = splitmix64(spec.seed ^ 0xc055_0000 ^ (u64::from(gid) << 8) ^ salt);
-            let arrivals = mix.generate(&mut StdRng::seed_from_u64(stream_seed), horizon);
-            experiment = experiment.with_cross_traffic(local, direction, arrivals);
-        }
+        };
+        experiment = experiment
+            .with_cross_traffic(local, Direction::Outbound, outbound.clone())
+            .with_cross_traffic(local, Direction::Inbound, inbound.clone());
     }
     let (series, run) = experiment.run();
     let mut hop_probe_drops = vec![0u64; link_ids.len()];
@@ -164,8 +186,9 @@ pub struct MeshRun {
 /// workers. Output is byte-identical for any `threads`.
 pub fn run_campaign(spec: &MeshSpec, threads: usize) -> Result<MeshRun, MergeError> {
     let topo = spec.topology();
+    let streams = link_streams(spec, &topo, threads);
     let outcomes = par_map_threads(threads, spec.pairs(), |(src, dst)| {
-        run_pair(spec, &topo, src, dst)
+        run_pair(spec, &topo, &streams, src, dst)
     });
 
     // One collector per vantage host: host i owns every session it

@@ -198,10 +198,12 @@ impl SimExperiment {
                     binding.arrivals.iter().map(|a| a.into_pair()),
                 );
             }
-            for n in 0..self.config.count as u64 {
-                let at = SimTime::ZERO + self.config.interval * n;
-                engine.inject_probe(at, wire, n);
-            }
+            engine.inject_probe_train(
+                SimTime::ZERO,
+                self.config.interval,
+                wire,
+                self.config.count as u64,
+            );
             engine.run();
             for d in engine.probe_deliveries() {
                 fill(&mut records, d);
@@ -400,6 +402,37 @@ mod tests {
             };
             assert_eq!(stats(&run), stats(&serial_run), "width {width}");
         }
+    }
+
+    /// The engine holds only what is in flight: a full paper run (INRIA →
+    /// UMd, δ = 8 ms for 600 s, 75 000 probes against both directions of
+    /// calibrated cross traffic at the bottleneck) never has more than a
+    /// few dozen events pending. Scheduling the probes or the cross traffic
+    /// up front would put the whole run in the queue at t = 0.
+    #[test]
+    fn a_paper_run_keeps_only_packets_in_flight_queued() {
+        let path = Path::inria_umd_1992();
+        let (bidx, bottleneck) = path.bottleneck();
+        let mu = bottleneck.bandwidth_bps;
+        let horizon = SimDuration::from_secs(605);
+        let mut rng = StdRng::seed_from_u64(1993);
+        let mut generate = |utilization| {
+            InternetMix::calibrated(mu, utilization, 0.1, 3.0).generate(&mut rng, horizon)
+        };
+        let (outbound, inbound) = (generate(0.62), generate(0.20));
+        let cross = outbound.len() + inbound.len();
+        let cfg = ExperimentConfig::paper(SimDuration::from_millis(8));
+        let (series, run) = SimExperiment::new(cfg, path, 1993)
+            .with_cross_traffic(bidx, Direction::Outbound, outbound)
+            .with_cross_traffic(bidx, Direction::Inbound, inbound)
+            .run();
+        assert_eq!(series.len(), 75_000);
+        assert!(cross > 20_000, "only {cross} cross packets generated");
+        assert!(
+            run.stats.peak_queue_depth <= 64,
+            "peak queue depth {} for {cross} cross packets and 75 000 probes",
+            run.stats.peak_queue_depth
+        );
     }
 
     #[test]

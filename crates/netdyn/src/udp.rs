@@ -115,7 +115,9 @@ fn monotonic_micros(epoch: Instant) -> Timestamp48 {
 /// Counters published by a running echo server.
 #[derive(Debug, Default, Clone)]
 pub struct EchoServerStats {
-    /// Probes received and echoed.
+    /// Probes received and echoed. A reply in the peer's hands is already
+    /// counted: the count is taken before the send (and given back if the
+    /// send fails).
     pub echoed: u64,
     /// Probes deliberately dropped by fault injection.
     pub dropped: u64,
@@ -268,8 +270,11 @@ fn echo_loop(
                 probe.echo_ts = monotonic_micros(epoch);
                 let out = probe.to_bytes();
                 let target = forward_to.unwrap_or(peer);
-                if socket.send_to(&out, target).is_ok() {
-                    stats.lock().expect("lock poisoned").echoed += 1;
+                // Count first, so the reply never reaches the peer before
+                // its count does; a failed send takes the count back.
+                stats.lock().expect("lock poisoned").echoed += 1;
+                if socket.send_to(&out, target).is_err() {
+                    stats.lock().expect("lock poisoned").echoed -= 1;
                 }
             }
             Err(_) => {

@@ -57,14 +57,6 @@ impl PacketArena {
         self.live == 0
     }
 
-    /// Reserve capacity for `extra` additional live packets.
-    pub fn reserve(&mut self, extra: usize) {
-        let spare = self.free.len() + (self.slots.capacity() - self.slots.len());
-        if extra > spare {
-            self.slots.reserve(extra - spare);
-        }
-    }
-
     /// Store `packet` and return its handle.
     pub fn alloc(&mut self, packet: Packet) -> PacketRef {
         self.live += 1;

@@ -16,7 +16,15 @@
 //! handle instead of cloning the packet. Same-instant hops (router
 //! forwarding, the echo turnaround, TTL replies) are dispatched inline
 //! rather than round-tripped through the event queue, and the run loop
-//! drains whole time buckets via [`EventQueue::begin_bucket`]. All
+//! drains whole time buckets via [`EventQueue::begin_bucket`].
+//! Pre-generated traffic — cross-traffic arrival vectors
+//! ([`Engine::attach_cross_traffic`]) and periodic probe trains
+//! ([`Engine::inject_probe_train`]) — is fed one packet at a time: each
+//! source keeps exactly one pending event and allocates its packet only
+//! when that event pops, so the queue and the arena hold what is in
+//! flight, not the whole run. The lanes and ids of a source are reserved
+//! in one block at attachment, so the feed pops and records exactly what
+//! scheduling every packet up front would have. All
 //! randomness that affects admission is drawn from **per-port** RNG streams
 //! (disjoint from the impairment streams), so a port's random-loss/RED
 //! decisions depend only on its own arrival sequence — the property that
@@ -81,6 +89,93 @@ enum Ev {
     /// injectors: reorder-deferred packets and duplicate copies, which must
     /// not run the impairment pipeline a second time.
     Admit { port: u32, r: PacketRef },
+    /// The next packet of `sources[source]` reaches its port.
+    Feed { source: u32 },
+}
+
+/// Pre-generated packets fed to one port one at a time. A source keeps
+/// exactly one pending [`Ev::Feed`], for its next packet, and schedules
+/// the one after when that pops. Packet `i` (its index in the caller's
+/// input) gets id `base_id + i`, sequence number `i` and queue lane
+/// `base_lane + i`: what it would have had if every packet had been
+/// scheduled at attachment.
+#[derive(Debug)]
+struct Source {
+    port: usize,
+    class: FlowClass,
+    direction: Direction,
+    base_id: u64,
+    base_lane: u64,
+    feed: Feed,
+}
+
+#[derive(Debug)]
+enum Feed {
+    /// `(at, size, index)` sorted **descending** by `(at, index)`, so the
+    /// next packet is the last. Callers need not pass sorted input.
+    Arrivals(Vec<(SimTime, u32, u32)>),
+    /// Packet `n < count` of `size` bytes at `start + n·interval`; `next`
+    /// is the first one not yet fed.
+    Train {
+        start: SimTime,
+        interval: SimDuration,
+        size: u32,
+        next: u64,
+        count: u64,
+    },
+}
+
+impl Feed {
+    fn arrivals<I: IntoIterator<Item = (SimTime, u32)>>(arrivals: I) -> Feed {
+        let mut packets: Vec<(SimTime, u32, u32)> = arrivals
+            .into_iter()
+            .enumerate()
+            .map(|(i, (at, size))| {
+                let index = u32::try_from(i).expect("fewer than 2^32 packets per source");
+                (at, size, index)
+            })
+            .collect();
+        // Generated streams arrive sorted, which this sort detects in O(n).
+        packets.sort_unstable_by_key(|&(at, _, index)| std::cmp::Reverse((at, index)));
+        Feed::Arrivals(packets)
+    }
+
+    /// Packets in the source, fed or not.
+    fn len(&self) -> u64 {
+        match self {
+            Feed::Arrivals(packets) => packets.len() as u64,
+            Feed::Train { count, .. } => *count,
+        }
+    }
+
+    /// The next packet to feed: `(at, size, index)`.
+    fn head(&self) -> Option<(SimTime, u32, u64)> {
+        match *self {
+            Feed::Arrivals(ref packets) => packets
+                .last()
+                .map(|&(at, size, index)| (at, size, u64::from(index))),
+            Feed::Train {
+                start,
+                interval,
+                size,
+                next,
+                count,
+            } => (next < count).then(|| (start + interval * next, size, next)),
+        }
+    }
+
+    fn advance(&mut self) {
+        match self {
+            Feed::Arrivals(packets) => {
+                packets.pop();
+                if packets.is_empty() {
+                    // Release the buffer now rather than at the next reset.
+                    *packets = Vec::new();
+                }
+            }
+            Feed::Train { next, .. } => *next += 1,
+        }
+    }
 }
 
 /// Counters describing how much work a run did, for performance
@@ -92,7 +187,11 @@ pub struct EngineStats {
     /// queue **plus** same-instant hops dispatched inline, so totals stay
     /// comparable with earlier engine versions that queued every hop.
     pub events_processed: u64,
-    /// High-water mark of the pending-event queue.
+    /// High-water mark of the pending-event queue. Traffic sources and
+    /// probe trains hold one pending event each, so on that path this
+    /// tracks packets in flight, not the length of the run; events
+    /// scheduled one by one (direct [`Engine::inject_probe`] calls, route
+    /// shifts) all count from the moment they are scheduled.
     pub peak_queue_depth: usize,
     /// Wall-clock time spent inside [`Engine::run`] / [`Engine::run_until`].
     pub wall: std::time::Duration,
@@ -130,6 +229,8 @@ pub struct Engine {
     port_rng: Vec<StdRng>,
     events: EventQueue<Ev>,
     arena: PacketArena,
+    /// Attached traffic sources, indexed by [`Ev::Feed`].
+    sources: Vec<Source>,
     next_id: u64,
     /// Per-port counter feeding duplicate-copy ids.
     dup_seq: Vec<u64>,
@@ -264,6 +365,7 @@ impl Engine {
             port_rng,
             events: EventQueue::new(),
             arena: PacketArena::new(),
+            sources: Vec::new(),
             next_id: 0,
             dup_seq: vec![0; links * 2],
             reply_seq: vec![0; nodes],
@@ -324,6 +426,7 @@ impl Engine {
         }
         self.events.clear();
         self.arena.clear();
+        self.sources.clear();
         self.next_id = 0;
         self.dup_seq.fill(0);
         self.reply_seq.fill(0);
@@ -341,14 +444,14 @@ impl Engine {
         self.arm_route_shifts();
     }
 
-    /// Pre-size the result buffers for a run expected to inject about
-    /// `probes` probe packets and `cross` cross-traffic packets, so the hot
-    /// loop never reallocates them.
+    /// Pre-size the delivery and drop records for a run expected to inject
+    /// about `probes` probe packets and `cross` cross-traffic packets, so
+    /// the hot loop never reallocates them. The packet arena is not sized
+    /// here: it holds only packets in flight and grows to that on its own.
     pub fn reserve(&mut self, probes: usize, cross: usize) {
         // Every cross packet and most probes produce a delivery record.
         self.deliveries.reserve(probes + cross);
         self.drops.reserve(probes / 4 + cross / 4);
-        self.arena.reserve(probes + cross);
     }
 
     /// Work counters for this engine (see [`EngineStats`]).
@@ -464,6 +567,89 @@ impl Engine {
         self.events.schedule(at, Ev::Arrive { port: 0, r });
     }
 
+    /// Schedule `count` probes of `size` bytes: probe `n` has sequence
+    /// number `n` and enters the network at `start + n·interval`. The
+    /// outcome is bit-identical to calling [`Engine::inject_probe`] for
+    /// `n = 0..count`, but the train is fed one probe at a time, so only
+    /// its next probe is pending.
+    pub fn inject_probe_train(
+        &mut self,
+        start: SimTime,
+        interval: SimDuration,
+        size: u32,
+        count: u64,
+    ) {
+        let feed = Feed::Train {
+            start,
+            interval,
+            size,
+            next: 0,
+            count,
+        };
+        let base_id = self.next_id;
+        self.next_id += count;
+        self.add_source(0, FlowClass::Probe, Direction::Outbound, base_id, feed);
+    }
+
+    /// Register a source for `port` whose packets take ids `base_id..` and
+    /// the next block of local queue lanes, and schedule its first packet.
+    fn add_source(
+        &mut self,
+        port: usize,
+        class: FlowClass,
+        direction: Direction,
+        base_id: u64,
+        feed: Feed,
+    ) {
+        let len = feed.len();
+        debug_assert!(
+            base_id + len <= LOCAL_LANE,
+            "packet id too large for lane keying"
+        );
+        let base_lane = self.events.reserve_lanes(len);
+        let Some((at, _, index)) = feed.head() else {
+            return;
+        };
+        let source = u32::try_from(self.sources.len()).expect("fewer than 2^32 sources");
+        self.sources.push(Source {
+            port,
+            class,
+            direction,
+            base_id,
+            base_lane,
+            feed,
+        });
+        self.events
+            .schedule_keyed(at, base_lane + index, Ev::Feed { source });
+    }
+
+    /// A source's next packet reaches its port: schedule the one after it,
+    /// then allocate this one and hand it to [`Engine::on_arrive`].
+    fn on_feed(&mut self, at: SimTime, source: u32) {
+        let src = &mut self.sources[source as usize];
+        let (_, size, index) = src.feed.head().expect("a fed source has a next packet");
+        src.feed.advance();
+        if let Some((next_at, _, next)) = src.feed.head() {
+            self.events
+                .schedule_keyed(next_at, src.base_lane + next, Ev::Feed { source });
+        }
+        let packet = Packet {
+            id: PacketId(src.base_id + index),
+            class: src.class,
+            flow: 0,
+            size,
+            seq: index,
+            injected_at: at,
+            ttl: DEFAULT_TTL,
+            direction: src.direction,
+            corrupted: false,
+            echoed_at: None,
+        };
+        let port = src.port;
+        let r = self.arena.alloc(packet);
+        self.on_arrive(at, port, r);
+    }
+
     /// Register a closed-loop window flow and launch its initial window at
     /// instant `start`. Returns the flow id found in
     /// [`Delivery::flow`](crate::packet::Delivery) records.
@@ -572,16 +758,22 @@ impl Engine {
     /// Attach a pre-generated cross-traffic arrival sequence to the queue of
     /// (`link`, `direction`). Each `(time, size)` becomes one Internet
     /// packet that competes with the probes for that port's server and then
-    /// leaves the system.
+    /// leaves the system. The `i`-th pair has sequence number `i`; the
+    /// pairs need not be sorted by time.
+    ///
+    /// The sequence is kept as a source that feeds the queue one packet
+    /// at a time: only its next packet is pending, and a packet exists in
+    /// the arena only from its arrival on. Ids, tie order and every record
+    /// are those of scheduling all the packets here and now.
     pub fn attach_cross_traffic<I>(&mut self, link: usize, direction: Direction, arrivals: I)
     where
         I: IntoIterator<Item = (SimTime, u32)>,
     {
+        let base_id = self.next_id;
+        let feed = Feed::arrivals(arrivals);
+        self.next_id += feed.len();
         let port = self.port_index(link, direction);
-        for (i, (at, size)) in arrivals.into_iter().enumerate() {
-            let id = self.fresh_id();
-            self.attach_cross_packet(port, at, size, i as u64, direction, id);
-        }
+        self.add_source(port, FlowClass::Cross, direction, base_id, feed);
     }
 
     /// As [`Engine::attach_cross_traffic`] but with explicit packet ids
@@ -597,42 +789,8 @@ impl Engine {
         I: IntoIterator<Item = (SimTime, u32)>,
     {
         let port = self.port_index(link, direction);
-        for (i, (at, size)) in arrivals.into_iter().enumerate() {
-            let id = PacketId(base_id + i as u64);
-            self.attach_cross_packet(port, at, size, i as u64, direction, id);
-        }
-    }
-
-    fn attach_cross_packet(
-        &mut self,
-        port: usize,
-        at: SimTime,
-        size: u32,
-        seq: u64,
-        direction: Direction,
-        id: PacketId,
-    ) {
-        debug_assert!(id.0 < LOCAL_LANE, "packet id too large for lane keying");
-        let packet = Packet {
-            id,
-            class: FlowClass::Cross,
-            flow: 0,
-            size,
-            seq,
-            injected_at: at,
-            ttl: DEFAULT_TTL,
-            direction,
-            corrupted: false,
-            echoed_at: None,
-        };
-        let r = self.arena.alloc(packet);
-        self.events.schedule(
-            at,
-            Ev::Arrive {
-                port: port as u32,
-                r,
-            },
-        );
+        let feed = Feed::arrivals(arrivals);
+        self.add_source(port, FlowClass::Cross, direction, base_id, feed);
     }
 
     /// Schedule a change of link `link`'s one-way propagation delay at
@@ -731,6 +889,7 @@ impl Engine {
                 self.path.links[link as usize].propagation = value;
             }
             Ev::Admit { port, r } => self.admit(at, port as usize, r),
+            Ev::Feed { source } => self.on_feed(at, source),
         }
     }
 

@@ -26,9 +26,10 @@
 //! straight to its slot. Only events more than a revolution ahead wait in
 //! a **spill vector**, sorted lazily (descending) at most once per batch
 //! of far-future pushes; as the window advances, the spill tail — the
-//! minimum keys — is popped into the ring. Runtime scheduling never
-//! touches the spill (the engine's event horizon is milliseconds), so the
-//! sort is never invalidated mid-run. This replaces the old
+//! minimum keys — is popped into the ring. Runtime scheduling rarely
+//! touches the spill (the engine's event horizon is milliseconds, and its
+//! traffic sources keep one packet each in the queue), so the sort is
+//! rarely invalidated mid-run. This replaces the old
 //! `BTreeMap<epoch, Vec>`: one flat allocation, one amortized sort, no
 //! per-epoch tree nodes.
 //!
@@ -249,6 +250,18 @@ impl<E> EventQueue<E> {
         self.schedule_keyed(at, LOCAL_LANE | seq, payload);
     }
 
+    /// Reserve the local lanes `n` successive [`EventQueue::schedule`]
+    /// calls would take, and return the first. An event later scheduled
+    /// through [`EventQueue::schedule_keyed`] on lane `first + i` pops
+    /// exactly where the `i`-th of those calls would have put it, so a
+    /// caller can schedule a block of events one at a time, each only when
+    /// it is next.
+    pub fn reserve_lanes(&mut self, n: u64) -> u64 {
+        let first = LOCAL_LANE | self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
     /// Schedule `payload` at instant `at` with an explicit tie-breaking
     /// `lane`. Lanes below [`LOCAL_LANE`] must be unique among the events
     /// pending at one instant (the engine uses packet ids); they order
@@ -284,11 +297,12 @@ impl<E> EventQueue<E> {
             // The ring is circular over absolute bucket indices: anything
             // within RING_SIZE buckets of the drain front goes straight to
             // its slot — slots behind the cursor simply belong to the next
-            // revolution and are reached after the epoch rolls. Since every
-            // runtime-scheduled event (tx-done, arrivals a few ms out) is
-            // far closer than a full revolution (~1 s), only bulk pre-run
-            // schedules ever spill, and the spill's lazy sort is never
-            // invalidated mid-run — epoch rollovers stay O(drained).
+            // revolution and are reached after the epoch rolls. Nearly
+            // every runtime-scheduled event (tx-done, arrivals a few ms
+            // out) is far closer than a full revolution (~1 s); only route
+            // shifts, direct pre-run injections and a traffic source's
+            // next packet after a gap of more than a revolution spill, so
+            // the spill's lazy sort is rarely invalidated mid-run.
             let front = (self.epoch << RING_BITS) + self.cursor as u64;
             debug_assert!(bucket >= front, "scheduling behind the drain front");
             if bucket.wrapping_sub(front) < RING_SIZE as u64 {
@@ -357,7 +371,7 @@ impl<E> EventQueue<E> {
         loop {
             // Rescatter spill entries whose bucket has entered the drain
             // window. The spill is sorted descending at most once per batch
-            // of pushes — runtime schedules land in the ring, never here —
+            // of pushes — runtime schedules almost always land in the ring —
             // so entries leave via the sorted tail exactly once.
             let window_end = (self.epoch << RING_BITS) + self.cursor as u64 + RING_SIZE as u64;
             if self.spill_min >> BUCKET_SHIFT < window_end {

@@ -506,6 +506,132 @@ proptest! {
     }
 }
 
+/// What a run left behind: its trace, deliveries, drops and event count.
+/// A cross packet's sequence number is its index within its
+/// `attach_cross_traffic` call, so it is the one field that differs
+/// between one call and one call per packet; it is blanked here, and the
+/// packet ids (identical on both sides) pin identity instead.
+type Observed = (
+    Vec<(u64, Option<usize>, u64, FlowClass, u64, TraceKind)>,
+    Vec<(u64, FlowClass, u64, u64, Option<u64>, u64)>,
+    Vec<(u64, FlowClass, u64, u64, usize, DropReason)>,
+    u64,
+);
+
+fn observe(mut e: Engine) -> Observed {
+    e.run();
+    let seq = |class: FlowClass, seq: u64| if class == FlowClass::Cross { 0 } else { seq };
+    let trace = e
+        .take_trace()
+        .iter()
+        .map(|t| {
+            (
+                t.at.as_nanos(),
+                t.port,
+                t.packet.0,
+                t.class,
+                seq(t.class, t.seq),
+                t.kind,
+            )
+        })
+        .collect();
+    let deliveries = e
+        .deliveries()
+        .iter()
+        .map(|d| {
+            (
+                d.id.0,
+                d.class,
+                seq(d.class, d.seq),
+                d.injected_at.as_nanos(),
+                d.echoed_at.map(|t| t.as_nanos()),
+                d.delivered_at.as_nanos(),
+            )
+        })
+        .collect();
+    let drops = e
+        .drops()
+        .iter()
+        .map(|d| {
+            (
+                d.id.0,
+                d.class,
+                seq(d.class, d.seq),
+                d.at.as_nanos(),
+                d.port,
+                d.reason,
+            )
+        })
+        .collect();
+    (trace, deliveries, drops, e.stats().events_processed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The lazy feed is bit-identical to eager scheduling. One engine gets
+    /// each direction's cross traffic as one `attach_cross_traffic` call
+    /// (one source fed a packet at a time) and its probes as one
+    /// `inject_probe_train`; the other gets one single-packet call per
+    /// cross packet — a one-packet source is the eager schedule by
+    /// construction — and the `inject_probe` loop the train replaces.
+    /// Arrival times are unsorted, repeat within a call, and sit on the
+    /// same 1 ms grid as probe injections and every `TxDone` (72 B take
+    /// 1 ms on the first link and 2 ms on the second, 144 B twice that).
+    #[test]
+    fn prop_lazy_feed_matches_eager_schedule(
+        cross in proptest::collection::vec((0u64..60, any::<bool>(), any::<bool>()), 0..150),
+        n_probes in 0u64..50,
+        probe_ms in 0u64..4,
+        loss_pct in 0u32..20,
+        seed in 0u64..1000,
+    ) {
+        let path = Path::new(
+            vec!["a".into(), "b".into(), "c".into()],
+            vec![
+                LinkSpec::new(576_000, SimDuration::from_millis(1))
+                    .with_buffer(BufferLimit::Packets(4))
+                    .with_random_loss(f64::from(loss_pct) / 100.0),
+                LinkSpec::new(288_000, SimDuration::from_millis(1))
+                    .with_buffer(BufferLimit::Packets(3)),
+            ],
+        );
+        let (mut outbound, mut inbound) = (Vec::new(), Vec::new());
+        for &(ms, big, out) in &cross {
+            let packet = (SimTime::from_millis(ms), if big { 144u32 } else { 72 });
+            if out { outbound.push(packet) } else { inbound.push(packet) }
+        }
+        let interval = SimDuration::from_millis(probe_ms);
+        let engine = || {
+            let mut e = Engine::new(path.clone(), seed);
+            e.enable_trace();
+            e
+        };
+
+        let mut lazy = engine();
+        lazy.attach_cross_traffic(1, Direction::Outbound, outbound.iter().copied());
+        lazy.attach_cross_traffic(0, Direction::Inbound, inbound.iter().copied());
+        lazy.inject_probe_train(SimTime::ZERO, interval, 72, n_probes);
+
+        let mut eager = engine();
+        for &packet in &outbound {
+            eager.attach_cross_traffic(1, Direction::Outbound, [packet]);
+        }
+        for &packet in &inbound {
+            eager.attach_cross_traffic(0, Direction::Inbound, [packet]);
+        }
+        for n in 0..n_probes {
+            eager.inject_probe(SimTime::ZERO + interval * n, 72, n);
+        }
+
+        let (lazy, eager) = (observe(lazy), observe(eager));
+        prop_assert_eq!(&lazy.0, &eager.0, "traces differ");
+        prop_assert_eq!(&lazy.1, &eager.1, "deliveries differ");
+        prop_assert_eq!(&lazy.2, &eager.2, "drops differ");
+        prop_assert_eq!(lazy.3, eager.3, "events_processed differs");
+    }
+}
+
 /// Non-proptest regression: drops carry the right reason at the right port.
 #[test]
 fn drop_records_identify_the_bottleneck() {

@@ -5,8 +5,9 @@
 //! checksum drops).
 
 use probenet::core::{
-    analyze_losses, impaired_campaign, impairment_scenario, impairment_scenarios,
+    analyze_losses, impaired_campaign, impairment_scenario, impairment_scenarios, ImpairedScenario,
 };
+use probenet::netdyn::RttRecord;
 use probenet::sim::SimDuration;
 
 #[test]
@@ -78,6 +79,46 @@ fn impaired_campaign_threads_the_scenario_through() {
     );
     assert_eq!(r.ulp.n, 3);
     assert!(r.ulp.mean > 0.0, "burst channel added no loss");
+}
+
+/// Engine recycling cannot leak state between scenarios. On one thread,
+/// every named scenario runs twice in a row, one scenario after another,
+/// so each run inherits the engine the run before it left behind; each
+/// must record exactly what the scenario records on a fresh thread, whose
+/// engine is new. The goldens pin only bursty-transatlantic, so this is
+/// the check that covers the other scenarios. Runs last 100 s, past both
+/// of route-flap's route shifts (40 s and 80 s).
+#[test]
+fn recycled_engines_replay_every_scenario_exactly() {
+    fn records(sc: &ImpairedScenario) -> Vec<RttRecord> {
+        sc.run(
+            1993,
+            SimDuration::from_millis(50),
+            SimDuration::from_secs(100),
+        )
+        .series
+        .records
+    }
+    let scenarios = impairment_scenarios();
+    let recycled: Vec<Vec<RttRecord>> = scenarios
+        .iter()
+        .flat_map(|sc| [records(sc), records(sc)])
+        .collect();
+    for (i, sc) in scenarios.iter().enumerate() {
+        let fresh = {
+            let sc = sc.clone();
+            std::thread::spawn(move || records(&sc))
+                .join()
+                .expect("fresh-thread run")
+        };
+        for (run, got) in recycled[2 * i..2 * i + 2].iter().enumerate() {
+            assert!(
+                *got == fresh,
+                "{}: run {run} on the shared thread differs from a fresh engine",
+                sc.name
+            );
+        }
+    }
 }
 
 #[test]
