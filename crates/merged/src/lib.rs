@@ -53,6 +53,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fs::File;
 use std::io::Read;
 use std::net::TcpListener;
 use std::path::Path;
@@ -325,12 +326,13 @@ impl MergeService {
     }
 }
 
-/// Fold frame files (one per collector) into a report.
+/// Fold frame files (one per collector) into a report. Each file goes
+/// through the bounded [`MergeService::ingest_reader`] loop, so memory is
+/// one frame plus one chunk per file, not the whole file.
 pub fn merge_files<P: AsRef<Path>>(paths: &[P]) -> Result<CollectorReport, MergeError> {
     let mut service = MergeService::new();
     for p in paths {
-        let bytes = std::fs::read(p)?;
-        service.ingest_bytes(&bytes)?;
+        service.ingest_reader(&mut File::open(p)?)?;
     }
     service.into_report()
 }
@@ -563,6 +565,30 @@ mod tests {
             incremental.to_json(),
             direct.into_report().expect("fold").to_json(),
             "incremental and one-shot ingest must agree byte-for-byte"
+        );
+    }
+
+    #[test]
+    fn merge_files_matches_one_shot_ingest_of_the_same_bytes() {
+        let mut bytes = Vec::new();
+        for f in [
+            frame("file", 4, 0..150),
+            frame("file", 4, 150..260),
+            frame("file2", 8, 0..90),
+        ] {
+            bytes.extend_from_slice(&f.encode());
+        }
+        let path =
+            std::env::temp_dir().join(format!("probenet-merge-files-{}.bin", std::process::id()));
+        std::fs::write(&path, &bytes).expect("write frame file");
+        let from_file = merge_files(&[&path]);
+        std::fs::remove_file(&path).expect("remove frame file");
+
+        let mut direct = MergeService::new();
+        direct.ingest_bytes(&bytes).expect("one-shot ingest");
+        assert_eq!(
+            from_file.expect("fold the file").to_json(),
+            direct.into_report().expect("fold").to_json()
         );
     }
 

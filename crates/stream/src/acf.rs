@@ -3,12 +3,16 @@
 //! A true streaming ACF to arbitrary lag needs the full series; Bolot's
 //! analysis only ever reads the first few tens of lags, and the
 //! decorrelation structure of interest lives at short range. So the
-//! streaming estimator keeps a fixed-size ring of the most recent `W`
+//! streaming estimator keeps a bounded ring of the most recent `W`
 //! delivered RTTs and computes the exact batch ACF over that window on
 //! `snapshot()`. When the session is shorter than `W` the result is
 //! bit-identical to the batch pipeline's ACF over the whole series — the
 //! regime the differential harness pins. Longer sessions get the ACF of
 //! the trailing window, with the truncation recorded via [`WindowedAcf::evicted`].
+//!
+//! The ring grows to `W` as samples arrive instead of reserving it up
+//! front: a collector holds thousands of sessions, most far shorter than
+//! the window.
 
 use std::collections::VecDeque;
 
@@ -21,12 +25,13 @@ pub struct WindowedAcf {
 }
 
 impl WindowedAcf {
-    /// An empty window of capacity `window` (must be ≥ 2).
+    /// An empty window of capacity `window` (must be ≥ 2). Nothing is
+    /// allocated until the first sample arrives.
     pub fn new(window: usize) -> Self {
         assert!(window >= 2, "ACF window must hold at least two samples");
         WindowedAcf {
             window,
-            buf: VecDeque::with_capacity(window),
+            buf: VecDeque::new(),
             evicted: 0,
         }
     }

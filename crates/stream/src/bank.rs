@@ -63,7 +63,10 @@ pub struct BankWireState {
     pub rtt_underflow: u64,
     /// RTT histogram overflow gutter.
     pub rtt_overflow: u64,
-    /// Quantile sketch bucket counts (ns domain).
+    /// Bucket index of `sketch_counts[0]` (the sketch's lowest non-empty
+    /// bucket; 0 when empty).
+    pub sketch_first: usize,
+    /// Quantile sketch bucket counts (ns domain) over its occupied span.
     pub sketch_counts: Vec<u64>,
     /// Samples evicted from the ACF ring.
     pub acf_evicted: u64,
@@ -126,6 +129,11 @@ impl BankConfig {
     /// kb/s, RTT range `[0, 2000)` ms × 400 bins, workload histogram up to
     /// `max(4δ, 100)` ms, an 8192-sample ACF window reported to lag 20, and
     /// a 64×64 phase grid over the RTT range.
+    ///
+    /// Per-session memory: the phase grid (32 KiB) and the histograms are
+    /// allocated whole; the ACF ring grows to its 8192 samples (64 KiB)
+    /// only as delivered probes arrive, and the quantile sketch stores
+    /// only its occupied bucket span.
     pub fn bolot(delta_ms: f64, wire_bytes: u32, clock_resolution_ns: u64) -> Self {
         BankConfig {
             delta_ms,
@@ -311,6 +319,7 @@ impl EstimatorBank {
             rtt_counts: self.rtt_hist.counts().to_vec(),
             rtt_underflow: self.rtt_hist.underflow(),
             rtt_overflow: self.rtt_hist.overflow(),
+            sketch_first: self.sketch.first_bucket(),
             sketch_counts: self.sketch.counts().to_vec(),
             acf_evicted: self.acf.evicted(),
             acf_samples: self.acf.samples().collect(),
@@ -375,7 +384,7 @@ impl EstimatorBank {
             s.rtt_underflow,
             s.rtt_overflow,
         )?;
-        let sketch = LogQuantileSketch::from_counts(s.sketch_counts)?;
+        let sketch = LogQuantileSketch::from_span(s.sketch_first, s.sketch_counts)?;
         let acf = WindowedAcf::from_samples(config.acf_window, s.acf_evicted, s.acf_samples)?;
         let workload = StreamingWorkload::from_wire_state(s.workload)?;
         let phase = PhaseDensity::from_wire_state(s.phase)?;

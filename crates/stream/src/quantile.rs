@@ -18,8 +18,12 @@
 //! point and no `log` calls are involved, so bucket indices are identical
 //! on every host — the cross-host golden-snapshot stability the rest of the
 //! repo pins for simulator output extends to sketches.
-
-use serde::{Deserialize, Serialize};
+//!
+//! Storage follows the data, not the layout: a sketch keeps only its
+//! occupied span, the counts from its lowest non-empty bucket to its
+//! highest. RTTs of a few hundred milliseconds sit near bucket 2 700 of
+//! 7 424, and one session's spread covers a few dozen buckets, so the span
+//! is what every push, merge, quantile walk and frame copy touches.
 
 /// Sub-bucket resolution: buckets per octave, as a power of two.
 const SUB_BITS: u32 = 7;
@@ -31,9 +35,13 @@ const MAX_BUCKETS: usize = LINEAR_MAX as usize + (64 - SUB_BITS as usize) * LINE
 
 /// Mergeable log-linear quantile sketch over `u64` samples (nanoseconds in
 /// this workspace). Memory is O(1): at most 7 424 buckets (≈58 KiB) cover
-/// the full `u64` range, grown lazily from the front.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// the full `u64` range, and only the occupied span of them is stored.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogQuantileSketch {
+    /// Bucket index of `counts[0]`; 0 while the sketch is empty.
+    first: usize,
+    /// Counts of buckets `first..first + counts.len()`. Empty, or both
+    /// ends non-empty, so equal sketches have equal fields.
     counts: Vec<u64>,
     total: u64,
 }
@@ -71,11 +79,29 @@ impl LogQuantileSketch {
     /// Record one sample.
     pub fn push(&mut self, v: u64) {
         let b = bucket_of(v);
-        if b >= self.counts.len() {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += 1;
+        let i = match b.checked_sub(self.first) {
+            Some(i) if i < self.counts.len() => i,
+            _ => {
+                self.widen(b, b + 1);
+                b - self.first
+            }
+        };
+        self.counts[i] += 1;
         self.total += 1;
+    }
+
+    /// Grow the stored span to cover buckets `lo..hi` (a non-empty range).
+    #[cold]
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.first = lo;
+        } else if lo < self.first {
+            let grow = self.first - lo;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = lo;
+        }
+        let len = hi.max(self.first + self.counts.len()) - self.first;
+        self.counts.resize(len, 0);
     }
 
     /// Number of samples recorded.
@@ -83,40 +109,62 @@ impl LogQuantileSketch {
         self.total
     }
 
-    /// The raw bucket counts, for serialization. The total is always the
-    /// sum of the counts, so the counts alone round-trip a sketch exactly.
+    /// Bucket index of the first entry of [`LogQuantileSketch::counts`]:
+    /// the lowest non-empty bucket, or 0 for an empty sketch.
+    pub fn first_bucket(&self) -> usize {
+        self.first
+    }
+
+    /// The occupied span's bucket counts, from bucket
+    /// [`LogQuantileSketch::first_bucket`] on, for serialization. The total
+    /// is always the sum of the counts, so offset and counts alone
+    /// round-trip a sketch exactly.
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
 
-    /// Rebuild a sketch from raw bucket counts.
+    /// Rebuild a sketch from its occupied span: the counts of buckets
+    /// `first..first + counts.len()`.
     ///
-    /// Total: rejects (with overflow-checked summation) any counts vector
-    /// no sequence of `push`/`merge` calls could have produced — more
-    /// buckets than the layout has, or trailing empty buckets, which both
-    /// operations trim by construction.
-    pub fn from_counts(counts: Vec<u64>) -> Result<Self, &'static str> {
-        if counts.len() > MAX_BUCKETS {
+    /// Total: rejects (with overflow-checked summation) any span no
+    /// sequence of `push`/`merge` calls could have produced — one reaching
+    /// past the layout's last bucket, or one starting or ending with an
+    /// empty bucket (an empty span must start at 0), which both operations
+    /// trim by construction.
+    pub fn from_span(first: usize, counts: Vec<u64>) -> Result<Self, &'static str> {
+        if first
+            .checked_add(counts.len())
+            .is_none_or(|end| end > MAX_BUCKETS)
+        {
             return Err("sketch: more buckets than the layout has");
         }
+        if counts.first() == Some(&0) || (counts.is_empty() && first != 0) {
+            return Err("sketch: span starts with an empty bucket");
+        }
         if counts.last() == Some(&0) {
-            return Err("sketch: trailing empty bucket");
+            return Err("sketch: span ends with an empty bucket");
         }
         let mut total = 0u64;
         for &c in &counts {
             total = total.checked_add(c).ok_or("sketch: count overflow")?;
         }
-        Ok(LogQuantileSketch { counts, total })
+        Ok(LogQuantileSketch {
+            first,
+            counts,
+            total,
+        })
     }
 
     /// Fold `other` into `self`. Exact and associative: bucket counts are
     /// integer sums, so any merge tree over the same pushes yields the same
     /// sketch.
     pub fn merge(&mut self, other: &LogQuantileSketch) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
+        if other.counts.is_empty() {
+            return;
         }
-        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+        self.widen(other.first, other.first + other.counts.len());
+        let span = &mut self.counts[other.first - self.first..];
+        for (a, &b) in span.iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.total += other.total;
@@ -145,7 +193,7 @@ impl LogQuantileSketch {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Some(bucket_lower(i));
+                return Some(bucket_lower(self.first + i));
             }
         }
         unreachable!("total is the sum of bucket counts");
@@ -214,6 +262,39 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, all);
+    }
+
+    #[test]
+    fn from_span_accepts_only_trimmed_spans_inside_the_layout() {
+        let mut s = LogQuantileSketch::new();
+        for v in [150_000_000u64, 150_000_000, 90_000_000, u64::MAX] {
+            s.push(v);
+        }
+        assert_eq!(bucket_of(u64::MAX), MAX_BUCKETS - 1);
+        let rebuilt = LogQuantileSketch::from_span(s.first_bucket(), s.counts().to_vec());
+        assert_eq!(rebuilt, Ok(s));
+        assert_eq!(
+            LogQuantileSketch::from_span(0, Vec::new()),
+            Ok(LogQuantileSketch::new())
+        );
+
+        let bad = [
+            (5, vec![]),
+            (5, vec![0, 1]),
+            (5, vec![1, 0]),
+            (MAX_BUCKETS - 1, vec![1, 1]),
+            (MAX_BUCKETS, vec![1]),
+            (usize::MAX, vec![1]),
+            (0, vec![1; MAX_BUCKETS + 1]),
+            (0, vec![u64::MAX, 1]),
+        ];
+        for (first, counts) in bad {
+            let len = counts.len();
+            assert!(
+                LogQuantileSketch::from_span(first, counts).is_err(),
+                "span at {first} of {len} buckets"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use probenet_stats::{autocorrelation, Histogram, Moments};
 use probenet_stream::{
-    BankConfig, EstimatorBank, LogQuantileSketch, StreamRecord, StreamingLoss, StreamingWorkload,
-    WindowedAcf,
+    fnv1a_hex, fnv1a_u64s, BankConfig, EstimatorBank, LogQuantileSketch, StreamRecord,
+    StreamingLoss, StreamingWorkload, WindowedAcf,
 };
 use proptest::collection::vec;
 use proptest::option;
@@ -205,6 +205,84 @@ proptest! {
         }
     }
 
+    /// The sketch stores only its occupied span, so the span must come out
+    /// the same however the samples arrived: pushed in any order, or
+    /// pushed into segments merged in any grouping — including a merge
+    /// whose span starts below the receiver's.
+    #[test]
+    fn sketch_span_is_independent_of_order_and_grouping(
+        samples in vec((0u8..3, any::<u64>(), any::<u64>()), 0..300).prop_map(|s| {
+            // Exact small values, RTT-like ones and the whole u64 range,
+            // plus the same values in an order set by a random key.
+            let values: Vec<u64> = s
+                .iter()
+                .map(|&(class, w, _)| match class {
+                    0 => w % 256,
+                    1 => 1_000_000 + w % 2_000_000_000,
+                    _ => w,
+                })
+                .collect();
+            let mut keyed: Vec<(u64, u64)> =
+                s.iter().map(|&(_, _, k)| k).zip(values.iter().copied()).collect();
+            keyed.sort_unstable();
+            (values, keyed.into_iter().map(|(_, v)| v).collect::<Vec<u64>>())
+        }),
+        cuts in vec(any::<usize>(), 0..6),
+    ) {
+        let (values, shuffled) = samples;
+        let fed = |vs: &[u64]| {
+            let mut s = LogQuantileSketch::new();
+            for &v in vs {
+                s.push(v);
+            }
+            s
+        };
+        let whole = fed(&values);
+        prop_assert_eq!(&fed(&shuffled), &whole);
+
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (shuffled.len() + 1)).collect();
+        at.push(0);
+        at.push(shuffled.len());
+        at.sort_unstable();
+        let segments: Vec<LogQuantileSketch> =
+            at.windows(2).map(|w| fed(&shuffled[w[0]..w[1]])).collect();
+        let mut left = LogQuantileSketch::new();
+        for s in &segments {
+            left.merge(s);
+        }
+        prop_assert_eq!(&left, &whole);
+        let mut right = LogQuantileSketch::new();
+        for s in segments.iter().rev() {
+            let mut next = s.clone();
+            next.merge(&right);
+            right = next;
+        }
+        prop_assert_eq!(&right, &whole);
+
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        let (lo, hi) = sorted.split_at(sorted.len() / 2);
+        let mut high_first = fed(hi);
+        high_first.merge(&fed(lo));
+        prop_assert_eq!(&high_first, &whole);
+
+        let rebuilt = LogQuantileSketch::from_span(whole.first_bucket(), whole.counts().to_vec());
+        prop_assert_eq!(rebuilt, Ok(whole));
+    }
+
+    /// A zero word folds as one multiply by the eighth power of the FNV
+    /// prime; the digest must equal the byte-at-a-time FNV-1a of the
+    /// words' little-endian bytes, across long zero runs.
+    #[test]
+    fn zero_word_fold_matches_the_byte_digest(runs in vec((0usize..600, any::<u64>()), 0..12)) {
+        let words: Vec<u64> = runs
+            .iter()
+            .flat_map(|&(zeros, w)| std::iter::repeat_n(0, zeros).chain([w]))
+            .collect();
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        prop_assert_eq!(fnv1a_u64s(words), fnv1a_hex(&bytes));
+    }
+
     /// StreamingWorkload against an inline batch fold of the interarrival
     /// series (identical binning, identical summation order).
     #[test]
@@ -270,6 +348,17 @@ proptest! {
         prop_assert_eq!(streaming.mean(), batch.mean());
         prop_assert_eq!(streaming.std_dev(), batch.std_dev());
     }
+}
+
+/// The digest of an empty 64×64 phase grid, pinned as a literal (FNV-1a 64
+/// of 32 768 zero bytes): every short session's snapshot carries grids
+/// that are almost all zero words.
+#[test]
+fn empty_phase_grid_digest_is_pinned() {
+    const EMPTY_GRID: &str = "8f6955bf94ec2325";
+    assert_eq!(fnv1a_u64s(std::iter::repeat_n(0, 64 * 64)), EMPTY_GRID);
+    let bank = EstimatorBank::new(BankConfig::bolot(20.0, 72, 1_000_000));
+    assert_eq!(bank.snapshot().phase.grid_fnv1a, EMPTY_GRID);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,8 +455,8 @@ proptest! {
         for &v in &delivered {
             sketch.push(v);
         }
-        let sketch2 = LogQuantileSketch::from_counts(sketch.counts().to_vec())
-            .expect("valid sketch counts");
+        let sketch2 = LogQuantileSketch::from_span(sketch.first_bucket(), sketch.counts().to_vec())
+            .expect("valid sketch span");
         prop_assert_eq!(&sketch2, &sketch);
 
         // ACF ring.

@@ -162,9 +162,25 @@ impl SessionFrame {
     /// 7 424 buckets).
     pub fn encode(&self) -> Vec<u8> {
         let state = self.bank.wire_state();
-        let mut payload = Vec::with_capacity(4096);
+        let words = state.loss.closed.len()
+            + state.rtt_counts.len()
+            + state.sketch_first
+            + state.sketch_counts.len()
+            + state.acf_samples.len()
+            + state.workload.hist_counts.len()
+            + state.phase.grid.len();
+        let mut frame = Vec::with_capacity(1024 + 8 * words);
+        put_u32(&mut frame, SNAPSHOT_MAGIC);
+        frame.push(SNAPSHOT_VERSION);
+        frame.push(FRAME_SESSION);
+        length_prefixed(&mut frame, |payload| self.encode_sections(&state, payload));
+        frame
+    }
 
-        section(&mut payload, TAG_SESSION_META, |out| {
+    /// The tagged sections of [`SessionFrame::encode`]'s payload, appended
+    /// to `payload`.
+    fn encode_sections(&self, state: &BankWireState, payload: &mut Vec<u8>) {
+        section(payload, TAG_SESSION_META, |out| {
             put_bytes(out, self.key.path.as_bytes());
             put_u64(out, self.key.delta_ns);
             put_u64(out, self.key.seed);
@@ -172,7 +188,7 @@ impl SessionFrame {
             put_u64(out, self.records);
             put_u64(out, self.dropped);
         });
-        section(&mut payload, TAG_CONFIG, |out| {
+        section(payload, TAG_CONFIG, |out| {
             let c = &state.config;
             put_f64(out, c.delta_ms);
             put_u32(out, c.wire_bytes);
@@ -188,7 +204,7 @@ impl SessionFrame {
             put_f64(out, c.phase_hi_ms);
             put_len(out, c.phase_bins);
         });
-        section(&mut payload, TAG_LOSS, |out| {
+        section(payload, TAG_LOSS, |out| {
             let l = &state.loss;
             put_u64(out, l.sent);
             put_u64(out, l.lost);
@@ -202,7 +218,7 @@ impl SessionFrame {
             put_u64(out, l.tail_run);
             put_u64s(out, &l.closed);
         });
-        section(&mut payload, TAG_MOMENTS, |out| {
+        section(payload, TAG_MOMENTS, |out| {
             let m = &state.moments;
             put_u64(out, m.n);
             put_f64(out, m.mean);
@@ -210,19 +226,23 @@ impl SessionFrame {
             put_f64(out, m.min);
             put_f64(out, m.max);
         });
-        section(&mut payload, TAG_RTT_HIST, |out| {
+        section(payload, TAG_RTT_HIST, |out| {
             put_u64(out, state.rtt_underflow);
             put_u64(out, state.rtt_overflow);
             put_u64s(out, &state.rtt_counts);
         });
-        section(&mut payload, TAG_SKETCH, |out| {
-            put_u64s(out, &state.sketch_counts);
+        // The wire carries the sketch's counts from bucket 0: the empty
+        // buckets below its span go out as one zeroed block.
+        section(payload, TAG_SKETCH, |out| {
+            put_len(out, state.sketch_first + state.sketch_counts.len());
+            out.resize(out.len() + 8 * state.sketch_first, 0);
+            put_words(out, state.sketch_counts.iter().copied());
         });
-        section(&mut payload, TAG_ACF, |out| {
+        section(payload, TAG_ACF, |out| {
             put_u64(out, state.acf_evicted);
             put_f64s(out, &state.acf_samples);
         });
-        section(&mut payload, TAG_WORKLOAD, |out| {
+        section(payload, TAG_WORKLOAD, |out| {
             let w = &state.workload;
             put_f64(out, w.b_sum);
             put_u64(out, w.pairs);
@@ -232,12 +252,12 @@ impl SessionFrame {
             put_u64(out, w.hist_overflow);
             put_u64s(out, &w.hist_counts);
         });
-        section(&mut payload, TAG_PHASE, |out| {
+        section(payload, TAG_PHASE, |out| {
             put_u64(out, state.phase.pairs);
             put_u64(out, state.phase.out_of_range);
             put_u64s(out, &state.phase.grid);
         });
-        section(&mut payload, TAG_INTERIM, |out| {
+        section(payload, TAG_INTERIM, |out| {
             put_len(out, self.interim.len());
             for i in &self.interim {
                 put_u64(out, i.at_records);
@@ -250,7 +270,7 @@ impl SessionFrame {
         // to what the original version-1 writer produced (pinned by the
         // checked-in frame shards).
         if !self.hops.is_empty() {
-            section(&mut payload, TAG_HOPS, |out| {
+            section(payload, TAG_HOPS, |out| {
                 put_len(out, self.hops.len());
                 for h in &self.hops {
                     put_u32(out, h.link);
@@ -264,16 +284,8 @@ impl SessionFrame {
         // them after the known sections reproduces the original payload.
         for (tag, body) in &self.extensions {
             payload.push(*tag);
-            put_bytes(&mut payload, body);
+            put_bytes(payload, body);
         }
-
-        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-        put_u32(&mut frame, SNAPSHOT_MAGIC);
-        frame.push(SNAPSHOT_VERSION);
-        frame.push(FRAME_SESSION);
-        put_len(&mut frame, payload.len());
-        frame.extend_from_slice(&payload);
-        frame
     }
 
     /// Decode one frame from the head of `data`; returns the frame and the
@@ -482,9 +494,16 @@ fn decode_payload(payload: &[u8], max_tag: u8) -> Result<SessionFrame, WireError
     let rtt_counts = h.u64s()?;
     h.finish()?;
 
+    // Counts from bucket 0 on the wire; the bank keeps the span from the
+    // first non-empty bucket, so the leading zero words are only counted.
     let mut q = Reader::new(need(s.sketch, "frame: missing sketch section")?);
-    let sketch_counts = q.u64s()?;
+    let sketch_words = q.words()?;
     q.finish()?;
+    let sketch_first = sketch_words
+        .chunks_exact(8)
+        .take_while(|w| *w == [0u8; 8])
+        .count();
+    let sketch_counts = be_words(&sketch_words[8 * sketch_first..]).collect();
 
     let mut a = Reader::new(need(s.acf, "frame: missing acf section")?);
     let acf_evicted = a.u64()?;
@@ -540,6 +559,7 @@ fn decode_payload(payload: &[u8], max_tag: u8) -> Result<SessionFrame, WireError
         rtt_counts,
         rtt_underflow,
         rtt_overflow,
+        sketch_first,
         sketch_counts,
         acf_evicted,
         acf_samples,
@@ -632,18 +652,23 @@ fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
     out.extend_from_slice(v);
 }
 
+/// Append `words` as big-endian `u64`s, growing the buffer once.
+fn put_words(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = u64>) {
+    let start = out.len();
+    out.resize(start + 8 * words.len(), 0);
+    for (dst, w) in out[start..].chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&w.to_be_bytes());
+    }
+}
+
 fn put_u64s(out: &mut Vec<u8>, v: &[u64]) {
     put_len(out, v.len());
-    for &x in v {
-        put_u64(out, x);
-    }
+    put_words(out, v.iter().copied());
 }
 
 fn put_f64s(out: &mut Vec<u8>, v: &[f64]) {
     put_len(out, v.len());
-    for &x in v {
-        put_f64(out, x);
-    }
+    put_words(out, v.iter().map(|x| x.to_bits()));
 }
 
 fn put_opt_bool(out: &mut Vec<u8>, v: Option<bool>) {
@@ -665,12 +690,27 @@ fn put_opt_rtt(out: &mut Vec<u8>, v: Option<Option<u64>>) {
     }
 }
 
+/// A `u32` length prefix and the bytes `write` appends after it, written
+/// in place: the prefix is back-patched once the body is known.
+fn length_prefixed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    write(out);
+    let len = u32::try_from(out.len() - at - 4).expect("length fits in u32");
+    out[at..at + 4].copy_from_slice(&len.to_be_bytes());
+}
+
 /// A section: tag, length prefix, body.
 fn section(out: &mut Vec<u8>, tag: u8, write: impl FnOnce(&mut Vec<u8>)) {
-    let mut body = Vec::new();
-    write(&mut body);
     out.push(tag);
-    put_bytes(out, &body);
+    length_prefixed(out, write);
+}
+
+/// The big-endian `u64`s of `bytes`, whose length is a multiple of 8.
+fn be_words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_be_bytes(w.try_into().expect("chunks_exact yields 8 bytes")))
 }
 
 // ---------------------------------------------------------------------------
@@ -752,11 +792,11 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
-    /// A length-prefixed `u64` vector. The claimed element count is
-    /// validated against the remaining bytes before the vector is
-    /// allocated, so a hostile length prefix cannot force a huge
+    /// The bytes of a length-prefixed run of 8-byte words. The claimed word
+    /// count is validated against the remaining bytes before anything is
+    /// allocated from it, so a hostile length prefix cannot force a huge
     /// reservation.
-    fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
+    fn words(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.len()?;
         let needed = n
             .checked_mul(8)
@@ -767,17 +807,18 @@ impl<'a> Reader<'a> {
                 actual: self.remaining(),
             });
         }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u64()?);
-        }
-        Ok(v)
+        self.take(needed)
     }
 
-    /// A length-prefixed `f64` vector (bit patterns), same validation as
-    /// [`Reader::u64s`].
+    /// A length-prefixed `u64` vector, validated by [`Reader::words`].
+    fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
+        Ok(be_words(self.words()?).collect())
+    }
+
+    /// A length-prefixed `f64` vector (bit patterns), validated by
+    /// [`Reader::words`].
     fn f64s(&mut self) -> Result<Vec<f64>, WireError> {
-        Ok(self.u64s()?.into_iter().map(f64::from_bits).collect())
+        Ok(be_words(self.words()?).map(f64::from_bits).collect())
     }
 
     fn opt_bool(&mut self) -> Result<Option<bool>, WireError> {

@@ -222,6 +222,63 @@ fn tampered_section_length_prefixes_are_typed_errors() {
     }
 }
 
+/// `bytes` with the body of section `tag` replaced by `body`, the section
+/// and payload length prefixes patched to match.
+fn with_section(bytes: &[u8], tag: u8, body: &[u8]) -> Vec<u8> {
+    let (off, len) = section_length_fields(bytes)
+        .into_iter()
+        .find(|&(off, _)| bytes[off - 1] == tag)
+        .expect("section present");
+    let mut out = bytes[..off].to_vec();
+    out.extend_from_slice(&u32::try_from(body.len()).expect("fits").to_be_bytes());
+    out.extend_from_slice(body);
+    out.extend_from_slice(&bytes[off + 4 + len as usize..]);
+    let payload = u32::try_from(out.len() - FRAME_HEADER_BYTES).expect("fits");
+    out[6..10].copy_from_slice(&payload.to_be_bytes());
+    out
+}
+
+/// A SKETCH section body: a word count, then the words.
+fn sketch_body(words: &[u64]) -> Vec<u8> {
+    let mut body = u32::try_from(words.len())
+        .expect("fits")
+        .to_be_bytes()
+        .to_vec();
+    for w in words {
+        body.extend_from_slice(&w.to_be_bytes());
+    }
+    body
+}
+
+#[test]
+fn hostile_sketch_sections_are_typed_errors() {
+    // SKETCH is tag 6; its body is the counts from bucket 0 (DESIGN §14.1).
+    const TAG_SKETCH: u8 = 6;
+    let frame = frame_with(tiny_config(), 16);
+    let bytes = frame.encode();
+    let state = frame.bank.wire_state();
+    let mut words = vec![0u64; state.sketch_first];
+    words.extend(&state.sketch_counts);
+    assert_eq!(
+        with_section(&bytes, TAG_SKETCH, &sketch_body(&words)),
+        bytes,
+        "splicing the frame's own sketch back must change nothing"
+    );
+
+    let mut zeros_then_one = vec![0u64; 7_424];
+    zeros_then_one.push(1);
+    for words in [vec![0u64; 2_700], vec![1u64; 7_425], zeros_then_one] {
+        let tampered = with_section(&bytes, TAG_SKETCH, &sketch_body(&words));
+        match SessionFrame::decode(&tampered) {
+            Err(WireError::BadField(msg)) => {
+                assert!(msg.starts_with("sketch:"), "{} words: {msg}", words.len())
+            }
+            Err(e) => panic!("{} words: expected a sketch error, got {e}", words.len()),
+            Ok(_) => panic!("{} words: hostile sketch decoded Ok", words.len()),
+        }
+    }
+}
+
 #[test]
 fn arbitrary_prefixes_of_noise_never_panic() {
     // Deterministic xorshift noise, decoded at every length up to 4 KiB.
