@@ -1,7 +1,7 @@
 //! `ablation` — quantify the design choices DESIGN.md calls out.
 //!
 //! ```text
-//! ablation [--study clock|buffer|batch|estimator|all]
+//! ablation [--study clock|buffer|batch|estimator|closedloop|red|all]
 //! ```
 //!
 //! Studies:
@@ -21,6 +21,7 @@
 //!   paper's (unresponsive) traffic mix: a negative result — RED presumes
 //!   congestion-responsive senders.
 
+use probenet_bench::flag_value;
 use probenet_core::{analyze_losses, analyze_workload, PaperScenario, PhasePlot};
 use probenet_netdyn::{ExperimentConfig, SimExperiment};
 use probenet_sim::{BufferLimit, Direction, Path, SimDuration};
@@ -358,28 +359,39 @@ fn red_study() {
     );
 }
 
+/// Every study, in the order `--study all` runs them.
+const STUDIES: &[(&str, fn())] = &[
+    ("clock", clock_study),
+    ("buffer", buffer_study),
+    ("batch", batch_study),
+    ("estimator", estimator_study),
+    ("closedloop", closedloop_study),
+    ("red", red_study),
+];
+
 fn main() {
-    let study = std::env::args()
-        .skip_while(|a| a != "--study")
-        .nth(1)
-        .unwrap_or_else(|| "all".to_string());
-    let is = |n: &str| study == "all" || study == n;
-    if is("clock") {
-        clock_study();
+    let mut study = "all".to_string();
+    let mut it = std::env::args().skip(1);
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--study" => study = flag_value(&mut it, &a, "a study name"),
+            other => {
+                eprintln!("unknown argument: {other}");
+                std::process::exit(2);
+            }
+        }
     }
-    if is("buffer") {
-        buffer_study();
+    let selected: Vec<fn()> = STUDIES
+        .iter()
+        .filter(|(name, _)| study == "all" || study == *name)
+        .map(|&(_, run)| run)
+        .collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = STUDIES.iter().map(|(name, _)| *name).collect();
+        eprintln!("unknown study: {study} (one of {}, all)", names.join(", "));
+        std::process::exit(2);
     }
-    if is("batch") {
-        batch_study();
-    }
-    if is("estimator") {
-        estimator_study();
-    }
-    if is("closedloop") {
-        closedloop_study();
-    }
-    if is("red") {
-        red_study();
+    for run in selected {
+        run();
     }
 }

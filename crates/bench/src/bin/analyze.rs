@@ -11,19 +11,48 @@
 //! known; otherwise it is estimated from probe compression where possible.
 //! `--demo` analyzes a freshly simulated INRIA–UMd run instead of a file.
 
+use probenet_bench::flag_value;
 use probenet_core::{full_report, render_report, PaperScenario};
 use probenet_netdyn::{from_csv, ExperimentConfig};
 use probenet_sim::SimDuration;
 
+/// A bottleneck rate in kb/s: finite and positive, as the workload
+/// analysis requires.
+struct Kbps(f64);
+
+impl std::str::FromStr for Kbps {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s.parse::<f64>() {
+            Ok(v) if v.is_finite() && v > 0.0 => Ok(Kbps(v)),
+            _ => Err(()),
+        }
+    }
+}
+
+const USAGE: &str = "usage: analyze <series.csv> [--mu-kbps N] [--json] | analyze --demo [--json]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let mu_bps = args
-        .iter()
-        .position(|a| a == "--mu-kbps")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<f64>().expect("--mu-kbps needs a number") * 1e3);
-    let demo = args.iter().any(|a| a == "--demo");
+    let mut json = false;
+    let mut demo = false;
+    let mut mu_bps = None;
+    let mut path = None;
+    let mut it = std::env::args().skip(1);
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--json" => json = true,
+            "--demo" => demo = true,
+            "--mu-kbps" => {
+                mu_bps = Some(flag_value::<Kbps>(&mut it, &a, "a positive number (kb/s)").0 * 1e3)
+            }
+            _ if !a.starts_with("--") && path.is_none() => path = Some(a),
+            other => {
+                eprintln!("unknown argument: {other}\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
+    }
 
     let series = if demo {
         let sc = PaperScenario::inria_umd(1993);
@@ -31,22 +60,11 @@ fn main() {
         eprintln!("analyzing a simulated 2-minute INRIA-UMd run at delta = 20 ms");
         sc.run(&cfg).series
     } else {
-        let path = args
-            .iter()
-            .find(|a| {
-                !a.starts_with("--")
-                    && Some(a.as_str())
-                        != args
-                            .iter()
-                            .position(|x| x == "--mu-kbps")
-                            .and_then(|i| args.get(i + 1))
-                            .map(|s| s.as_str())
-            })
-            .unwrap_or_else(|| {
-                eprintln!("usage: analyze <series.csv> [--mu-kbps N] [--json] | analyze --demo");
-                std::process::exit(2);
-            });
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        let path = path.unwrap_or_else(|| {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        });
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(1);
         });

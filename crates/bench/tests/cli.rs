@@ -1,13 +1,16 @@
-//! Command-line contract of the `repro` binary: the flag handling no
-//! library-level test reaches.
+//! Command-line contract of the `repro`, `analyze` and `ablation`
+//! binaries: the flag handling no library-level test reaches.
 
 use std::process::{Command, Output};
 
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("run binary")
+}
+
 fn repro(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("run repro")
+    run(REPRO, args)
 }
 
 #[test]
@@ -20,15 +23,17 @@ fn check_with_bless_is_a_usage_error() {
     assert!(!stdout.contains("blessed"), "golden rewritten: {stdout}");
 }
 
-/// A bad flag operand exits 2 naming the flag; a panic would exit 101.
-fn assert_usage_error(args: &[&str], flag: &str) {
-    let out = repro(args);
+/// `bin args` exits 2 with `expected` on stderr; a panic would exit 101.
+fn assert_usage_error_of(bin: &str, args: &[&str], expected: &str) {
+    let out = run(bin, args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(
-        stderr.contains(&format!("{flag} needs")),
-        "{args:?}: {stderr}"
-    );
+    assert!(stderr.contains(expected), "{args:?}: {stderr}");
+}
+
+/// A bad `repro` flag operand exits 2 naming the flag.
+fn assert_usage_error(args: &[&str], flag: &str) {
+    assert_usage_error_of(REPRO, args, &format!("{flag} needs"));
 }
 
 #[test]
@@ -52,9 +57,29 @@ fn zero_live_delta_is_a_usage_error() {
 }
 
 #[test]
+fn analyze_rejects_a_rate_that_is_not_a_positive_number() {
+    for bad in ["abc", "0", "-5", "nan"] {
+        assert_usage_error_of(
+            env!("CARGO_BIN_EXE_analyze"),
+            &["--mu-kbps", bad, "x.csv"],
+            "--mu-kbps needs",
+        );
+    }
+}
+
+#[test]
+fn ablation_rejects_an_unknown_study_and_lists_the_valid_ones() {
+    assert_usage_error_of(
+        env!("CARGO_BIN_EXE_ablation"),
+        &["--study", "bogus"],
+        "clock, buffer, batch, estimator, closedloop, red, all",
+    );
+}
+
+#[test]
 fn pool_width_does_not_change_the_json_bytes() {
     let at = |threads: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        let out = Command::new(REPRO)
             .args(["--json", "--span-secs", "10"])
             .env("PROBENET_THREADS", threads)
             .output()
