@@ -149,11 +149,24 @@ fn parse_args() -> Args {
 /// single-threaded reactor against an in-process echo server and report
 /// the sustained rate, timer-wheel lateness and the stream-collector
 /// drop-accounting identity. Exits 1 if `produced != records + dropped`,
-/// 2 when the platform lacks the reactor (no epoll).
+/// 2 when the platform lacks the reactor (no epoll) or a session would
+/// send more probes than its shared lane can number.
 fn live_cmd(a: &Args) -> i32 {
-    let count = usize::try_from((a.live_duration_secs * 1000) / a.live_delta_ms)
-        .expect("probe count fits usize")
-        .max(1);
+    let limit = probenet_live::TAGGED_LANE_MAX_PROBES;
+    let probes = a
+        .live_duration_secs
+        .checked_mul(1000)
+        .map(|ms| ms / a.live_delta_ms)
+        .and_then(|n| usize::try_from(n).ok())
+        .filter(|&n| n <= limit);
+    let Some(count) = probes else {
+        eprintln!(
+            "--duration needs at most {limit} probes per session (duration · 1000 / delta), \
+             the reactor's shared-lane limit"
+        );
+        return 2;
+    };
+    let count = count.max(1);
     let (run, report) = match live_engine_run(a.live_sessions, a.live_delta_ms, count) {
         Ok(r) => r,
         Err(e) => {

@@ -56,6 +56,35 @@ fn zero_live_delta_is_a_usage_error() {
     assert_usage_error(&["live", "--delta", "0"], "--delta");
 }
 
+/// `repro live` at 1 ms probes `duration · 1000` times per session.
+fn assert_live_duration_rejected(duration: &str) {
+    assert_usage_error_of(
+        REPRO,
+        &[
+            "live",
+            "--sessions",
+            "1",
+            "--delta",
+            "1",
+            "--duration",
+            duration,
+        ],
+        "--duration needs at most 1048576 probes",
+    );
+}
+
+#[test]
+fn live_duration_past_the_lane_probe_limit_is_a_usage_error() {
+    // 1.1 M probes: above the 2^20 a shared lane can number.
+    assert_live_duration_rejected("1100");
+}
+
+#[test]
+fn live_duration_whose_probe_count_overflows_is_a_usage_error() {
+    // duration · 1000 is past u64::MAX.
+    assert_live_duration_rejected("18446744073709552");
+}
+
 #[test]
 fn analyze_rejects_a_rate_that_is_not_a_positive_number() {
     for bad in ["abc", "0", "-5", "nan"] {

@@ -31,7 +31,7 @@ mod clock;
 mod reactor;
 pub mod wheel;
 
-pub use reactor::{LiveHandle, Reactor};
+pub use reactor::{LiveHandle, Reactor, TAGGED_LANE_MAX_PROBES};
 
 use probenet_stream::{SessionKey, StreamRecord};
 use std::io;
@@ -409,7 +409,7 @@ mod tests {
             key: SessionKey::new("too-big", 1, 0),
             target: "127.0.0.1:9".parse().expect("addr"),
             interval: Duration::from_millis(1),
-            count: (1 << 20) + 1,
+            count: TAGGED_LANE_MAX_PROBES + 1,
             start_offset: Duration::ZERO,
             clock_resolution_ns: 0,
         }];

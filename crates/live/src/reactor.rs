@@ -42,6 +42,9 @@ use std::sync::Arc;
 /// the high bits of the 32-bit wire sequence, leaving this many low bits
 /// for the probe number.
 pub(crate) const SEQ_BITS: u32 = 20;
+/// The most probes one session may send on a lane it shares with others
+/// (`sessions_per_lane > 1`): the probe-number field's range.
+pub const TAGGED_LANE_MAX_PROBES: usize = 1 << SEQ_BITS;
 const SEQ_MASK: u32 = (1 << SEQ_BITS) - 1;
 /// Slot tag width is `32 - SEQ_BITS` bits.
 const MAX_LANE_SESSIONS: usize = 1 << (32 - SEQ_BITS);
@@ -190,10 +193,9 @@ impl Reactor {
             );
             if tagged {
                 assert!(
-                    spec.count <= 1 << SEQ_BITS,
-                    "probe count {} exceeds the tagged-lane limit of {} (use sessions_per_lane = 1 for longer sessions)",
+                    spec.count <= TAGGED_LANE_MAX_PROBES,
+                    "probe count {} exceeds the tagged-lane limit of {TAGGED_LANE_MAX_PROBES} (use sessions_per_lane = 1 for longer sessions)",
                     spec.count,
-                    1u32 << SEQ_BITS,
                 );
             } else {
                 assert!(

@@ -130,10 +130,10 @@ impl BankConfig {
     /// `max(4δ, 100)` ms, an 8192-sample ACF window reported to lag 20, and
     /// a 64×64 phase grid over the RTT range.
     ///
-    /// Per-session memory: the phase grid (32 KiB) and the histograms are
-    /// allocated whole; the ACF ring grows to its 8192 samples (64 KiB)
-    /// only as delivered probes arrive, and the quantile sketch stores
-    /// only its occupied bucket span.
+    /// Per-session memory: the two histograms are allocated whole; the ACF
+    /// ring grows to its 8192 samples (64 KiB) only as delivered probes
+    /// arrive; the quantile sketch and the phase grid (32 KiB when dense)
+    /// store only their occupied span.
     pub fn bolot(delta_ms: f64, wire_bytes: u32, clock_resolution_ns: u64) -> Self {
         BankConfig {
             delta_ms,

@@ -24,19 +24,42 @@ pub fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a(FNV_OFFSET, bytes))
 }
 
-/// Hash a sequence of `u64` words (as their 8 little-endian bytes each) and
-/// render the digest as 16 lowercase hex characters. The count grids this
-/// pins are mostly empty, so a zero word costs one multiply, not eight
-/// byte steps; the digest is bit-identical either way.
-pub fn fnv1a_u64s<I: IntoIterator<Item = u64>>(words: I) -> String {
-    let h = words.into_iter().fold(FNV_OFFSET, |h, w| {
+/// Fold `words` into `h`, as their 8 little-endian bytes each.
+fn fnv1a_words(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(h, |h, w| {
         if w == 0 {
             h.wrapping_mul(FNV_PRIME_POW8)
         } else {
             fnv1a(h, &w.to_le_bytes())
         }
-    });
-    format!("{h:016x}")
+    })
+}
+
+/// Fold `n` zero words into `h`: one multiply per run of up to
+/// `u32::MAX` words.
+fn fnv1a_zero_words(mut h: u64, mut n: usize) -> u64 {
+    while n > 0 {
+        let run = u32::try_from(n).unwrap_or(u32::MAX);
+        h = h.wrapping_mul(FNV_PRIME_POW8.wrapping_pow(run));
+        n -= run as usize;
+    }
+    h
+}
+
+/// Hash a sequence of `u64` words (as their 8 little-endian bytes each) and
+/// render the digest as 16 lowercase hex characters. The count grids this
+/// pins are mostly empty, so a zero word costs one multiply, not eight
+/// byte steps; the digest is bit-identical either way.
+pub fn fnv1a_u64s<I: IntoIterator<Item = u64>>(words: I) -> String {
+    format!("{:016x}", fnv1a_words(FNV_OFFSET, words))
+}
+
+/// [`fnv1a_u64s`] of `lead` zero words, then `words`, then `trail` zero
+/// words, for a grid stored as its occupied span: each zero run around
+/// the span costs one multiply.
+pub(crate) fn fnv1a_span(lead: usize, words: &[u64], trail: usize) -> String {
+    let h = fnv1a_words(fnv1a_zero_words(FNV_OFFSET, lead), words.iter().copied());
+    format!("{:016x}", fnv1a_zero_words(h, trail))
 }
 
 #[cfg(test)]
@@ -56,5 +79,20 @@ mod tests {
         // The published FNV-1a 64 test vector for "a".
         assert_eq!(fnv1a_hex(b"a"), "af63dc4c8601ec8c");
         assert_eq!(fnv1a_u64s([0x61]), fnv1a_hex(&[0x61, 0, 0, 0, 0, 0, 0, 0]));
+    }
+
+    #[test]
+    fn a_span_hashes_as_its_zero_padded_words() {
+        for (lead, words, trail) in [
+            (0, &[][..], 0),
+            (0, &[][..], 9),
+            (3, &[7, 0, 9], 0),
+            (70, &[1], 4_000),
+        ] {
+            let padded = std::iter::repeat_n(0, lead)
+                .chain(words.iter().copied())
+                .chain(std::iter::repeat_n(0, trail));
+            assert_eq!(fnv1a_span(lead, words, trail), fnv1a_u64s(padded));
+        }
     }
 }

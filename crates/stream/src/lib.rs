@@ -53,6 +53,7 @@ pub mod loss;
 pub mod phase;
 pub mod quantile;
 pub mod record;
+mod span;
 pub mod spsc;
 
 pub use acf::WindowedAcf;

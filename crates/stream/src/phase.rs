@@ -5,14 +5,22 @@
 //! scatter nobody reads point-by-point. The online variant bins the points
 //! into a fixed square density grid as they arrive: the same information
 //! the phase-plot *figures* convey (where the mass sits, the diagonal
-//! structure, compression streaks), in O(bins²) memory.
+//! structure, compression streaks), in bounded memory.
+//!
+//! Storage follows the data, not the layout: the grid keeps only its
+//! occupied row-major span, the counts from its first non-empty cell to
+//! its last. One session's pairs cluster near the propagation delay and
+//! along the compression line: RTTs of 140–400 ms fall in rows 4–12 of
+//! the 64×64 grid over 0–2 s, so the span is at most those rows, and
+//! that is what every push, merge, digest and frame copy touches.
 //!
 //! Pairing state is identical to the workload estimator: only the previous
 //! record's RTT is retained, each consecutive delivered pair contributes one
 //! point, and `merge` folds the single junction pair — so grid counts are
 //! exact integers under any merge grouping.
 
-use crate::fnv::fnv1a_u64s;
+use crate::fnv::fnv1a_span;
+use crate::span::{Span, SpanError};
 use serde::{Deserialize, Serialize};
 
 /// Streaming 2-D density grid over consecutive-RTT pairs.
@@ -21,9 +29,9 @@ pub struct PhaseDensity {
     lo: f64,
     hi: f64,
     bins: usize,
-    /// Row-major `bins × bins` counts; `grid[ix * bins + iy]` where `ix`
-    /// bins `rtt_n` and `iy` bins `rtt_{n+1}`.
-    grid: Vec<u64>,
+    /// Row-major `bins × bins` counts over the occupied span: cell
+    /// `ix * bins + iy`, where `ix` bins `rtt_n` and `iy` bins `rtt_{n+1}`.
+    grid: Span,
     pairs: u64,
     out_of_range: u64,
     first: Option<Option<u64>>,
@@ -60,8 +68,11 @@ pub struct PhaseWireState {
     pub hi: f64,
     /// Bins per axis.
     pub bins: usize,
-    /// Row-major `bins × bins` cell counts.
-    pub grid: Vec<u64>,
+    /// Row-major index of `span[0]`: the first non-empty cell, or 0 for
+    /// an empty grid.
+    pub grid_first: usize,
+    /// Cell counts from `grid_first` to the last non-empty cell.
+    pub span: Vec<u64>,
     /// Consecutive delivered pairs observed.
     pub pairs: u64,
     /// Pairs with either coordinate outside `[lo, hi)`.
@@ -76,18 +87,20 @@ impl PhaseDensity {
     /// A new grid over `[lo_ms, hi_ms)` per axis with `bins × bins` cells.
     ///
     /// # Panics
-    /// Panics on a non-positive range or zero bins.
+    /// Panics on a non-positive range, zero bins, or more than `usize::MAX`
+    /// cells.
     pub fn new(lo_ms: f64, hi_ms: f64, bins: usize) -> Self {
         assert!(
             lo_ms.is_finite() && hi_ms.is_finite() && lo_ms < hi_ms,
             "bad range"
         );
         assert!(bins > 0, "need at least one bin");
+        assert!(bins.checked_mul(bins).is_some(), "grid size overflow");
         PhaseDensity {
             lo: lo_ms,
             hi: hi_ms,
             bins,
-            grid: vec![0; bins * bins],
+            grid: Span::default(),
             pairs: 0,
             out_of_range: 0,
             first: None,
@@ -119,7 +132,7 @@ impl PhaseDensity {
             self.pairs += 1;
             let (x, y) = (a as f64 / 1e6, b as f64 / 1e6);
             match (self.axis_bin(x), self.axis_bin(y)) {
-                (Some(ix), Some(iy)) => self.grid[ix * self.bins + iy] += 1,
+                (Some(ix), Some(iy)) => self.grid.bump(ix * self.bins + iy),
                 _ => self.out_of_range += 1,
             }
         }
@@ -143,9 +156,7 @@ impl PhaseDensity {
         } else {
             self.first = other.first;
         }
-        for (a, &b) in self.grid.iter_mut().zip(&other.grid) {
-            *a += b;
-        }
+        self.grid.merge(&other.grid);
         self.pairs += other.pairs;
         self.out_of_range += other.out_of_range;
         self.last = other.last;
@@ -156,9 +167,16 @@ impl PhaseDensity {
         self.pairs
     }
 
-    /// The raw row-major grid counts.
+    /// Row-major index of the first entry of [`PhaseDensity::counts`]:
+    /// the first non-empty cell, or 0 for an empty grid.
+    pub fn first_cell(&self) -> usize {
+        self.grid.first()
+    }
+
+    /// The row-major cell counts over the occupied span, from cell
+    /// [`PhaseDensity::first_cell`] to the last non-empty cell.
     pub fn counts(&self) -> &[u64] {
-        &self.grid
+        self.grid.counts()
     }
 
     /// Bins per axis.
@@ -179,7 +197,8 @@ impl PhaseDensity {
             lo: self.lo,
             hi: self.hi,
             bins: self.bins,
-            grid: self.grid.clone(),
+            grid_first: self.grid.first(),
+            span: self.grid.counts().to_vec(),
             pairs: self.pairs,
             out_of_range: self.out_of_range,
             first: self.first,
@@ -189,10 +208,12 @@ impl PhaseDensity {
 
     /// Rebuild from a previously captured [`PhaseWireState`].
     ///
-    /// Total: layout sanity, grid shape and the pair mass balance
-    /// (`Σ grid + out_of_range == pairs`, overflow-checked) are verified,
+    /// Total: layout sanity, the span and the pair mass balance
+    /// (`Σ span + out_of_range == pairs`, overflow-checked) are verified,
     /// so a hostile state either comes back `Err` or behaves exactly like
-    /// a grid built by `push()`.
+    /// a grid built by `push()`. The span must lie inside the `bins²`
+    /// cells and start and end with a non-empty cell (an empty span starts
+    /// at 0), as `push` and `merge` leave it.
     pub fn from_wire_state(s: PhaseWireState) -> Result<Self, &'static str> {
         if !(s.lo.is_finite() && s.hi.is_finite() && s.lo < s.hi) {
             return Err("phase: bad range");
@@ -204,13 +225,12 @@ impl PhaseDensity {
             .bins
             .checked_mul(s.bins)
             .ok_or("phase: grid size overflow")?;
-        if s.grid.len() != cells {
-            return Err("phase: grid shape mismatch");
-        }
-        let mut binned = 0u64;
-        for &c in &s.grid {
-            binned = binned.checked_add(c).ok_or("phase: count overflow")?;
-        }
+        let (grid, binned) =
+            Span::from_parts(s.grid_first, s.span, cells).map_err(|e| match e {
+                SpanError::PastLayout => "phase: span reaches past the grid",
+                SpanError::Untrimmed => "phase: span starts or ends with an empty cell",
+                SpanError::Overflow => "phase: count overflow",
+            })?;
         let mass = binned
             .checked_add(s.out_of_range)
             .ok_or("phase: count overflow")?;
@@ -230,7 +250,7 @@ impl PhaseDensity {
             lo: s.lo,
             hi: s.hi,
             bins: s.bins,
-            grid: s.grid,
+            grid,
             pairs: s.pairs,
             out_of_range: s.out_of_range,
             first: s.first,
@@ -240,14 +260,16 @@ impl PhaseDensity {
 
     /// Current summary.
     pub fn snapshot(&self) -> PhaseSnapshot {
+        let (first, span) = (self.grid.first(), self.grid.counts());
+        let trail = self.bins * self.bins - first - span.len();
         PhaseSnapshot {
             lo_ms: self.lo,
             hi_ms: self.hi,
             bins: self.bins,
             pairs: self.pairs,
             out_of_range: self.out_of_range,
-            nonzero_cells: self.grid.iter().filter(|&&c| c > 0).count(),
-            grid_fnv1a: fnv1a_u64s(self.grid.iter().copied()),
+            nonzero_cells: span.iter().filter(|&&c| c > 0).count(),
+            grid_fnv1a: fnv1a_span(first, span, trail),
         }
     }
 }
@@ -266,10 +288,49 @@ mod tests {
         for r in [ms(15.0), ms(25.0), None, ms(35.0), ms(45.0)] {
             p.push(r);
         }
-        // Pairs: (15,25) and (35,45); the loss breaks (25,35).
+        // Pairs: (15,25) and (35,45); the loss breaks (25,35). The span
+        // runs from cell (1, 2) to cell (3, 4).
         assert_eq!(p.pairs(), 2);
-        assert_eq!(p.counts()[12], 1); // cell (1, 2)
-        assert_eq!(p.counts()[34], 1); // cell (3, 4)
+        assert_eq!(p.first_cell(), 12);
+        assert_eq!(p.counts().len(), 34 - 12 + 1);
+        assert_eq!((p.counts()[0], p.counts()[22]), (1, 1));
+        assert_eq!(p.snapshot().nonzero_cells, 2);
+    }
+
+    #[test]
+    fn from_wire_state_accepts_only_trimmed_spans_inside_the_grid() {
+        let mut p = PhaseDensity::new(0.0, 100.0, 10);
+        for r in [ms(15.0), ms(25.0), None, ms(35.0), ms(45.0)] {
+            p.push(r);
+        }
+        assert_eq!(PhaseDensity::from_wire_state(p.wire_state()), Ok(p.clone()));
+        let empty = PhaseDensity::new(0.0, 100.0, 10);
+        assert_eq!(PhaseDensity::from_wire_state(empty.wire_state()), Ok(empty));
+
+        let with_span = |grid_first: usize, span: Vec<u64>| PhaseWireState {
+            pairs: span.iter().sum(),
+            grid_first,
+            span,
+            ..p.wire_state()
+        };
+        // The last cell is 99; the pair count always balances the span.
+        assert!(PhaseDensity::from_wire_state(with_span(99, vec![2])).is_ok());
+        let bad = [
+            (5, vec![]),
+            (12, vec![0, 2]),
+            (12, vec![2, 0]),
+            (99, vec![1, 1]),
+            (100, vec![2]),
+            (usize::MAX, vec![2]),
+            (0, vec![1; 101]),
+        ];
+        for (first, span) in bad {
+            let len = span.len();
+            assert!(
+                PhaseDensity::from_wire_state(with_span(first, span)).is_err(),
+                "span at {first} of {len} cells"
+            );
+        }
     }
 
     #[test]

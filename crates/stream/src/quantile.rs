@@ -25,6 +25,8 @@
 //! 7 424, and one session's spread covers a few dozen buckets, so the span
 //! is what every push, merge, quantile walk and frame copy touches.
 
+use crate::span::{Span, SpanError};
+
 /// Sub-bucket resolution: buckets per octave, as a power of two.
 const SUB_BITS: u32 = 7;
 /// Values below this are their own bucket (exact).
@@ -38,11 +40,8 @@ const MAX_BUCKETS: usize = LINEAR_MAX as usize + (64 - SUB_BITS as usize) * LINE
 /// the full `u64` range, and only the occupied span of them is stored.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogQuantileSketch {
-    /// Bucket index of `counts[0]`; 0 while the sketch is empty.
-    first: usize,
-    /// Counts of buckets `first..first + counts.len()`. Empty, or both
-    /// ends non-empty, so equal sketches have equal fields.
-    counts: Vec<u64>,
+    /// Bucket counts over the occupied span.
+    buckets: Span,
     total: u64,
 }
 
@@ -78,30 +77,8 @@ impl LogQuantileSketch {
 
     /// Record one sample.
     pub fn push(&mut self, v: u64) {
-        let b = bucket_of(v);
-        let i = match b.checked_sub(self.first) {
-            Some(i) if i < self.counts.len() => i,
-            _ => {
-                self.widen(b, b + 1);
-                b - self.first
-            }
-        };
-        self.counts[i] += 1;
+        self.buckets.bump(bucket_of(v));
         self.total += 1;
-    }
-
-    /// Grow the stored span to cover buckets `lo..hi` (a non-empty range).
-    #[cold]
-    fn widen(&mut self, lo: usize, hi: usize) {
-        if self.counts.is_empty() {
-            self.first = lo;
-        } else if lo < self.first {
-            let grow = self.first - lo;
-            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
-            self.first = lo;
-        }
-        let len = hi.max(self.first + self.counts.len()) - self.first;
-        self.counts.resize(len, 0);
     }
 
     /// Number of samples recorded.
@@ -112,7 +89,7 @@ impl LogQuantileSketch {
     /// Bucket index of the first entry of [`LogQuantileSketch::counts`]:
     /// the lowest non-empty bucket, or 0 for an empty sketch.
     pub fn first_bucket(&self) -> usize {
-        self.first
+        self.buckets.first()
     }
 
     /// The occupied span's bucket counts, from bucket
@@ -120,7 +97,7 @@ impl LogQuantileSketch {
     /// is always the sum of the counts, so offset and counts alone
     /// round-trip a sketch exactly.
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        self.buckets.counts()
     }
 
     /// Rebuild a sketch from its occupied span: the counts of buckets
@@ -132,41 +109,20 @@ impl LogQuantileSketch {
     /// empty bucket (an empty span must start at 0), which both operations
     /// trim by construction.
     pub fn from_span(first: usize, counts: Vec<u64>) -> Result<Self, &'static str> {
-        if first
-            .checked_add(counts.len())
-            .is_none_or(|end| end > MAX_BUCKETS)
-        {
-            return Err("sketch: more buckets than the layout has");
-        }
-        if counts.first() == Some(&0) || (counts.is_empty() && first != 0) {
-            return Err("sketch: span starts with an empty bucket");
-        }
-        if counts.last() == Some(&0) {
-            return Err("sketch: span ends with an empty bucket");
-        }
-        let mut total = 0u64;
-        for &c in &counts {
-            total = total.checked_add(c).ok_or("sketch: count overflow")?;
-        }
-        Ok(LogQuantileSketch {
-            first,
-            counts,
-            total,
-        })
+        let (buckets, total) =
+            Span::from_parts(first, counts, MAX_BUCKETS).map_err(|e| match e {
+                SpanError::PastLayout => "sketch: more buckets than the layout has",
+                SpanError::Untrimmed => "sketch: span starts or ends with an empty bucket",
+                SpanError::Overflow => "sketch: count overflow",
+            })?;
+        Ok(LogQuantileSketch { buckets, total })
     }
 
     /// Fold `other` into `self`. Exact and associative: bucket counts are
     /// integer sums, so any merge tree over the same pushes yields the same
     /// sketch.
     pub fn merge(&mut self, other: &LogQuantileSketch) {
-        if other.counts.is_empty() {
-            return;
-        }
-        self.widen(other.first, other.first + other.counts.len());
-        let span = &mut self.counts[other.first - self.first..];
-        for (a, &b) in span.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
+        self.buckets.merge(&other.buckets);
         self.total += other.total;
     }
 
@@ -190,10 +146,10 @@ impl LogQuantileSketch {
             ((q * self.total as f64).ceil() as u64).clamp(1, self.total)
         };
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.buckets.counts().iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Some(bucket_lower(self.first + i));
+                return Some(bucket_lower(self.buckets.first() + i));
             }
         }
         unreachable!("total is the sum of bucket counts");

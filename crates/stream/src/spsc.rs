@@ -56,6 +56,9 @@ use std::sync::{
 };
 
 struct Inner<T> {
+    /// Starts unallocated and grows as records queue: a collector with
+    /// thousands of mostly idle rings pays for what they hold, not for
+    /// their capacity.
     queue: VecDeque<T>,
     /// Set when the producer has been dropped (no more data will arrive) or
     /// the consumer has been dropped (sends are pointless).
@@ -187,7 +190,7 @@ fn new_channel<T>(capacity: usize, bell: Option<Arc<Bell>>) -> (Producer<T>, Con
     assert!(capacity >= 1, "channel capacity must be at least 1");
     let shared = Arc::new(Shared {
         inner: Mutex::new(Inner {
-            queue: VecDeque::with_capacity(capacity),
+            queue: VecDeque::new(),
             producer_gone: false,
             consumer_gone: false,
         }),
@@ -305,6 +308,17 @@ impl<T> Consumer<T> {
     pub fn dropped(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
     }
+
+    /// Slots the ring has allocated so far.
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> usize {
+        self.shared
+            .inner
+            .lock()
+            .expect("channel lock")
+            .queue
+            .capacity()
+    }
 }
 
 impl<T> Drop for Consumer<T> {
@@ -354,6 +368,29 @@ mod tests {
         rx.drain(&mut out, 10);
         assert_eq!(out, vec![1, 2]);
         assert!(tx.offer(5));
+        assert_eq!(rx.dropped(), 2);
+    }
+
+    #[test]
+    fn rings_grow_as_records_queue_and_reject_at_capacity() {
+        let (tx, rx) = channel::<u32>(1_000_000);
+        for i in 0..3 {
+            assert!(tx.offer(i));
+        }
+        assert!(rx.allocated() < 1024, "{} slots", rx.allocated());
+
+        // A bound that is no power of two: `offer` rejects at exactly the
+        // capacity, not at whatever size the ring has grown to.
+        let (tx, rx) = channel::<u32>(5_000);
+        for i in 0..5_000 {
+            assert!(tx.offer(i), "offer {i}");
+        }
+        assert!(!tx.offer(5_000));
+        assert_eq!(rx.dropped(), 1);
+        let mut out = Vec::new();
+        assert_eq!(rx.drain(&mut out, 1), 1);
+        assert!(tx.offer(5_001));
+        assert!(!tx.offer(5_002));
         assert_eq!(rx.dropped(), 2);
     }
 

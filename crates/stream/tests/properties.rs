@@ -5,8 +5,8 @@
 
 use probenet_stats::{autocorrelation, Histogram, Moments};
 use probenet_stream::{
-    fnv1a_hex, fnv1a_u64s, BankConfig, EstimatorBank, LogQuantileSketch, StreamRecord,
-    StreamingLoss, StreamingWorkload, WindowedAcf,
+    fnv1a_hex, fnv1a_u64s, BankConfig, EstimatorBank, LogQuantileSketch, PhaseDensity,
+    StreamRecord, StreamingLoss, StreamingWorkload, WindowedAcf,
 };
 use proptest::collection::vec;
 use proptest::option;
@@ -71,7 +71,7 @@ proptest! {
         );
         // Sketch, phase grid, histograms: exact u64 addition.
         prop_assert_eq!(left.sketch(), right.sketch());
-        prop_assert_eq!(left.phase().counts(), right.phase().counts());
+        prop_assert_eq!(left.phase(), right.phase());
         prop_assert_eq!(left.rtt_hist().counts(), right.rtt_hist().counts());
         prop_assert_eq!(
             left.workload().histogram().counts(),
@@ -107,7 +107,7 @@ proptest! {
             serde_json::to_string(&sw.loss).unwrap()
         );
         prop_assert_eq!(merged.sketch(), whole.sketch());
-        prop_assert_eq!(merged.phase().counts(), whole.phase().counts());
+        prop_assert_eq!(merged.phase(), whole.phase());
         prop_assert_eq!(
             merged.workload().histogram().counts(),
             whole.workload().histogram().counts()
@@ -270,6 +270,81 @@ proptest! {
         prop_assert_eq!(rebuilt, Ok(whole));
     }
 
+    /// The phase grid stores only its occupied span, so the span must come
+    /// out the same however the pairs arrived: in any order, or in
+    /// segments merged in any grouping, including a merge whose span
+    /// starts below the receiver's. It must also equal a dense grid binned
+    /// with `cell_of`, trimmed at both ends.
+    #[test]
+    fn phase_span_is_independent_of_order_and_grouping(
+        pairs in vec((0u64..2_200_000_000, 0u64..2_200_000_000, any::<u64>()), 0..150),
+        cuts in vec(any::<usize>(), 0..6),
+    ) {
+        // Each pair is fed as `a, b, lost`: the loss closes the pair, so the
+        // grid holds the same cells whatever order the pairs come in.
+        let fed = |ps: &[(u64, u64)]| {
+            let mut g = PhaseDensity::new(0.0, 2000.0, 64);
+            for &(a, b) in ps {
+                g.push(Some(a));
+                g.push(Some(b));
+                g.push(None);
+            }
+            g
+        };
+        let cells = |g: &PhaseDensity| {
+            (g.first_cell(), g.counts().to_vec(), g.pairs(), g.snapshot().out_of_range)
+        };
+        let ordered: Vec<(u64, u64)> = pairs.iter().map(|&(a, b, _)| (a, b)).collect();
+        let mut keyed = pairs.clone();
+        keyed.sort_unstable_by_key(|&(_, _, k)| k);
+        let shuffled: Vec<(u64, u64)> = keyed.iter().map(|&(a, b, _)| (a, b)).collect();
+        let whole = fed(&ordered);
+        prop_assert_eq!(cells(&fed(&shuffled)), cells(&whole));
+
+        let cell = |&(a, b): &(u64, u64)| {
+            whole.cell_of(a as f64 / 1e6, b as f64 / 1e6).map(|(ix, iy)| ix * 64 + iy)
+        };
+        let mut dense = vec![0u64; 64 * 64];
+        for i in ordered.iter().filter_map(cell) {
+            dense[i] += 1;
+        }
+        let (first, span) = (whole.first_cell(), whole.counts());
+        let mut streamed = vec![0u64; 64 * 64];
+        streamed[first..first + span.len()].copy_from_slice(span);
+        prop_assert_eq!(streamed, dense);
+        prop_assert!(span.first() != Some(&0) && span.last() != Some(&0));
+        prop_assert!(!span.is_empty() || first == 0);
+
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (ordered.len() + 1)).collect();
+        at.push(0);
+        at.push(ordered.len());
+        at.sort_unstable();
+        let segments: Vec<PhaseDensity> = at.windows(2).map(|w| fed(&ordered[w[0]..w[1]])).collect();
+        let mut left = fed(&[]);
+        for s in &segments {
+            left.merge(s);
+        }
+        prop_assert_eq!(&left, &whole);
+        let mut right = fed(&[]);
+        for s in segments.iter().rev() {
+            let mut next = s.clone();
+            next.merge(&right);
+            right = next;
+        }
+        prop_assert_eq!(&right, &whole);
+
+        // Pairs by cell, out-of-range ones last: the high half's span
+        // starts above the low half's.
+        let mut by_cell = ordered.clone();
+        by_cell.sort_by_key(|p| cell(p).unwrap_or(usize::MAX));
+        let (lo, hi) = by_cell.split_at(by_cell.len() / 2);
+        let mut high_first = fed(hi);
+        high_first.merge(&fed(lo));
+        prop_assert_eq!(cells(&high_first), cells(&whole));
+
+        prop_assert_eq!(PhaseDensity::from_wire_state(whole.wire_state()), Ok(whole));
+    }
+
     /// A zero word folds as one multiply by the eighth power of the FNV
     /// prime; the digest must equal the byte-at-a-time FNV-1a of the
     /// words' little-endian bytes, across long zero runs.
@@ -359,6 +434,26 @@ fn empty_phase_grid_digest_is_pinned() {
     assert_eq!(fnv1a_u64s(std::iter::repeat_n(0, 64 * 64)), EMPTY_GRID);
     let bank = EstimatorBank::new(BankConfig::bolot(20.0, 72, 1_000_000));
     assert_eq!(bank.snapshot().phase.grid_fnv1a, EMPTY_GRID);
+}
+
+/// Occupied 64×64 grids' digests, pinned as the literals the dense grid
+/// hashed to: a span inside the grid, with zero runs on both sides, and
+/// one from the end of the first row to the start of the last.
+#[test]
+fn occupied_phase_grid_digests_are_pinned() {
+    let cases: [(&[u64], &str, usize); 2] = [
+        (&[140, 150, 145, 600, 140], "37fa1ce91704f207", 3),
+        (&[5, 1990, 5], "ba8cc7583a8fe905", 2),
+    ];
+    for (rtts_ms, digest, nonzero) in cases {
+        let mut grid = PhaseDensity::new(0.0, 2000.0, 64);
+        for &ms in rtts_ms {
+            grid.push(Some(ms * 1_000_000));
+        }
+        let snap = grid.snapshot();
+        assert_eq!(snap.grid_fnv1a, digest, "{rtts_ms:?}");
+        assert_eq!(snap.nonzero_cells, nonzero, "{rtts_ms:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------

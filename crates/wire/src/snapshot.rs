@@ -158,8 +158,8 @@ impl SessionFrame {
     ///
     /// # Panics
     /// Panics if a variable-length field exceeds `u32::MAX` entries — not
-    /// reachable from any in-memory bank (the largest, the sketch, caps at
-    /// 7 424 buckets).
+    /// reachable from a bank with a phase grid of fewer than 65 536 bins
+    /// per axis (the sketch caps at 7 424 buckets).
     pub fn encode(&self) -> Vec<u8> {
         let state = self.bank.wire_state();
         let words = state.loss.closed.len()
@@ -168,7 +168,7 @@ impl SessionFrame {
             + state.sketch_counts.len()
             + state.acf_samples.len()
             + state.workload.hist_counts.len()
-            + state.phase.grid.len();
+            + state.phase.bins * state.phase.bins;
         let mut frame = Vec::with_capacity(1024 + 8 * words);
         put_u32(&mut frame, SNAPSHOT_MAGIC);
         frame.push(SNAPSHOT_VERSION);
@@ -235,7 +235,7 @@ impl SessionFrame {
         // buckets below its span go out as one zeroed block.
         section(payload, TAG_SKETCH, |out| {
             put_len(out, state.sketch_first + state.sketch_counts.len());
-            out.resize(out.len() + 8 * state.sketch_first, 0);
+            put_zero_words(out, state.sketch_first);
             put_words(out, state.sketch_counts.iter().copied());
         });
         section(payload, TAG_ACF, |out| {
@@ -252,10 +252,17 @@ impl SessionFrame {
             put_u64(out, w.hist_overflow);
             put_u64s(out, &w.hist_counts);
         });
+        // The wire carries all `bins²` cells of the phase grid: the empty
+        // cells on either side of its span go out as zeroed blocks.
         section(payload, TAG_PHASE, |out| {
-            put_u64(out, state.phase.pairs);
-            put_u64(out, state.phase.out_of_range);
-            put_u64s(out, &state.phase.grid);
+            let p = &state.phase;
+            let cells = p.bins * p.bins;
+            put_u64(out, p.pairs);
+            put_u64(out, p.out_of_range);
+            put_len(out, cells);
+            put_zero_words(out, p.grid_first);
+            put_words(out, p.span.iter().copied());
+            put_zero_words(out, cells - p.grid_first - p.span.len());
         });
         section(payload, TAG_INTERIM, |out| {
             put_len(out, self.interim.len());
@@ -499,10 +506,7 @@ fn decode_payload(payload: &[u8], max_tag: u8) -> Result<SessionFrame, WireError
     let mut q = Reader::new(need(s.sketch, "frame: missing sketch section")?);
     let sketch_words = q.words()?;
     q.finish()?;
-    let sketch_first = sketch_words
-        .chunks_exact(8)
-        .take_while(|w| *w == [0u8; 8])
-        .count();
+    let sketch_first = zero_words(sketch_words.chunks_exact(8));
     let sketch_counts = be_words(&sketch_words[8 * sketch_first..]).collect();
 
     let mut a = Reader::new(need(s.acf, "frame: missing acf section")?);
@@ -539,13 +543,27 @@ fn decode_payload(payload: &[u8], max_tag: u8) -> Result<SessionFrame, WireError
     let mut p = Reader::new(need(s.phase, "frame: missing phase section")?);
     let phase_pairs = p.u64()?;
     let phase_oor = p.u64()?;
-    let phase_grid = p.u64s()?;
+    let phase_words = p.words()?;
     p.finish()?;
+    // All `bins²` cells on the wire; the bank keeps the span from the first
+    // non-empty cell to the last, so the zero words around it are only
+    // counted.
+    if Some(phase_words.len() / 8) != config.phase_bins.checked_mul(config.phase_bins) {
+        return Err(WireError::BadField("phase: grid shape mismatch"));
+    }
+    let lead = zero_words(phase_words.chunks_exact(8));
+    let (grid_first, span) = if 8 * lead == phase_words.len() {
+        (0, Vec::new())
+    } else {
+        let end = phase_words.len() - 8 * zero_words(phase_words.rchunks_exact(8));
+        (lead, be_words(&phase_words[8 * lead..end]).collect())
+    };
     let phase = PhaseWireState {
         lo: config.phase_lo_ms,
         hi: config.phase_hi_ms,
         bins: config.phase_bins,
-        grid: phase_grid,
+        grid_first,
+        span,
         pairs: phase_pairs,
         out_of_range: phase_oor,
         first,
@@ -652,6 +670,11 @@ fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
     out.extend_from_slice(v);
 }
 
+/// Append `n` zero words.
+fn put_zero_words(out: &mut Vec<u8>, n: usize) {
+    out.resize(out.len() + 8 * n, 0);
+}
+
 /// Append `words` as big-endian `u64`s, growing the buffer once.
 fn put_words(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = u64>) {
     let start = out.len();
@@ -704,6 +727,12 @@ fn length_prefixed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
 fn section(out: &mut Vec<u8>, tag: u8, write: impl FnOnce(&mut Vec<u8>)) {
     out.push(tag);
     length_prefixed(out, write);
+}
+
+/// How many of the 8-byte `words`, in the order given, are zero before the
+/// first non-zero one: counted on the bytes, before anything is collected.
+fn zero_words<'a>(words: impl Iterator<Item = &'a [u8]>) -> usize {
+    words.take_while(|w| *w == [0u8; 8]).count()
 }
 
 /// The big-endian `u64`s of `bytes`, whose length is a multiple of 8.

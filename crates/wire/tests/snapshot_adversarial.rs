@@ -238,8 +238,9 @@ fn with_section(bytes: &[u8], tag: u8, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// A SKETCH section body: a word count, then the words.
-fn sketch_body(words: &[u64]) -> Vec<u8> {
+/// A length-prefixed run of words, as the SKETCH and PHASE sections carry
+/// them: a word count, then the words.
+fn words_body(words: &[u64]) -> Vec<u8> {
     let mut body = u32::try_from(words.len())
         .expect("fits")
         .to_be_bytes()
@@ -260,7 +261,7 @@ fn hostile_sketch_sections_are_typed_errors() {
     let mut words = vec![0u64; state.sketch_first];
     words.extend(&state.sketch_counts);
     assert_eq!(
-        with_section(&bytes, TAG_SKETCH, &sketch_body(&words)),
+        with_section(&bytes, TAG_SKETCH, &words_body(&words)),
         bytes,
         "splicing the frame's own sketch back must change nothing"
     );
@@ -268,13 +269,55 @@ fn hostile_sketch_sections_are_typed_errors() {
     let mut zeros_then_one = vec![0u64; 7_424];
     zeros_then_one.push(1);
     for words in [vec![0u64; 2_700], vec![1u64; 7_425], zeros_then_one] {
-        let tampered = with_section(&bytes, TAG_SKETCH, &sketch_body(&words));
+        let tampered = with_section(&bytes, TAG_SKETCH, &words_body(&words));
         match SessionFrame::decode(&tampered) {
             Err(WireError::BadField(msg)) => {
                 assert!(msg.starts_with("sketch:"), "{} words: {msg}", words.len())
             }
             Err(e) => panic!("{} words: expected a sketch error, got {e}", words.len()),
             Ok(_) => panic!("{} words: hostile sketch decoded Ok", words.len()),
+        }
+    }
+}
+
+/// A PHASE section body: pair count, out-of-range count, then every cell.
+fn phase_body(pairs: u64, out_of_range: u64, cells: &[u64]) -> Vec<u8> {
+    let mut body = [pairs.to_be_bytes(), out_of_range.to_be_bytes()].concat();
+    body.extend(words_body(cells));
+    body
+}
+
+#[test]
+fn hostile_phase_sections_are_typed_errors() {
+    // PHASE is tag 9; its body carries all 64×64 cells (DESIGN §14.1).
+    const TAG_PHASE: u8 = 9;
+    let frame = frame_with(BankConfig::bolot(20.0, 72, 1_000_000), 64);
+    let bytes = frame.encode();
+    let phase = frame.bank.wire_state().phase;
+    assert!(phase.pairs > 0);
+    let mut cells = vec![0u64; 64 * 64];
+    cells[phase.grid_first..phase.grid_first + phase.span.len()].copy_from_slice(&phase.span);
+    let body = |cells: &[u64]| phase_body(phase.pairs, phase.out_of_range, cells);
+    assert_eq!(
+        with_section(&bytes, TAG_PHASE, &body(&cells)),
+        bytes,
+        "splicing the frame's own grid back must change nothing"
+    );
+
+    let mut past_u64 = vec![0u64; 64 * 64];
+    past_u64[..2].copy_from_slice(&[u64::MAX, 1]);
+    let hostile = [
+        (vec![0u64; 4_095], "phase: grid shape mismatch"),
+        (vec![0u64; 4_097], "phase: grid shape mismatch"),
+        (vec![0u64; 4_096], "phase: pair mass mismatch"),
+        (past_u64, "phase: count overflow"),
+    ];
+    for (cells, expected) in hostile {
+        let tampered = with_section(&bytes, TAG_PHASE, &body(&cells));
+        match SessionFrame::decode(&tampered) {
+            Err(WireError::BadField(msg)) => assert_eq!(msg, expected, "{} cells", cells.len()),
+            Err(e) => panic!("{} cells: expected a phase error, got {e}", cells.len()),
+            Ok(_) => panic!("{} cells: hostile phase grid decoded Ok", cells.len()),
         }
     }
 }
