@@ -60,7 +60,7 @@ use std::path::Path;
 use std::sync::mpsc::Receiver;
 
 use probenet_stream::{CollectorReport, SessionKey, SessionReport};
-use probenet_wire::snapshot::{frame_len, SessionFrame, FRAME_HEADER_BYTES};
+use probenet_wire::snapshot::{frame_len, SessionFrame, FRAME_HEADER_BYTES, MAX_PHASE_CELLS};
 use probenet_wire::WireError;
 
 /// Bytes pulled from a transport per read in the incremental ingest loop.
@@ -71,6 +71,10 @@ pub const INGEST_CHUNK: usize = 8 * 1024;
 /// near this limit is a corrupt or hostile length field — reject it
 /// before buffering rather than allocating what the header claims.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
+
+// A version-1 frame carried every phase-grid cell, so each one under the
+// limit claims a grid the decoder's cap still accepts.
+const _: () = assert!(MAX_FRAME_BYTES <= 8 * MAX_PHASE_CELLS);
 
 /// Errors raised while ingesting or folding collector frames.
 #[derive(Debug)]
@@ -620,6 +624,60 @@ mod tests {
             svc.ingest_reader(&mut cursor),
             Err(MergeError::FrameTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn far_apart_phase_spans_fold_within_the_grid_cap() {
+        // Two shards of one session on the largest grid a frame may claim,
+        // one span at its first cell and one at its last: the fold holds
+        // every cell between them, MAX_PHASE_CELLS words at most. A grid
+        // past the cap is a typed error at decode, before any fold.
+        let shard = |bins: usize, seqs: std::ops::Range<u64>, rtt_ns: u64| {
+            let mut config = BankConfig::bolot(20.0, 72, 1_000_000);
+            config.phase_bins = bins;
+            let mut bank = EstimatorBank::new(config);
+            for seq in seqs.clone() {
+                bank.push(&StreamRecord {
+                    seq,
+                    sent_at_ns: seq * 20_000_000,
+                    rtt_ns: Some(rtt_ns),
+                });
+            }
+            SessionFrame {
+                key: SessionKey::new("far", 20, 3),
+                first_seq: seqs.start,
+                records: seqs.end - seqs.start,
+                dropped: 0,
+                bank,
+                interim: Vec::new(),
+                hops: Vec::new(),
+                extensions: Vec::new(),
+            }
+            .encode()
+        };
+        let (low, high) = (1_000_000, 1_999_900_000); // first and last row of [0, 2000) ms
+        let bins = MAX_PHASE_CELLS.isqrt();
+        let mut stream = shard(bins, 0..10, low);
+        stream.extend(shard(bins, 10..20, high));
+        let mut svc = MergeService::new();
+        svc.ingest_bytes(&stream).expect("grids at the cap decode");
+        let phase = svc.into_report().expect("far-apart spans fold").sessions[0]
+            .bank
+            .snapshot()
+            .phase;
+        // Cell 0, the junction pair's cell `bins - 1` and cell `bins² - 1`.
+        assert_eq!(
+            (phase.bins, phase.pairs, phase.nonzero_cells),
+            (bins, 19, 3)
+        );
+
+        for bins in [bins + 1, 1 << 16] {
+            let mut svc = MergeService::new();
+            assert!(matches!(
+                svc.ingest_bytes(&shard(bins, 10..20, high)),
+                Err(MergeError::Wire(WireError::BadField(_)))
+            ));
+        }
     }
 
     #[test]

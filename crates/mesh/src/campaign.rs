@@ -16,11 +16,11 @@
 //!    shard keys carry `(src, dst, δ, seed)` via
 //!    [`SessionKey::mesh`](probenet_stream::SessionKey::mesh).
 //! 3. Each vantage's report is encoded as a snapshot-frame stream with
-//!    per-hop [`HopAnnotation`]s (the v2 `TAG_HOPS` section) and all
+//!    per-hop [`HopAnnotation`]s (the `TAG_HOPS` section, tag 11) and all
 //!    streams are folded through [`MergeService::ingest_reader`] — the
 //!    same incremental path a real fleet daemon runs.
 //! 4. Ground truth (per-link probe drops) is read back from the
-//!    *decoded* frame annotations, proving the v2 section survives the
+//!    *decoded* frame annotations, proving the tag-11 section survives the
 //!    wire; the tomography pass ([`crate::tomography`]) infers the same
 //!    quantities from end-to-end loss alone and the report compares the
 //!    two within [`TOLERANCE_REL`]/[`TOLERANCE_ABS`].
@@ -195,6 +195,7 @@ pub fn run_campaign(spec: &MeshSpec, threads: usize) -> Result<MeshRun, MergeErr
     // sourced. Sessions register in pair order, so each vantage's
     // report and frame stream are order-fixed.
     let mut host_streams: Vec<Vec<u8>> = Vec::with_capacity(spec.hosts);
+    let mut max_frame_bytes = 0usize;
     for host in 0..spec.hosts {
         let own: Vec<&PathOutcome> = outcomes.iter().filter(|o| o.src == host).collect();
         let mut stream = Vec::new();
@@ -224,7 +225,9 @@ pub fn run_campaign(spec: &MeshSpec, threads: usize) -> Result<MeshRun, MergeErr
                         probe_drops,
                     })
                     .collect();
-                stream.extend_from_slice(&frame.encode()); // probenet-lint: allow(unordered-partition-merge) frames appended in the collector report's key-sorted session order
+                let bytes = frame.encode();
+                max_frame_bytes = max_frame_bytes.max(bytes.len());
+                stream.extend_from_slice(&bytes); // probenet-lint: allow(unordered-partition-merge) frames appended in the collector report's key-sorted session order
             }
         }
         host_streams.push(stream);
@@ -238,13 +241,6 @@ pub fn run_campaign(spec: &MeshSpec, threads: usize) -> Result<MeshRun, MergeErr
     }
     let ingest_peak_buffer_bytes = service.peak_buffer_bytes();
     let fleet = service.into_report()?;
-
-    let mut max_frame_bytes = 0usize;
-    for stream in &host_streams {
-        for frame in decode_frames(stream)? {
-            max_frame_bytes = max_frame_bytes.max(frame.encode().len());
-        }
-    }
 
     Ok(MeshRun {
         outcomes,
@@ -270,7 +266,7 @@ pub struct LinkRow {
     /// Configured per-traversal random-loss probability.
     pub configured_random_loss: f64,
     /// Ground truth: probes dropped on this link, summed over every
-    /// path's simulation — read back from the decoded v2 hop
+    /// path's simulation — read back from the decoded tag-11 hop
     /// annotations, not from in-process state.
     pub truth_probe_drops: u64,
     /// Loss attributed to this link by the tomography decomposition,
@@ -343,7 +339,7 @@ impl MeshReport {
         let topo = spec.topology();
         let run = run_campaign(spec, threads)?;
 
-        // Ground truth comes from the *decoded* hop annotations: the v2
+        // Ground truth comes from the *decoded* hop annotations: the tag-11
         // section must survive encode → daemon fan-in → decode.
         let mut truth = vec![0u64; topo.links.len()];
         for stream in &run.host_streams {

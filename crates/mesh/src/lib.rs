@@ -7,7 +7,7 @@
 //! route is still the linear `Path` the simulator runs — extracted from
 //! the graph by `MeshTopology::path_between`); [`campaign`] runs one
 //! collector per vantage host, ships every host's snapshot-frame stream
-//! (with v2 per-hop annotations) through the merge daemon's incremental
+//! (with tag-11 per-hop annotations) through the merge daemon's incremental
 //! reader, and decomposes end-to-end loss and queueing delay onto the
 //! shared links; [`tomography`] is the decomposition itself, validated
 //! against the simulator's ground-truth per-link drop counters.

@@ -21,7 +21,7 @@
 //! `len` bytes — in ascending tag order. Decoders **skip unknown tags**
 //! (forward compatibility: a newer writer may append sections), reject
 //! duplicate or truncated known sections, and require every section a
-//! version-1 bank needs. Skipped sections are not dropped: they are kept
+//! bank needs. Skipped sections are not dropped: they are kept
 //! verbatim, in encounter order, in [`SessionFrame::extensions`] and
 //! re-emitted by [`SessionFrame::encode`] after every known section —
 //! since writers append sections in ascending tag order, an
@@ -30,17 +30,24 @@
 //! Floats travel as IEEE-754 bit patterns
 //! (`f64::to_bits`), so encode∘decode is bit-exact, `±∞` included.
 //!
-//! The version byte is reserved for *incompatible* layout changes (a v1
-//! reader rejects any other version outright); additive evolution happens
-//! on the tag axis. The first such addition is the per-hop annotation
-//! section ([`TAG_HOPS`], carrying [`HopAnnotation`] rows from the mesh
-//! campaign), which a reader predating it skips via the unknown-tag path
-//! — `crates/wire/tests/snapshot_compat.rs` proves that skip byte-exact.
+//! The version byte is reserved for layout changes to *known* sections;
+//! additive evolution happens on the tag axis. Version 2 (the only one
+//! [`SessionFrame::encode`] writes) ships the quantile sketch and the
+//! phase grid as their occupied spans — first index, then the counts to
+//! the last non-empty one — as they are held in memory. Version 1 shipped
+//! both dense (sketch counts from bucket 0, all `bins²` grid cells); the
+//! decoder still reads it, selected by the header byte, so older shards
+//! merge. Since a version-2 frame no longer carries every cell, the
+//! decoder caps the grid CONFIG may claim at [`MAX_PHASE_CELLS`]. The
+//! per-hop annotation section ([`TAG_HOPS`], tag 11, carrying
+//! [`HopAnnotation`] rows from the mesh campaign) was the first tag-axis
+//! addition: a reader predating it skips it via the unknown-tag path —
+//! `crates/wire/tests/snapshot_compat.rs` proves that skip byte-exact.
 //!
 //! All decoders are total: arbitrary bytes produce `Ok` or a typed
 //! [`WireError`], never a panic — and stronger, any frame that decodes
 //! `Ok` yields a bank whose `snapshot()`/`to_json()` path cannot panic
-//! (the per-estimator invariants are re-validated by
+//! (the per-estimator invariants, spans included, are re-validated by
 //! [`EstimatorBank::from_wire_state`], and interim snapshots must be
 //! canonical JSON).
 
@@ -56,20 +63,28 @@ use probenet_stream::{
 
 /// Identifies probenet snapshot frames on the wire ("PNSF").
 pub const SNAPSHOT_MAGIC: u32 = 0x504e_5346;
-/// Current snapshot frame format version.
-pub const SNAPSHOT_VERSION: u8 = 1;
+/// Snapshot frame format version the encoder writes. The decoder also
+/// reads version 1 (dense SKETCH and PHASE bodies).
+pub const SNAPSHOT_VERSION: u8 = 2;
 /// Frame type: one session's complete estimator state.
 pub const FRAME_SESSION: u8 = 1;
 /// Fixed frame header size: magic, version, type, payload length.
 pub const FRAME_HEADER_BYTES: usize = 10;
+
+/// Most phase-grid cells (`phase_bins²`) a frame's CONFIG may claim: 8 Mi,
+/// 64 MiB dense — as many as a version-1 frame, which carried every cell,
+/// could hold under the merge daemon's 64 MiB frame limit. A version-2
+/// frame carries only the occupied span, so this cap, not the frame size,
+/// bounds what decoding and folding one session's grid may allocate.
+pub const MAX_PHASE_CELLS: usize = 1 << 23;
 
 /// Per-hop annotation section: one [`HopAnnotation`] row per link of the
 /// probed path. The newest tag — readers predating it treat it as an
 /// unknown section and carry it through untouched.
 pub const TAG_HOPS: u8 = 11;
 
-/// Highest section tag the original version-1 reader parsed. Passing this
-/// to [`SessionFrame::decode_with_max_tag`] reproduces that reader
+/// Highest section tag the reader predating [`TAG_HOPS`] parsed. Passing
+/// this to [`SessionFrame::decode_with_max_tag`] reproduces that reader
 /// exactly: every later tag takes the unknown-section path.
 pub const MAX_TAG_V1: u8 = 10;
 
@@ -115,8 +130,7 @@ pub struct SessionFrame {
     /// Interim snapshots taken mid-stream (cannot be recomputed).
     pub interim: Vec<InterimSnapshot>,
     /// Per-hop annotations ([`TAG_HOPS`]); empty for single-path
-    /// collectors, so their frames encode exactly as version-1 readers
-    /// expect.
+    /// collectors, so their frames carry no tag-11 section.
     pub hops: Vec<HopAnnotation>,
     /// Sections this reader did not recognize, verbatim `(tag, body)` in
     /// encounter order. [`SessionFrame::encode`] re-emits them after every
@@ -157,18 +171,17 @@ impl SessionFrame {
     /// Encode into a fresh vector.
     ///
     /// # Panics
-    /// Panics if a variable-length field exceeds `u32::MAX` entries — not
-    /// reachable from a bank with a phase grid of fewer than 65 536 bins
-    /// per axis (the sketch caps at 7 424 buckets).
+    /// Panics if a variable-length field or span offset exceeds
+    /// `u32::MAX` — not reachable from a bank with a phase grid of fewer
+    /// than 65 536 bins per axis (the sketch caps at 7 424 buckets).
     pub fn encode(&self) -> Vec<u8> {
         let state = self.bank.wire_state();
         let words = state.loss.closed.len()
             + state.rtt_counts.len()
-            + state.sketch_first
             + state.sketch_counts.len()
             + state.acf_samples.len()
             + state.workload.hist_counts.len()
-            + state.phase.bins * state.phase.bins;
+            + state.phase.span.len();
         let mut frame = Vec::with_capacity(1024 + 8 * words);
         put_u32(&mut frame, SNAPSHOT_MAGIC);
         frame.push(SNAPSHOT_VERSION);
@@ -231,12 +244,9 @@ impl SessionFrame {
             put_u64(out, state.rtt_overflow);
             put_u64s(out, &state.rtt_counts);
         });
-        // The wire carries the sketch's counts from bucket 0: the empty
-        // buckets below its span go out as one zeroed block.
         section(payload, TAG_SKETCH, |out| {
-            put_len(out, state.sketch_first + state.sketch_counts.len());
-            put_zero_words(out, state.sketch_first);
-            put_words(out, state.sketch_counts.iter().copied());
+            put_len(out, state.sketch_first);
+            put_u64s(out, &state.sketch_counts);
         });
         section(payload, TAG_ACF, |out| {
             put_u64(out, state.acf_evicted);
@@ -252,17 +262,12 @@ impl SessionFrame {
             put_u64(out, w.hist_overflow);
             put_u64s(out, &w.hist_counts);
         });
-        // The wire carries all `bins²` cells of the phase grid: the empty
-        // cells on either side of its span go out as zeroed blocks.
         section(payload, TAG_PHASE, |out| {
             let p = &state.phase;
-            let cells = p.bins * p.bins;
             put_u64(out, p.pairs);
             put_u64(out, p.out_of_range);
-            put_len(out, cells);
-            put_zero_words(out, p.grid_first);
-            put_words(out, p.span.iter().copied());
-            put_zero_words(out, cells - p.grid_first - p.span.len());
+            put_len(out, p.grid_first);
+            put_u64s(out, &p.span);
         });
         section(payload, TAG_INTERIM, |out| {
             put_len(out, self.interim.len());
@@ -273,8 +278,8 @@ impl SessionFrame {
                 put_bytes(out, json.as_bytes());
             }
         });
-        // Emitted only when present, so a hop-less frame is byte-identical
-        // to what the original version-1 writer produced (pinned by the
+        // Emitted only when present, so a hop-less frame carries exactly
+        // the sections a reader predating the tag expects (pinned by the
         // checked-in frame shards).
         if !self.hops.is_empty() {
             section(payload, TAG_HOPS, |out| {
@@ -305,28 +310,34 @@ impl SessionFrame {
     /// `<= max_tag` would perform it: later tags take the unknown-section
     /// path into [`SessionFrame::extensions`]. `decode(..)` is
     /// `decode_with_max_tag(.., TAG_HOPS)`; passing [`MAX_TAG_V1`]
-    /// reproduces the original version-1 reader exactly — the
+    /// reproduces the reader predating [`TAG_HOPS`] exactly — the
     /// forward-compat proof suite uses this to show an old reader skips a
     /// newer frame's sections byte-exactly.
     pub fn decode_with_max_tag(data: &[u8], max_tag: u8) -> Result<(Self, usize), WireError> {
         let mut r = Reader::new(data);
-        let magic = r.u32()?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(WireError::BadMagic { found: magic });
-        }
-        let version = r.u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(WireError::BadVersion { found: version });
-        }
-        let frame_type = r.u8()?;
-        if frame_type != FRAME_SESSION {
-            return Err(WireError::BadField("frame: unknown frame type"));
-        }
-        let payload_len = r.len()?;
+        let (version, payload_len) = header(&mut r)?;
         let payload = r.take(payload_len)?;
-        let frame = decode_payload(payload, max_tag)?;
+        let frame = decode_payload(payload, version, max_tag)?;
         Ok((frame, FRAME_HEADER_BYTES + payload_len))
     }
+}
+
+/// Read and validate the fixed header: magic, a version this decoder
+/// reads (1 or [`SNAPSHOT_VERSION`]), the frame type. Returns the version
+/// and the payload length.
+fn header(r: &mut Reader<'_>) -> Result<(u8, usize), WireError> {
+    let magic = r.u32()?;
+    if magic != SNAPSHOT_MAGIC {
+        return Err(WireError::BadMagic { found: magic });
+    }
+    let version = r.u8()?;
+    if !(1..=SNAPSHOT_VERSION).contains(&version) {
+        return Err(WireError::BadVersion { found: version });
+    }
+    if r.u8()? != FRAME_SESSION {
+        return Err(WireError::BadField("frame: unknown frame type"));
+    }
+    Ok((version, r.len()?))
 }
 
 /// On-wire length of the frame starting at `data[0]`, if the fixed header
@@ -339,20 +350,7 @@ pub fn frame_len(data: &[u8]) -> Result<Option<usize>, WireError> {
     if data.len() < FRAME_HEADER_BYTES {
         return Ok(None);
     }
-    let mut r = Reader::new(data);
-    let magic = r.u32()?;
-    if magic != SNAPSHOT_MAGIC {
-        return Err(WireError::BadMagic { found: magic });
-    }
-    let version = r.u8()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(WireError::BadVersion { found: version });
-    }
-    let frame_type = r.u8()?;
-    if frame_type != FRAME_SESSION {
-        return Err(WireError::BadField("frame: unknown frame type"));
-    }
-    let payload_len = r.len()?;
+    let (_, payload_len) = header(&mut Reader::new(data))?;
     Ok(Some(FRAME_HEADER_BYTES + payload_len))
 }
 
@@ -384,7 +382,7 @@ struct Sections<'a> {
     extensions: Vec<(u8, Vec<u8>)>,
 }
 
-fn decode_payload(payload: &[u8], max_tag: u8) -> Result<SessionFrame, WireError> {
+fn decode_payload(payload: &[u8], version: u8, max_tag: u8) -> Result<SessionFrame, WireError> {
     let mut s = Sections {
         meta: None,
         config: None,
@@ -468,6 +466,13 @@ fn decode_payload(payload: &[u8], max_tag: u8) -> Result<SessionFrame, WireError
         phase_bins: c.len()?,
     };
     c.finish()?;
+    let phase_cells = config
+        .phase_bins
+        .checked_mul(config.phase_bins)
+        .filter(|&cells| cells <= MAX_PHASE_CELLS)
+        .ok_or(WireError::BadField(
+            "config: phase grid over MAX_PHASE_CELLS",
+        ))?;
 
     let mut l = Reader::new(need(s.loss, "frame: missing loss section")?);
     let loss = LossWireState {
@@ -501,13 +506,18 @@ fn decode_payload(payload: &[u8], max_tag: u8) -> Result<SessionFrame, WireError
     let rtt_counts = h.u64s()?;
     h.finish()?;
 
-    // Counts from bucket 0 on the wire; the bank keeps the span from the
-    // first non-empty bucket, so the leading zero words are only counted.
+    // Version 2 carries the sketch's span. Version 1 carries the counts
+    // from bucket 0, and the leading zero words are only counted. Either
+    // way `from_span` below validates the span.
     let mut q = Reader::new(need(s.sketch, "frame: missing sketch section")?);
-    let sketch_words = q.words()?;
+    let (sketch_first, sketch_counts) = if version == 1 {
+        let words = q.words()?;
+        let first = zero_words(words.chunks_exact(8));
+        (first, be_words(&words[8 * first..]).collect())
+    } else {
+        (q.len()?, q.u64s()?)
+    };
     q.finish()?;
-    let sketch_first = zero_words(sketch_words.chunks_exact(8));
-    let sketch_counts = be_words(&sketch_words[8 * sketch_first..]).collect();
 
     let mut a = Reader::new(need(s.acf, "frame: missing acf section")?);
     let acf_evicted = a.u64()?;
@@ -540,24 +550,28 @@ fn decode_payload(payload: &[u8], max_tag: u8) -> Result<SessionFrame, WireError
         last,
     };
 
+    // Version 2 carries the grid's span; `from_wire_state` below validates
+    // it and the pair mass balance. Version 1 carries all `bins²` cells,
+    // and the zero words around the span are only counted.
     let mut p = Reader::new(need(s.phase, "frame: missing phase section")?);
     let phase_pairs = p.u64()?;
     let phase_oor = p.u64()?;
-    let phase_words = p.words()?;
-    p.finish()?;
-    // All `bins²` cells on the wire; the bank keeps the span from the first
-    // non-empty cell to the last, so the zero words around it are only
-    // counted.
-    if Some(phase_words.len() / 8) != config.phase_bins.checked_mul(config.phase_bins) {
-        return Err(WireError::BadField("phase: grid shape mismatch"));
-    }
-    let lead = zero_words(phase_words.chunks_exact(8));
-    let (grid_first, span) = if 8 * lead == phase_words.len() {
-        (0, Vec::new())
+    let (grid_first, span) = if version == 1 {
+        let words = p.words()?;
+        if words.len() / 8 != phase_cells {
+            return Err(WireError::BadField("phase: grid shape mismatch"));
+        }
+        let lead = zero_words(words.chunks_exact(8));
+        if 8 * lead == words.len() {
+            (0, Vec::new())
+        } else {
+            let end = words.len() - 8 * zero_words(words.rchunks_exact(8));
+            (lead, be_words(&words[8 * lead..end]).collect())
+        }
     } else {
-        let end = phase_words.len() - 8 * zero_words(phase_words.rchunks_exact(8));
-        (lead, be_words(&phase_words[8 * lead..end]).collect())
+        (p.len()?, p.u64s()?)
     };
+    p.finish()?;
     let phase = PhaseWireState {
         lo: config.phase_lo_ms,
         hi: config.phase_hi_ms,
@@ -670,11 +684,6 @@ fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
     out.extend_from_slice(v);
 }
 
-/// Append `n` zero words.
-fn put_zero_words(out: &mut Vec<u8>, n: usize) {
-    out.resize(out.len() + 8 * n, 0);
-}
-
 /// Append `words` as big-endian `u64`s, growing the buffer once.
 fn put_words(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = u64>) {
     let start = out.len();
@@ -730,7 +739,8 @@ fn section(out: &mut Vec<u8>, tag: u8, write: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// How many of the 8-byte `words`, in the order given, are zero before the
-/// first non-zero one: counted on the bytes, before anything is collected.
+/// first non-zero one: counted on the bytes, before anything is collected
+/// (the version-1 SKETCH and PHASE bodies).
 fn zero_words<'a>(words: impl Iterator<Item = &'a [u8]>) -> usize {
     words.take_while(|w| *w == [0u8; 8]).count()
 }
@@ -977,19 +987,19 @@ mod tests {
 
     #[test]
     fn hopless_frames_encode_without_the_hops_section() {
-        // A hop-less frame must stay byte-identical to the pre-TAG_HOPS
-        // writer: no tag-11 section, nothing appended.
+        // A hop-less frame carries no tag-11 section and nothing appended.
         let frame = frame_with(25, 9);
         let bytes = frame.encode();
         let (decoded, _) = SessionFrame::decode(&bytes).expect("decode");
         assert!(decoded.hops.is_empty());
         assert_eq!(decoded.encode(), bytes);
-        // Same frame decoded by the v1 reader: identical in every v1 field.
-        let (v1, v1_used) =
-            SessionFrame::decode_with_max_tag(&bytes, MAX_TAG_V1).expect("v1 decode");
-        assert_eq!(v1_used, bytes.len());
-        assert_eq!(v1.bank.wire_state(), frame.bank.wire_state());
-        assert!(v1.extensions.is_empty());
+        // Same frame decoded by the reader predating tag 11: identical in
+        // every field it knows.
+        let (old, old_used) =
+            SessionFrame::decode_with_max_tag(&bytes, MAX_TAG_V1).expect("pre-tag-11 decode");
+        assert_eq!(old_used, bytes.len());
+        assert_eq!(old.bank.wire_state(), frame.bank.wire_state());
+        assert!(old.extensions.is_empty());
     }
 
     #[test]

@@ -1,18 +1,25 @@
 //! Adversarial corpus for the snapshot frame decoder: deterministic
 //! fuzz-style coverage proving the decoder is *total* — truncations at
 //! every byte boundary, single-bit flips at every position, corrupted
-//! magic/version, and inflated/deflated length prefixes all produce a
-//! typed [`WireError`] (or a still-valid `Ok`), never a panic and never a
-//! read past the input.
+//! magic/version, inflated/deflated length prefixes and hostile SKETCH
+//! and PHASE spans all produce a typed [`WireError`] (or a still-valid
+//! `Ok`), never a panic and never a read past the input.
 //!
 //! The exhaustive sweeps run on a frame built from a deliberately tiny
 //! [`BankConfig`] (small histograms, small phase grid) so every byte
-//! boundary and every bit is covered in milliseconds; a realistic
-//! Bolot-config frame is swept at a coarse stride on top.
+//! boundary and every bit is covered in milliseconds, in both the
+//! version-2 layout the encoder writes and the dense version-1 layout the
+//! decoder still reads; a realistic Bolot-config frame is swept at a
+//! coarse stride on top.
 
 use probenet_stream::{BankConfig, EstimatorBank, SessionKey, StreamRecord};
-use probenet_wire::snapshot::SessionFrame;
+use probenet_wire::snapshot::{frame_len, SessionFrame, MAX_PHASE_CELLS};
 use probenet_wire::{WireError, FRAME_HEADER_BYTES, SNAPSHOT_VERSION};
+
+/// The SKETCH section's tag (DESIGN §14.1).
+const TAG_SKETCH: u8 = 6;
+/// The PHASE section's tag.
+const TAG_PHASE: u8 = 9;
 
 /// A config chosen for a compact wire image, not realism.
 fn tiny_config() -> BankConfig {
@@ -74,30 +81,34 @@ fn assert_total(bytes: &[u8]) {
 
 #[test]
 fn truncation_at_every_byte_boundary_is_a_typed_error() {
-    let bytes = frame_with(tiny_config(), 64).encode();
-    for n in 0..bytes.len() {
-        match SessionFrame::decode(&bytes[..n]) {
-            Err(_) => {}
-            Ok(_) => panic!("truncated frame ({n} of {} bytes) decoded Ok", bytes.len()),
+    let frame = frame_with(tiny_config(), 64);
+    for bytes in [frame.encode(), v1_bytes(&frame)] {
+        for n in 0..bytes.len() {
+            match SessionFrame::decode(&bytes[..n]) {
+                Err(_) => {}
+                Ok(_) => panic!("truncated frame ({n} of {} bytes) decoded Ok", bytes.len()),
+            }
         }
+        // The untruncated frame consumes itself exactly.
+        let (_, used) = SessionFrame::decode(&bytes).expect("whole frame decodes");
+        assert_eq!(used, bytes.len());
     }
-    // The untruncated frame consumes itself exactly.
-    let (_, used) = SessionFrame::decode(&bytes).expect("whole frame decodes");
-    assert_eq!(used, bytes.len());
 }
 
 #[test]
 fn single_bit_flips_never_panic_or_over_read() {
-    let bytes = frame_with(tiny_config(), 48).encode();
-    let mut corrupt = bytes.clone();
-    for i in 0..bytes.len() {
-        for bit in 0..8 {
-            corrupt[i] ^= 1 << bit;
-            assert_total(&corrupt);
-            corrupt[i] ^= 1 << bit;
+    let frame = frame_with(tiny_config(), 48);
+    for bytes in [frame.encode(), v1_bytes(&frame)] {
+        let mut corrupt = bytes.clone();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                corrupt[i] ^= 1 << bit;
+                assert_total(&corrupt);
+                corrupt[i] ^= 1 << bit;
+            }
         }
+        assert_eq!(corrupt, bytes, "sweep must restore the original");
     }
-    assert_eq!(corrupt, bytes, "sweep must restore the original");
 }
 
 #[test]
@@ -125,6 +136,7 @@ fn realistic_frame_survives_strided_corruption() {
 #[test]
 fn wrong_magic_and_version_are_typed_errors() {
     let bytes = frame_with(tiny_config(), 8).encode();
+    assert_eq!(bytes[4], SNAPSHOT_VERSION);
 
     let mut wrong_magic = bytes.clone();
     wrong_magic[0] ^= 0xff;
@@ -133,12 +145,26 @@ fn wrong_magic_and_version_are_typed_errors() {
         Err(WireError::BadMagic { .. })
     ));
 
-    let mut wrong_version = bytes.clone();
-    wrong_version[4] = SNAPSHOT_VERSION + 1;
-    assert!(matches!(
-        SessionFrame::decode(&wrong_version),
-        Err(WireError::BadVersion { .. })
-    ));
+    // The decoder reads versions 1 and 2; both entry points reject any
+    // other on the header, before a section is parsed.
+    for version in [0u8, 3, 0xff] {
+        let mut wrong_version = bytes.clone();
+        wrong_version[4] = version;
+        assert!(
+            matches!(
+                SessionFrame::decode(&wrong_version),
+                Err(WireError::BadVersion { found }) if found == version
+            ),
+            "decode accepted version {version}"
+        );
+        assert!(
+            matches!(
+                frame_len(&wrong_version),
+                Err(WireError::BadVersion { found }) if found == version
+            ),
+            "frame_len accepted version {version}"
+        );
+    }
 
     let mut wrong_type = bytes;
     wrong_type[5] = 0xee;
@@ -251,20 +277,77 @@ fn words_body(words: &[u64]) -> Vec<u8> {
     body
 }
 
+/// A version-1 PHASE body: pair count, out-of-range count, then every
+/// cell.
+fn phase_body(pairs: u64, out_of_range: u64, cells: &[u64]) -> Vec<u8> {
+    let mut body = [pairs.to_be_bytes(), out_of_range.to_be_bytes()].concat();
+    body.extend(words_body(cells));
+    body
+}
+
+/// `frame` in the version-1 layout: header byte 1, the SKETCH counts from
+/// bucket 0 and all `bins²` PHASE cells.
+fn v1_bytes(frame: &SessionFrame) -> Vec<u8> {
+    let state = frame.bank.wire_state();
+    let mut sketch = vec![0u64; state.sketch_first];
+    sketch.extend(&state.sketch_counts);
+    let p = &state.phase;
+    let mut cells = vec![0u64; p.bins * p.bins];
+    cells[p.grid_first..p.grid_first + p.span.len()].copy_from_slice(&p.span);
+    let bytes = with_section(&frame.encode(), TAG_SKETCH, &words_body(&sketch));
+    let mut bytes = with_section(
+        &bytes,
+        TAG_PHASE,
+        &phase_body(p.pairs, p.out_of_range, &cells),
+    );
+    bytes[4] = 1;
+    bytes
+}
+
+/// `bytes` must be rejected with exactly `BadField(expected)`.
+fn assert_bad_field(bytes: &[u8], expected: &str, case: &str) {
+    match SessionFrame::decode(bytes) {
+        Err(WireError::BadField(msg)) => assert_eq!(msg, expected, "{case}"),
+        Err(e) => panic!("{case}: expected {expected:?}, got {e}"),
+        Ok(_) => panic!("{case}: hostile section decoded Ok"),
+    }
+}
+
+#[test]
+fn v1_frames_decode_to_the_same_bank_and_re_encode_as_v2() {
+    for frame in [
+        frame_with(tiny_config(), 0),
+        frame_with(tiny_config(), 16),
+        frame_with(BankConfig::bolot(20.0, 72, 1_000_000), 64),
+    ] {
+        let v2 = frame.encode();
+        let v1 = v1_bytes(&frame);
+        assert!(v1.len() > v2.len(), "the dense layout is the larger one");
+        let (decoded, used) = SessionFrame::decode(&v1).expect("v1 frame decodes");
+        assert_eq!(used, v1.len());
+        assert_eq!(frame_len(&v1).expect("v1 header"), Some(v1.len()));
+        assert_eq!(decoded.bank.wire_state(), frame.bank.wire_state());
+        assert_eq!(decoded.encode(), v2);
+
+        // The header byte alone selects the layout: either body read with
+        // the other version's rules is a typed error.
+        let mut relabelled = v2.clone();
+        relabelled[4] = 1;
+        assert!(SessionFrame::decode(&relabelled).is_err(), "v2 body as v1");
+        let mut relabelled = v1;
+        relabelled[4] = 2;
+        assert!(SessionFrame::decode(&relabelled).is_err(), "v1 body as v2");
+    }
+}
+
 #[test]
 fn hostile_sketch_sections_are_typed_errors() {
-    // SKETCH is tag 6; its body is the counts from bucket 0 (DESIGN §14.1).
-    const TAG_SKETCH: u8 = 6;
+    // Pinned to the version-1 layout: the body is the counts from bucket 0
+    // (DESIGN §14.1).
     let frame = frame_with(tiny_config(), 16);
-    let bytes = frame.encode();
-    let state = frame.bank.wire_state();
-    let mut words = vec![0u64; state.sketch_first];
-    words.extend(&state.sketch_counts);
-    assert_eq!(
-        with_section(&bytes, TAG_SKETCH, &words_body(&words)),
-        bytes,
-        "splicing the frame's own sketch back must change nothing"
-    );
+    let bytes = v1_bytes(&frame);
+    let (decoded, _) = SessionFrame::decode(&bytes).expect("v1 frame decodes");
+    assert_eq!(decoded.bank.wire_state(), frame.bank.wire_state());
 
     let mut zeros_then_one = vec![0u64; 7_424];
     zeros_then_one.push(1);
@@ -280,29 +363,17 @@ fn hostile_sketch_sections_are_typed_errors() {
     }
 }
 
-/// A PHASE section body: pair count, out-of-range count, then every cell.
-fn phase_body(pairs: u64, out_of_range: u64, cells: &[u64]) -> Vec<u8> {
-    let mut body = [pairs.to_be_bytes(), out_of_range.to_be_bytes()].concat();
-    body.extend(words_body(cells));
-    body
-}
-
 #[test]
 fn hostile_phase_sections_are_typed_errors() {
-    // PHASE is tag 9; its body carries all 64×64 cells (DESIGN §14.1).
-    const TAG_PHASE: u8 = 9;
+    // Pinned to the version-1 layout: the body carries all 64×64 cells
+    // (DESIGN §14.1).
     let frame = frame_with(BankConfig::bolot(20.0, 72, 1_000_000), 64);
-    let bytes = frame.encode();
+    let bytes = v1_bytes(&frame);
+    let (decoded, _) = SessionFrame::decode(&bytes).expect("v1 frame decodes");
+    assert_eq!(decoded.bank.wire_state(), frame.bank.wire_state());
     let phase = frame.bank.wire_state().phase;
     assert!(phase.pairs > 0);
-    let mut cells = vec![0u64; 64 * 64];
-    cells[phase.grid_first..phase.grid_first + phase.span.len()].copy_from_slice(&phase.span);
     let body = |cells: &[u64]| phase_body(phase.pairs, phase.out_of_range, cells);
-    assert_eq!(
-        with_section(&bytes, TAG_PHASE, &body(&cells)),
-        bytes,
-        "splicing the frame's own grid back must change nothing"
-    );
 
     let mut past_u64 = vec![0u64; 64 * 64];
     past_u64[..2].copy_from_slice(&[u64::MAX, 1]);
@@ -314,10 +385,159 @@ fn hostile_phase_sections_are_typed_errors() {
     ];
     for (cells, expected) in hostile {
         let tampered = with_section(&bytes, TAG_PHASE, &body(&cells));
-        match SessionFrame::decode(&tampered) {
-            Err(WireError::BadField(msg)) => assert_eq!(msg, expected, "{} cells", cells.len()),
-            Err(e) => panic!("{} cells: expected a phase error, got {e}", cells.len()),
-            Ok(_) => panic!("{} cells: hostile phase grid decoded Ok", cells.len()),
+        assert_bad_field(&tampered, expected, &format!("{} cells", cells.len()));
+    }
+}
+
+/// A version-2 span body: the first index, then the span's counts.
+fn span_body(first: u32, counts: &[u64]) -> Vec<u8> {
+    [first.to_be_bytes().to_vec(), words_body(counts)].concat()
+}
+
+#[test]
+fn hostile_v2_sketch_spans_are_typed_errors() {
+    let frame = frame_with(tiny_config(), 16);
+    let bytes = frame.encode();
+    let state = frame.bank.wire_state();
+    let first = u32::try_from(state.sketch_first).expect("fits");
+    let counts = state.sketch_counts;
+    assert!(first > 0 && !counts.is_empty());
+    assert_eq!(
+        with_section(&bytes, TAG_SKETCH, &span_body(first, &counts)),
+        bytes,
+        "splicing the frame's own span back must change nothing"
+    );
+
+    let past = "sketch: more buckets than the layout has";
+    let untrimmed = "sketch: span starts or ends with an empty bucket";
+    let hostile = [
+        ("first past the layout", 7_424, vec![1u64], past),
+        ("span past the layout", 7_423, vec![1, 1], past),
+        ("first at u32::MAX", u32::MAX, vec![1], past),
+        (
+            "leading empty bucket",
+            first - 1,
+            [&[0][..], &counts].concat(),
+            untrimmed,
+        ),
+        (
+            "trailing empty bucket",
+            first,
+            [&counts[..], &[0]].concat(),
+            untrimmed,
+        ),
+        ("empty span off 0", 5, vec![], untrimmed),
+        (
+            "count overflow",
+            first,
+            vec![u64::MAX, 1],
+            "sketch: count overflow",
+        ),
+    ];
+    for (case, first, counts, expected) in hostile {
+        let tampered = with_section(&bytes, TAG_SKETCH, &span_body(first, &counts));
+        assert_bad_field(&tampered, expected, case);
+    }
+}
+
+#[test]
+fn hostile_v2_phase_spans_are_typed_errors() {
+    let frame = frame_with(BankConfig::bolot(20.0, 72, 1_000_000), 64);
+    let bytes = frame.encode();
+    let phase = frame.bank.wire_state().phase;
+    let first = u32::try_from(phase.grid_first).expect("fits");
+    let span = phase.span;
+    assert!(phase.pairs > 0 && first > 0 && !span.is_empty());
+    let body = |first: u32, span: &[u64]| {
+        let mut body = [phase.pairs.to_be_bytes(), phase.out_of_range.to_be_bytes()].concat();
+        body.extend(span_body(first, span));
+        body
+    };
+    assert_eq!(
+        with_section(&bytes, TAG_PHASE, &body(first, &span)),
+        bytes,
+        "splicing the frame's own span back must change nothing"
+    );
+
+    let past = "phase: span reaches past the grid";
+    let untrimmed = "phase: span starts or ends with an empty cell";
+    let mut heavier = span.clone();
+    *heavier.last_mut().expect("non-empty span") += 1;
+    let mut dense = vec![0u64; 64 * 64];
+    dense[first as usize..first as usize + span.len()].copy_from_slice(&span);
+    let hostile = [
+        ("first past the grid", 4_096, vec![phase.pairs], past),
+        ("span past the grid", 4_095, vec![1, 1], past),
+        ("first at u32::MAX", u32::MAX, vec![1], past),
+        (
+            "leading empty cell",
+            first - 1,
+            [&[0][..], &span].concat(),
+            untrimmed,
+        ),
+        (
+            "trailing empty cell",
+            first,
+            [&span[..], &[0]].concat(),
+            untrimmed,
+        ),
+        ("empty span off 0", 7, vec![], untrimmed),
+        (
+            "count overflow",
+            first,
+            vec![u64::MAX, 1],
+            "phase: count overflow",
+        ),
+        ("mass mismatch", first, heavier, "phase: pair mass mismatch"),
+        ("dense grid as a span from 0", 0, dense.clone(), untrimmed),
+    ];
+    for (case, first, span, expected) in hostile {
+        let tampered = with_section(&bytes, TAG_PHASE, &body(first, &span));
+        assert_bad_field(&tampered, expected, case);
+    }
+
+    // The whole version-1 body inside a version-2 frame: its cell count
+    // reads as the first cell and the grid's leading zeros as an empty
+    // span, so the section does not consume its bytes.
+    let v1_body = phase_body(phase.pairs, phase.out_of_range, &dense);
+    assert!(matches!(
+        SessionFrame::decode(&with_section(&bytes, TAG_PHASE, &v1_body)),
+        Err(WireError::BadLength { .. })
+    ));
+}
+
+#[test]
+fn a_claimed_phase_grid_past_the_cap_is_a_typed_error() {
+    // PHASE_BINS is CONFIG's last field. A version-2 frame carries only
+    // the span, so the wire no longer bounds the claimed grid; the decoder
+    // accepts up to MAX_PHASE_CELLS cells around the same span and rejects
+    // anything larger in either layout.
+    const TAG_CONFIG: u8 = 2;
+    let frame = frame_with(tiny_config(), 64);
+    let with_bins = |bytes: &[u8], bins: u32| {
+        let (off, len) = section_length_fields(bytes)
+            .into_iter()
+            .find(|&(off, _)| bytes[off - 1] == TAG_CONFIG)
+            .expect("config section present");
+        let mut config = bytes[off + 4..off + 4 + len as usize].to_vec();
+        let at = config.len() - 4;
+        config[at..].copy_from_slice(&bins.to_be_bytes());
+        with_section(bytes, TAG_CONFIG, &config)
+    };
+    let largest = (1u32..)
+        .take_while(|b| (b * b) as usize <= MAX_PHASE_CELLS)
+        .last();
+    let largest = largest.expect("the cap holds one cell");
+    let (decoded, _) =
+        SessionFrame::decode(&with_bins(&frame.encode(), largest)).expect("grid at the cap");
+    let phase = decoded.bank.snapshot().phase;
+    assert_eq!(phase.bins, largest as usize);
+    assert_eq!(phase.pairs, frame.bank.snapshot().phase.pairs);
+
+    let over = "config: phase grid over MAX_PHASE_CELLS";
+    for bins in [largest + 1, 1 << 16, 1 << 31, u32::MAX] {
+        for bytes in [frame.encode(), v1_bytes(&frame)] {
+            assert_bad_field(&with_bins(&bytes, bins), over, &format!("{bins} bins"));
         }
     }
 }

@@ -1,18 +1,19 @@
 //! Forward-compatibility proof for the snapshot wire format.
 //!
-//! DESIGN.md §14 promises that a version-1 reader, faced with a frame
-//! written by a newer collector, skips the sections it does not know and
-//! carries them through a re-encode byte-exactly. Until the mesh layer
-//! added its per-hop annotation section (`TAG_HOPS`, tag 11) that path
-//! had never seen a *real* newer frame — these tests exercise it from
-//! both directions:
+//! DESIGN.md §14 promises that a reader, faced with a frame written by a
+//! newer collector, skips the sections it does not know and carries them
+//! through a re-encode byte-exactly. Until the mesh layer added its
+//! per-hop annotation section (`TAG_HOPS`, tag 11) that path had never
+//! seen a *real* newer frame — these tests exercise it from both
+//! directions:
 //!
 //! * a synthetic unknown section spliced into a valid frame survives a
 //!   decode → re-encode round trip untouched, and
-//! * a genuine v2 frame (with hop annotations) read through the
-//!   reconstructed v1 reader (`decode_with_max_tag(MAX_TAG_V1)`) yields
-//!   the same estimator state as the v1 view of the frame, with the hop
-//!   section preserved verbatim in `extensions`.
+//! * a genuine tag-11 frame (with hop annotations) read through the
+//!   reconstructed reader predating that tag
+//!   (`decode_with_max_tag(MAX_TAG_V1)`) yields the same estimator state
+//!   as the hop-less view of the frame, with the hop section preserved
+//!   verbatim in `extensions`.
 
 use probenet_stream::{BankConfig, EstimatorBank, SessionKey, StreamRecord};
 use probenet_wire::snapshot::{
@@ -74,7 +75,7 @@ fn unknown_section_is_skipped_and_carried_through_byte_exactly() {
     let (decoded, used) = SessionFrame::decode(&spliced).expect("unknown section decodes");
     assert_eq!(used, spliced.len(), "decode consumes the whole frame");
 
-    // Every v1 field is untouched by the foreign section...
+    // Every known field is untouched by the foreign section...
     assert_eq!(decoded.key, original.key);
     assert_eq!(decoded.records, original.records);
     assert_eq!(decoded.dropped, original.dropped);
@@ -88,9 +89,9 @@ fn unknown_section_is_skipped_and_carried_through_byte_exactly() {
 }
 
 #[test]
-fn v1_reader_skips_a_real_v2_hops_frame_byte_exactly() {
-    let mut v2 = frame_with(250, 3);
-    v2.hops = vec![
+fn pre_tag_11_reader_skips_a_real_hops_frame_byte_exactly() {
+    let mut hopped = frame_with(250, 3);
+    hopped.hops = vec![
         HopAnnotation {
             link: 0,
             name: "access:h00".into(),
@@ -102,69 +103,73 @@ fn v1_reader_skips_a_real_v2_hops_frame_byte_exactly() {
             probe_drops: 11,
         },
     ];
-    let v2_bytes = v2.encode();
+    let hopped_bytes = hopped.encode();
 
-    // The same frame as the v1 writer would have produced it.
-    let mut v1_view = v2.clone();
-    v1_view.hops.clear();
-    let v1_bytes = v1_view.encode();
+    // The same frame as a writer predating tag 11 would have produced it.
+    let mut hopless = hopped.clone();
+    hopless.hops.clear();
+    let hopless_bytes = hopless.encode();
     assert_ne!(
-        v1_bytes, v2_bytes,
+        hopless_bytes, hopped_bytes,
         "the hop section is actually on the wire"
     );
 
-    // A reconstructed v1 reader (max tag 10) takes the unknown-section
-    // path for tag 11 and must see exactly what it would have seen from
-    // the v1 writer.
-    let (skipped, used) =
-        SessionFrame::decode_with_max_tag(&v2_bytes, MAX_TAG_V1).expect("v1 reader decodes v2");
-    assert_eq!(used, v2_bytes.len());
-    assert_eq!(skipped.key, v2.key);
-    assert_eq!(skipped.records, v2.records);
-    assert_eq!(skipped.dropped, v2.dropped);
-    assert_eq!(skipped.bank.wire_state(), v2.bank.wire_state());
-    assert!(skipped.hops.is_empty(), "v1 reader has no hops field");
+    // A reconstructed reader predating tag 11 (max tag 10) takes the
+    // unknown-section path for it and must see exactly what it would
+    // have seen from the hop-less writer.
+    let (skipped, used) = SessionFrame::decode_with_max_tag(&hopped_bytes, MAX_TAG_V1)
+        .expect("pre-tag-11 reader decodes a hops frame");
+    assert_eq!(used, hopped_bytes.len());
+    assert_eq!(skipped.key, hopped.key);
+    assert_eq!(skipped.records, hopped.records);
+    assert_eq!(skipped.dropped, hopped.dropped);
+    assert_eq!(skipped.bank.wire_state(), hopped.bank.wire_state());
+    assert!(
+        skipped.hops.is_empty(),
+        "pre-tag-11 reader has no hops field"
+    );
 
     // The skipped section is the byte-exact TAG_HOPS body...
     assert_eq!(skipped.extensions.len(), 1);
     assert_eq!(skipped.extensions[0].0, TAG_HOPS);
-    // ...so the v1 reader's re-encode reproduces the v2 stream verbatim
-    // (carry-through), while dropping the extension reproduces v1.
-    assert_eq!(skipped.encode(), v2_bytes);
+    // ...so its re-encode reproduces the hops frame verbatim
+    // (carry-through), while dropping the extension reproduces the
+    // hop-less one.
+    assert_eq!(skipped.encode(), hopped_bytes);
     let mut stripped = skipped.clone();
     stripped.extensions.clear();
-    assert_eq!(stripped.encode(), v1_bytes);
+    assert_eq!(stripped.encode(), hopless_bytes);
 }
 
 #[test]
-fn v2_reader_round_trips_hops_natively() {
-    let mut v2 = frame_with(120, 9);
-    v2.hops = vec![HopAnnotation {
+fn current_reader_round_trips_hops_natively() {
+    let mut hopped = frame_with(120, 9);
+    hopped.hops = vec![HopAnnotation {
         link: 3,
         name: "backbone:r0-r1".into(),
         probe_drops: 5,
     }];
-    let bytes = v2.encode();
-    let (decoded, used) = SessionFrame::decode(&bytes).expect("v2 reader decodes");
+    let bytes = hopped.encode();
+    let (decoded, used) = SessionFrame::decode(&bytes).expect("current reader decodes");
     assert_eq!(used, bytes.len());
-    assert_eq!(decoded.hops, v2.hops);
+    assert_eq!(decoded.hops, hopped.hops);
     assert!(decoded.extensions.is_empty());
     assert_eq!(decoded.encode(), bytes);
 }
 
 #[test]
 fn frame_len_reports_extended_frames_and_rejects_garbage() {
-    let mut v2 = frame_with(60, 4);
-    v2.hops = vec![HopAnnotation {
+    let mut hopped = frame_with(60, 4);
+    hopped.hops = vec![HopAnnotation {
         link: 1,
         name: "access:h01".into(),
         probe_drops: 0,
     }];
-    let bytes = v2.encode();
+    let bytes = hopped.encode();
     assert_eq!(
         frame_len(&bytes).expect("valid header"),
         Some(bytes.len()),
-        "frame_len spans the v2 sections"
+        "frame_len spans the tag-11 section"
     );
     assert_eq!(
         frame_len(&bytes[..FRAME_HEADER_BYTES - 1]).expect("short"),

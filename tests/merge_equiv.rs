@@ -5,17 +5,20 @@
 //! equivalent of the CI matrix `PROBENET_THREADS ∈ {1,4,8}`), the fleet
 //! size (N ∈ {1,2,8}), the frame arrival order, or the transport (bytes
 //! in memory vs a real TCP socket). Same-key *segment* folds are pinned
-//! bit-identically against the in-memory `EstimatorBank::merge`.
+//! bit-identically against the in-memory `EstimatorBank::merge`, and the
+//! version-1 golden shards still fold to the streaming golden.
 
 use std::io::Write as _;
 
-use probenet_bench::frame_shards;
+use probenet_bench::{
+    frame_shards, golden_dir, stream_frames_path, stream_golden_path, GOLDEN_FRAME_SHARDS,
+};
 use probenet_core::impairment_scenario;
-use probenet_merged::{serve_tcp, MergeService};
+use probenet_merged::{merge_files, serve_tcp, MergeService};
 use probenet_netdyn::{collect_sessions, RttSeries};
 use probenet_sim::SimDuration;
 use probenet_stream::{BankConfig, CollectorConfig, CollectorReport, EstimatorBank, SessionKey};
-use probenet_wire::snapshot::SessionFrame;
+use probenet_wire::snapshot::{decode_frames, SessionFrame};
 
 /// The campaign: four sessions over three impairment scenarios, short
 /// spans so the suite stays debug-build friendly.
@@ -196,4 +199,34 @@ fn interim_snapshots_survive_the_fleet_round_trip() {
     }
     let merged = service.into_report().expect("fold succeeds");
     assert_eq!(render(&merged), expected, "interim-bearing report drifted");
+}
+
+#[test]
+fn v1_golden_shards_fold_to_the_streaming_golden() {
+    // The golden frame shards as the version-1 writer encoded them, with
+    // dense SKETCH and PHASE bodies. The decoder still reads that layout:
+    // the shards fold to the streaming golden byte for byte, and each
+    // decoded frame re-encodes as the current (version-2) golden shard.
+    let v1: Vec<String> = (0..GOLDEN_FRAME_SHARDS)
+        .map(|c| format!("{}/stream-frames-v1-c{c}.bin", golden_dir()))
+        .collect();
+    let golden = std::fs::read_to_string(stream_golden_path()).expect("streaming golden");
+    let merged = merge_files(&v1).expect("version-1 shards fold");
+    assert_eq!(render(&merged), golden, "version-1 shards drifted");
+
+    for (c, path) in v1.iter().enumerate() {
+        let bytes = std::fs::read(path).expect("version-1 shard");
+        assert_eq!(bytes[4], 1, "{path} is a version-1 stream");
+        let reencoded: Vec<u8> = decode_frames(&bytes)
+            .expect("version-1 shard decodes")
+            .iter()
+            .flat_map(SessionFrame::encode)
+            .collect();
+        let current = std::fs::read(stream_frames_path(c)).expect("golden shard");
+        assert_eq!(current[4], 2, "golden shard {c} is a version-2 stream");
+        assert!(
+            reencoded == current,
+            "{path} does not re-encode as golden shard {c}"
+        );
+    }
 }
