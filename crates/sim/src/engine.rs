@@ -30,6 +30,24 @@
 //! decisions depend only on its own arrival sequence — the property that
 //! lets a partitioned run reproduce the serial one exactly.
 //!
+//! A hop costs a queued event only when another input could reach its
+//! port first. When a packet starts service its departure is fixed, so it
+//! is forwarded then and there: its node arrival is computed at once and
+//! its `TxDone` takes its lane but is queued only if a packet waits behind
+//! it (the port otherwise completes lazily, at the next arrival whose
+//! `(time, lane)` key is later, or when the run ends). If no queued event
+//! will act on the port that arrival enters — a per-port count of `Feed`,
+//! `Arrive`, `Admit`, entering `NodeArrival` and `TxDone` events — the
+//! arrival runs inline, ahead of the clock, and so on down the path until
+//! a port with cross traffic, or node 0, whose deliveries stay events.
+//! Drop records made ahead of the clock wait in a buffer keyed by
+//! `(time, lane)` until the run loop passes them. Packets crossing a link
+//! with a pending route shift or no propagation delay, a partition
+//! boundary, or the `run_until` horizon keep the queued path, and no
+//! arrival runs inline in a partition or in a run with window flows,
+//! TTL-limited probes or a trace. `events_processed` still counts each
+//! logical event once. See DESIGN.md §9, "Inline hops".
+//!
 //! ## Partitioned operation
 //!
 //! An engine can own a contiguous sub-range of the path's nodes
@@ -178,20 +196,55 @@ impl Feed {
     }
 }
 
+/// Fast-path bookkeeping for one port (see "Inline hops" in the module
+/// docs).
+#[derive(Debug, Clone, Copy, Default)]
+struct PortSched {
+    /// Scheduled events that will act on the port: [`Ev::Arrive`],
+    /// [`Ev::Admit`], a [`Ev::NodeArrival`] entering it and its
+    /// [`Ev::TxDone`], plus one per traffic source with packets left (its
+    /// one pending [`Ev::Feed`]). At zero, nothing queued can reach the
+    /// port before a packet forwarded into it, so that arrival may run
+    /// inline.
+    pending: u32,
+    /// `(done, lane)` of the packet in service when it was forwarded at
+    /// service start: its departure instant and the lane its `TxDone`
+    /// would have had.
+    departure: Option<(SimTime, u64)>,
+    /// Whether that `TxDone` is scheduled, because a packet waits behind
+    /// it. Otherwise the port completes lazily: at the next arrival whose
+    /// key is later, or when the run ends.
+    tx_scheduled: bool,
+}
+
+/// A trace or drop record made ahead of the clock, held until the run
+/// loop passes its key.
+#[derive(Debug)]
+enum Held {
+    Trace(TraceEvent),
+    Drop(DropRecord),
+}
+
 /// Counters describing how much work a run did, for performance
 /// instrumentation (none of these feed back into simulation results).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
     /// Logical events handled over the engine's lifetime (since
     /// construction or the last [`Engine::reset`]): events popped from the
-    /// queue **plus** same-instant hops dispatched inline, so totals stay
-    /// comparable with earlier engine versions that queued every hop.
+    /// queue **plus** those handled without it — same-instant hops
+    /// dispatched inline, node arrivals run inline and transmissions
+    /// completed lazily — so the total is the count an engine that queued
+    /// every hop would report.
     pub events_processed: u64,
     /// High-water mark of the pending-event queue. Traffic sources and
     /// probe trains hold one pending event each, so on that path this
     /// tracks packets in flight, not the length of the run; events
     /// scheduled one by one (direct [`Engine::inject_probe`] calls, route
-    /// shifts) all count from the moment they are scheduled.
+    /// shifts) all count from the moment they are scheduled. Inline hops
+    /// and lazily completed transmissions never enter the queue, and a
+    /// forwarded packet's node arrival is queued from its service start,
+    /// so on a path with one busy hop this is mostly the probes and cross
+    /// packets waiting at that hop.
     pub peak_queue_depth: usize,
     /// Wall-clock time spent inside [`Engine::run`] / [`Engine::run_until`].
     pub wall: std::time::Duration,
@@ -249,6 +302,36 @@ pub struct Engine {
     /// Events handled and wall time spent in the run loops.
     events_processed: u64,
     run_wall: std::time::Duration,
+    /// Fast-path bookkeeping, one per port.
+    sched: Vec<PortSched>,
+    /// Pending [`Ev::SetPropagation`] events per link. A packet crossing a
+    /// link with one pending departs at its `TxDone`, as it always did.
+    shifts_pending: Vec<u32>,
+    /// `(time, lane)` of the last popped event, or of the event it ran
+    /// after if its own key is lower: the run loop's place in the order.
+    clock: (SimTime, u64),
+    /// `(time, lane)` of the logical event being handled: `clock`, or an
+    /// inline hop's key ahead of it.
+    key: (SimTime, u64),
+    /// True while an inline node arrival runs: its drop records are ahead
+    /// of the clock and go to `held`.
+    ahead: bool,
+    /// Records made ahead of the clock, sorted by `(time, lane)`, stable
+    /// within a key.
+    held: Vec<(SimTime, u64, Held)>,
+    /// A packet forwarded at its service start whose node arrival may run
+    /// inline once the current logical event is done: `(at, node, r)`.
+    next_hop: Option<(SimTime, usize, PacketRef)>,
+    /// Latest instant of a logical event handled outside the queue.
+    inline_now: SimTime,
+    /// Horizon of the current run: nothing departs or arrives outside the
+    /// queue after it.
+    horizon: SimTime,
+    /// Whether node arrivals may run inline in the current run: a serial
+    /// engine, no window flows, no packet whose TTL can run out.
+    inline_ok: bool,
+    /// Set once a probe whose TTL can run out on this path is injected.
+    ttl_limited: bool,
 }
 
 /// A closed-loop, ack-clocked window flow — a fixed-window TCP-like
@@ -378,6 +461,17 @@ impl Engine {
             trace: None,
             events_processed: 0,
             run_wall: std::time::Duration::ZERO,
+            sched: vec![PortSched::default(); links * 2],
+            shifts_pending: vec![0; links],
+            clock: (SimTime::ZERO, 0),
+            key: (SimTime::ZERO, 0),
+            ahead: false,
+            held: Vec::new(),
+            next_hop: None,
+            inline_now: SimTime::ZERO,
+            horizon: SimTime::MAX,
+            inline_ok: false,
+            ttl_limited: false,
         };
         engine.arm_route_shifts();
         engine
@@ -390,7 +484,7 @@ impl Engine {
         for link in 0..self.path.links.len() {
             for k in 0..self.path.links[link].impair.route_shifts.len() {
                 let shift = self.path.links[link].impair.route_shifts[k];
-                self.events.schedule(
+                self.schedule(
                     shift.at,
                     Ev::SetPropagation {
                         link: link as u32,
@@ -441,6 +535,16 @@ impl Engine {
         }
         self.events_processed = 0;
         self.run_wall = std::time::Duration::ZERO;
+        self.sched.fill(PortSched::default());
+        self.shifts_pending.fill(0);
+        self.clock = (SimTime::ZERO, 0);
+        self.key = (SimTime::ZERO, 0);
+        self.ahead = false;
+        self.held.clear();
+        self.next_hop = None;
+        self.inline_now = SimTime::ZERO;
+        self.horizon = SimTime::MAX;
+        self.ttl_limited = false;
         self.arm_route_shifts();
     }
 
@@ -468,9 +572,10 @@ impl Engine {
         &self.path
     }
 
-    /// Current simulated time.
+    /// Current simulated time: the instant of the latest logical event
+    /// handled, queued or not.
     pub fn now(&self) -> SimTime {
-        self.events.now()
+        self.events.now().max(self.inline_now)
     }
 
     /// Timestamp of the engine's next pending event, if any.
@@ -502,6 +607,8 @@ impl Engine {
         self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
+    /// Append a trace record made at the clock. Inline hops, which run
+    /// ahead of it, never run while tracing (see `begin_run`).
     fn record(&mut self, at: SimTime, port: Option<usize>, r: PacketRef, kind: TraceKind) {
         if self.trace.is_some() {
             let p = self.arena.get(r);
@@ -517,6 +624,101 @@ impl Engine {
                 });
             }
         }
+    }
+
+    /// The `TxDone` trace record of `r`, forwarded at its service start
+    /// on `port`: held until the clock passes the `TxDone`'s key.
+    fn record_departure(&mut self, done: SimTime, lane: u64, port: usize, r: PacketRef) {
+        if self.trace.is_some() {
+            let p = self.arena.get(r);
+            let event = TraceEvent {
+                at: done,
+                port: Some(port),
+                packet: p.id,
+                class: p.class,
+                seq: p.seq,
+                kind: TraceKind::TxDone,
+            };
+            self.hold((done, lane), Held::Trace(event));
+        }
+    }
+
+    fn push_drop(&mut self, drop: DropRecord) {
+        if self.ahead {
+            self.hold(self.key, Held::Drop(drop));
+        } else {
+            self.drops.push(drop);
+        }
+    }
+
+    /// Keep a record made ahead of the clock until the run loop passes
+    /// `key`; records of one key keep the order they were made in.
+    fn hold(&mut self, key: (SimTime, u64), record: Held) {
+        let pos = self.held.partition_point(|h| (h.0, h.1) <= key);
+        self.held.insert(pos, (key.0, key.1, record));
+    }
+
+    /// Append the held records keyed at or before `upto` (all of them for
+    /// `None`) to the trace and the drop log.
+    fn release_held(&mut self, upto: Option<(SimTime, u64)>) {
+        let n = match upto {
+            Some(key) => self.held.partition_point(|h| (h.0, h.1) <= key),
+            None => self.held.len(),
+        };
+        for (_, _, record) in self.held.drain(..n) {
+            match record {
+                Held::Trace(event) => {
+                    if let Some(t) = &mut self.trace {
+                        t.push(event);
+                    }
+                }
+                Held::Drop(drop) => self.drops.push(drop),
+            }
+        }
+    }
+
+    /// The port a node arrival of a packet travelling `direction` enters,
+    /// if any (deliveries at node 0 enter none).
+    fn entry_port(&self, node: usize, direction: Direction) -> Option<usize> {
+        let links = self.path.links.len();
+        match direction {
+            Direction::Outbound if node == links => Some(2 * links - 1),
+            Direction::Outbound => Some(node),
+            Direction::Inbound => node.checked_sub(1).map(|link| links + link),
+        }
+    }
+
+    /// The pending-event count `ev` belongs to: its port's, or for a
+    /// route shift its link's. A traffic source's `Feed` events count as
+    /// one for as long as the source has packets (see
+    /// [`Engine::add_source`]), so each feed costs no count.
+    fn pending_count(&mut self, ev: &Ev) -> Option<&mut u32> {
+        let port = match *ev {
+            Ev::Arrive { port, .. } | Ev::Admit { port, .. } | Ev::TxDone { port } => port as usize,
+            Ev::Feed { .. } => return None,
+            Ev::NodeArrival { node, r } => {
+                self.entry_port(node as usize, self.arena.get(r).direction)?
+            }
+            Ev::SetPropagation { link, .. } => {
+                return Some(&mut self.shifts_pending[link as usize]);
+            }
+        };
+        Some(&mut self.sched[port].pending)
+    }
+
+    /// Schedule `ev` at `at` on the next local lane.
+    fn schedule(&mut self, at: SimTime, ev: Ev) {
+        let lane = self.events.reserve_lanes(1);
+        self.schedule_keyed(at, lane, ev);
+    }
+
+    /// Schedule `ev` at `at` on `lane`, counting it against what it acts
+    /// on.
+    fn schedule_keyed(&mut self, at: SimTime, lane: u64, ev: Ev) {
+        if let Some(count) = self.pending_count(&ev) {
+            *count += 1;
+        }
+        self.events.schedule_keyed(at, lane, ev);
     }
 
     fn fresh_id(&mut self) -> PacketId {
@@ -563,8 +765,11 @@ impl Engine {
             corrupted: false,
             echoed_at: None,
         };
+        if usize::from(ttl) <= 2 * self.path.nodes.len() {
+            self.ttl_limited = true;
+        }
         let r = self.arena.alloc(packet);
-        self.events.schedule(at, Ev::Arrive { port: 0, r });
+        self.schedule(at, Ev::Arrive { port: 0, r });
     }
 
     /// Schedule `count` probes of `size` bytes: probe `n` has sequence
@@ -593,6 +798,8 @@ impl Engine {
 
     /// Register a source for `port` whose packets take ids `base_id..` and
     /// the next block of local queue lanes, and schedule its first packet.
+    /// Until its last packet is fed it counts as one pending event on the
+    /// port.
     fn add_source(
         &mut self,
         port: usize,
@@ -619,8 +826,8 @@ impl Engine {
             base_lane,
             feed,
         });
-        self.events
-            .schedule_keyed(at, base_lane + index, Ev::Feed { source });
+        self.sched[port].pending += 1;
+        self.schedule_keyed(at, base_lane + index, Ev::Feed { source });
     }
 
     /// A source's next packet reaches its port: schedule the one after it,
@@ -630,9 +837,12 @@ impl Engine {
         let (_, size, index) = src.feed.head().expect("a fed source has a next packet");
         src.feed.advance();
         if let Some((next_at, _, next)) = src.feed.head() {
-            self.events
-                .schedule_keyed(next_at, src.base_lane + next, Ev::Feed { source });
+            let lane = src.base_lane + next;
+            self.schedule_keyed(next_at, lane, Ev::Feed { source });
+        } else {
+            self.sched[src.port].pending -= 1;
         }
+        let src = &self.sources[source as usize];
         let packet = Packet {
             id: PacketId(src.base_id + index),
             class: src.class,
@@ -746,7 +956,7 @@ impl Engine {
         };
         let at = at.max(self.events.now());
         let r = self.arena.alloc(packet);
-        self.events.schedule(
+        self.schedule(
             at,
             Ev::Arrive {
                 port: port as u32,
@@ -803,7 +1013,7 @@ impl Engine {
     /// Panics if the link index is out of range.
     pub fn schedule_propagation_change(&mut self, link: usize, at: SimTime, value: SimDuration) {
         assert!(link < self.path.links.len(), "link index out of range");
-        self.events.schedule(
+        self.schedule(
             at,
             Ev::SetPropagation {
                 link: link as u32,
@@ -829,7 +1039,7 @@ impl Engine {
         let lane = arrival.packet.id.0;
         debug_assert!(lane < LOCAL_LANE, "packet id too large for lane keying");
         let r = self.arena.alloc(arrival.packet);
-        self.events.schedule_keyed(
+        self.schedule_keyed(
             arrival.at,
             lane,
             Ev::NodeArrival {
@@ -852,6 +1062,7 @@ impl Engine {
     /// Run until no events remain.
     pub fn run(&mut self) {
         let started = std::time::Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) EngineStats wall-time observability, not sim data
+        self.begin_run(SimTime::MAX);
         while self.events.begin_bucket() {
             while let Some((at, ev)) = self.events.pop_in_bucket() {
                 self.handle(at, ev);
@@ -865,6 +1076,7 @@ impl Engine {
     /// queued. Port statistics are folded up to the last processed event.
     pub fn run_until(&mut self, horizon: SimTime) {
         let started = std::time::Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) EngineStats wall-time observability, not sim data
+        self.begin_run(horizon);
         while let Some((at, ev)) = self.events.pop_until(horizon) {
             self.handle(at, ev);
         }
@@ -872,8 +1084,33 @@ impl Engine {
         self.finalize_ports();
     }
 
+    fn begin_run(&mut self, horizon: SimTime) {
+        self.horizon = horizon;
+        // A TTL reply enters a port no pending count names, and a window
+        // flow turns packets around at node 0; a partition hands its
+        // boundary arrivals to a neighbour. None of those can wait for the
+        // counts to be right. A traced run keeps every hop on the clock:
+        // an inline hop takes its `TxDone` lane before events the clock
+        // has yet to reach, which reorders trace records that share an
+        // instant at different ports (nothing else; see DESIGN.md §9).
+        self.inline_ok = self.owned == (0..self.path.nodes.len())
+            && self.flows.is_empty()
+            && !self.ttl_limited
+            && usize::from(DEFAULT_TTL) > 2 * self.path.nodes.len()
+            && self.trace.is_none();
+    }
+
+    /// End of a run: complete the transmissions no event completed, append
+    /// the held records, and fold every port's statistics up to now.
     fn finalize_ports(&mut self) {
-        let now = self.events.now();
+        for port in 0..self.ports.len() {
+            if let Some((done, _)) = self.sched[port].departure.take() {
+                debug_assert!(!self.sched[port].tx_scheduled, "TxDone left queued");
+                self.complete_lazily(port, done);
+            }
+        }
+        self.release_held(None);
+        let now = self.now();
         for p in &mut self.ports {
             p.finalize(now);
         }
@@ -881,15 +1118,154 @@ impl Engine {
 
     fn handle(&mut self, at: SimTime, ev: Ev) {
         self.events_processed += 1;
+        // An event scheduled at the current instant on a lower lane (a
+        // node arrival across a zero-delay link) pops right after the one
+        // that scheduled it: it runs at that event's place in the order.
+        self.clock = self.clock.max((at, self.events.lane()));
+        self.key = self.clock;
+        if !self.held.is_empty() {
+            self.release_held(Some(self.key));
+        }
         match ev {
-            Ev::Arrive { port, r } => self.on_arrive(at, port as usize, r),
-            Ev::TxDone { port } => self.on_tx_done(at, port as usize),
-            Ev::NodeArrival { node, r } => self.on_node_arrival(at, node as usize, r),
+            Ev::Arrive { port, r } => {
+                self.sched[port as usize].pending -= 1;
+                self.on_arrive(at, port as usize, r);
+            }
+            Ev::TxDone { port } => {
+                self.sched[port as usize].pending -= 1;
+                self.on_tx_done(at, port as usize);
+            }
+            Ev::NodeArrival { node, r } => {
+                let node = node as usize;
+                if let Some(port) = self.entry_port(node, self.arena.get(r).direction) {
+                    self.sched[port].pending -= 1;
+                }
+                self.on_node_arrival(at, node, r);
+            }
             Ev::SetPropagation { link, value } => {
+                self.shifts_pending[link as usize] -= 1;
                 self.path.links[link as usize].propagation = value;
             }
-            Ev::Admit { port, r } => self.admit(at, port as usize, r),
+            Ev::Admit { port, r } => {
+                self.sched[port as usize].pending -= 1;
+                self.admit(at, port as usize, r);
+            }
             Ev::Feed { source } => self.on_feed(at, source),
+        }
+        while let Some((t, node, r)) = self.next_hop.take() {
+            self.run_hop(t, node, r);
+        }
+        self.ahead = false;
+    }
+
+    /// A forwarded packet reaches `node` at `at`. If nothing queued acts
+    /// on the port it enters, no event can reach that port first, so the
+    /// arrival runs now, ahead of the clock; otherwise it is queued.
+    fn run_hop(&mut self, at: SimTime, node: usize, r: PacketRef) {
+        let p = self.arena.get(r);
+        let lane = p.id.0;
+        let port = self
+            .entry_port(node, p.direction)
+            .expect("deliveries are never forwarded inline");
+        if self.sched[port].pending > 0 || !self.link_departs_early(port) {
+            let node = node as u32;
+            self.schedule_keyed(at, lane, Ev::NodeArrival { node, r });
+            return;
+        }
+        self.events_processed += 1;
+        self.key = (at, lane);
+        self.ahead = true;
+        self.inline_now = self.inline_now.max(at);
+        self.on_node_arrival(at, node, r);
+    }
+
+    /// Complete `port`'s transmission at `done`: the `TxDone` that was
+    /// never queued, counted as the logical event it stands for.
+    fn complete_lazily(&mut self, port: usize, done: SimTime) {
+        let (_, next) = self.ports[port].complete(done);
+        debug_assert!(next.is_none(), "a packet waited behind a lazy completion");
+        self.events_processed += 1;
+        self.inline_now = self.inline_now.max(done);
+    }
+
+    /// Before a packet is offered to `port`: complete the transmission in
+    /// progress if its departure key precedes the current event's.
+    fn settle(&mut self, port: usize) {
+        let sched = &mut self.sched[port];
+        if let Some((done, lane)) = sched.departure {
+            if !sched.tx_scheduled && (done, lane) < self.key {
+                sched.departure = None;
+                self.complete_lazily(port, done);
+            }
+        }
+    }
+
+    /// `r` starts transmission on `port` at `at` and takes `d`. Its
+    /// departure is then fixed, so unless something can still change what
+    /// it does at `TxDone` it is forwarded now, and the `TxDone` is queued
+    /// only if a packet comes to wait behind it. The `TxDone`'s lane is
+    /// taken here either way, so the lanes taken at the clock are what
+    /// queueing every hop gave them.
+    fn start_service(&mut self, at: SimTime, port: usize, r: PacketRef, d: SimDuration) {
+        let done = at + d;
+        let lane = self.events.reserve_lanes(1);
+        // Cross packets write their delivery at TxDone.
+        if self.arena.get(r).class == FlowClass::Cross || !self.departs_early(port, at, done) {
+            self.schedule_keyed(done, lane, Ev::TxDone { port: port as u32 });
+            return;
+        }
+        self.record_departure(done, lane, port, r);
+        // A packet already waiting starts its service at this departure.
+        let waiting = self.ports[port].occupancy() > 1;
+        self.sched[port].departure = Some((done, lane));
+        self.sched[port].tx_scheduled = waiting;
+        if waiting {
+            self.schedule_keyed(done, lane, Ev::TxDone { port: port as u32 });
+        }
+        let (link, node) = self.hop(port);
+        let t = done + self.path.links[link].propagation;
+        // Delivery at node 0 stays an event, so the delivery log needs no
+        // reordering.
+        if self.inline_ok && node != 0 && t <= self.horizon {
+            debug_assert!(self.next_hop.is_none(), "two packets forwarded at once");
+            self.next_hop = Some((t, node, r));
+        } else {
+            let lane = self.arena.get(r).id.0;
+            let node = node as u32;
+            self.schedule_keyed(t, lane, Ev::NodeArrival { node, r });
+        }
+    }
+
+    /// Whether a packet starting service on `port` at `at` and done at
+    /// `done` may be forwarded at once: when [`Engine::link_departs_early`]
+    /// and it departs after its start and within the horizon.
+    fn departs_early(&self, port: usize, at: SimTime, done: SimTime) -> bool {
+        done > at && done <= self.horizon && self.link_departs_early(port)
+    }
+
+    /// Whether `port`'s packets may be forwarded at their service start.
+    /// Not when a pending route shift may change the link's delay before
+    /// they depart; not across a partition boundary, which goes to the
+    /// outbox at `TxDone`; and not across a zero-delay link. There the node
+    /// arrival lands at the `TxDone` instant and runs right after it, so
+    /// its order against the next port's own `TxDone` at that instant
+    /// decides whether the packet waits: both must keep their lanes in
+    /// the order the clock reached them, which is why an inline hop never
+    /// enters such a port either.
+    fn link_departs_early(&self, port: usize) -> bool {
+        let (link, node) = self.hop(port);
+        self.shifts_pending[link] == 0
+            && self.path.links[link].propagation > SimDuration::ZERO
+            && self.owned.contains(&node)
+    }
+
+    /// The link `port` transmits over and the node at its far end.
+    fn hop(&self, port: usize) -> (usize, usize) {
+        let links = self.path.links.len();
+        if port < links {
+            (port, port + 1) // outbound over link `port`
+        } else {
+            (port - links, port - links) // inbound over link `port-links`
         }
     }
 
@@ -947,7 +1323,7 @@ impl Engine {
                         copy.id = id;
                         let cr = self.arena.alloc(copy);
                         self.record(at, Some(port), cr, TraceKind::Duplicated);
-                        self.events.schedule(
+                        self.schedule(
                             at + offset,
                             Ev::Admit {
                                 port: port as u32,
@@ -957,7 +1333,7 @@ impl Engine {
                     }
                     if let Some(delay) = defer {
                         self.record(at, Some(port), r, TraceKind::Deferred);
-                        self.events.schedule(
+                        self.schedule(
                             at + delay,
                             Ev::Admit {
                                 port: port as u32,
@@ -974,6 +1350,7 @@ impl Engine {
 
     /// Admission into a port's queue, downstream of the fault injectors.
     fn admit(&mut self, at: SimTime, port: usize, r: PacketRef) {
+        self.settle(port);
         // Random loss models a faulty interface on the link: the packet is
         // destroyed before it can be queued (paper ref [17]). Lossless
         // links draw nothing, keeping each port's stream in lockstep with
@@ -991,11 +1368,17 @@ impl Engine {
             Admission::StartService(d) => {
                 self.record(at, Some(port), r, TraceKind::Enqueue);
                 self.record(at, Some(port), r, TraceKind::TxStart);
-                self.events
-                    .schedule(at + d, Ev::TxDone { port: port as u32 });
+                self.start_service(at, port, r, d);
             }
             Admission::Queued => {
                 self.record(at, Some(port), r, TraceKind::Enqueue);
+                let sched = self.sched[port];
+                if let (Some((done, lane)), false) = (sched.departure, sched.tx_scheduled) {
+                    // The first packet to wait behind a forwarded one: its
+                    // service starts at that departure, an event.
+                    self.sched[port].tx_scheduled = true;
+                    self.schedule_keyed(done, lane, Ev::TxDone { port: port as u32 });
+                }
             }
             Admission::Overflow => {
                 self.record(at, Some(port), r, TraceKind::OverflowDrop);
@@ -1009,60 +1392,64 @@ impl Engine {
     }
 
     fn on_tx_done(&mut self, at: SimTime, port: usize) {
+        // A packet forwarded at its service start has its trace record and
+        // its node arrival already.
+        let forwarded = self.sched[port].departure.take().is_some();
+        self.sched[port].tx_scheduled = false;
         let (r, next) = self.ports[port].complete(at);
-        self.record(at, Some(port), r, TraceKind::TxDone);
-        if let Some(d) = next {
-            self.events
-                .schedule(at + d, Ev::TxDone { port: port as u32 });
+        if !forwarded {
+            self.record(at, Some(port), r, TraceKind::TxDone);
+            self.depart(at, port, r);
         }
-        match self.arena.get(r).class {
-            FlowClass::Cross => {
-                // Cross traffic leaves the system after its attachment queue;
-                // its only role is to compete for the server (Figure 3).
-                let delivered_at = at + self.ports[port].spec.propagation;
-                let packet = self.arena.take(r);
-                self.deliveries.push(Delivery {
-                    id: packet.id,
-                    class: packet.class,
-                    flow: 0,
-                    seq: packet.seq,
-                    injected_at: packet.injected_at,
-                    echoed_at: None,
-                    delivered_at,
-                });
-            }
-            FlowClass::Probe | FlowClass::Control | FlowClass::Window => {
-                let links = self.path.links.len();
-                let (link, node) = if port < links {
-                    (port, port + 1) // outbound over link `port`
-                } else {
-                    (port - links, port - links) // inbound over link `port-links`
-                };
-                let t = at + self.path.links[link].propagation;
-                if self.owned.contains(&node) {
-                    let lane = self.arena.get(r).id.0;
-                    debug_assert!(lane < LOCAL_LANE, "packet id too large for lane keying");
-                    self.events.schedule_keyed(
-                        t,
-                        lane,
-                        Ev::NodeArrival {
-                            node: node as u32,
-                            r,
-                        },
-                    );
-                } else {
-                    // Boundary crossing: hand the packet to the neighbor.
-                    let arrival = RemoteArrival {
-                        at: t,
-                        node,
-                        packet: self.arena.take(r),
-                    };
-                    if node < self.owned.start {
-                        self.outbox_west.push(arrival);
-                    } else {
-                        self.outbox_east.push(arrival);
-                    }
-                }
+        if let Some(d) = next {
+            let next = self.ports[port].in_service().expect("service started");
+            self.start_service(at, port, next, d);
+        }
+    }
+
+    /// `r` leaves `port` at its `TxDone`, the path every packet not
+    /// forwarded at its service start takes.
+    fn depart(&mut self, at: SimTime, port: usize, r: PacketRef) {
+        if self.arena.get(r).class == FlowClass::Cross {
+            // Cross traffic leaves the system after its attachment queue;
+            // its only role is to compete for the server (Figure 3).
+            let delivered_at = at + self.ports[port].spec.propagation;
+            let packet = self.arena.take(r);
+            self.deliveries.push(Delivery {
+                id: packet.id,
+                class: packet.class,
+                flow: 0,
+                seq: packet.seq,
+                injected_at: packet.injected_at,
+                echoed_at: None,
+                delivered_at,
+            });
+            return;
+        }
+        let (link, node) = self.hop(port);
+        let t = at + self.path.links[link].propagation;
+        if self.owned.contains(&node) {
+            let lane = self.arena.get(r).id.0;
+            debug_assert!(lane < LOCAL_LANE, "packet id too large for lane keying");
+            self.schedule_keyed(
+                t,
+                lane,
+                Ev::NodeArrival {
+                    node: node as u32,
+                    r,
+                },
+            );
+        } else {
+            // Boundary crossing: hand the packet to the neighbor.
+            let arrival = RemoteArrival {
+                at: t,
+                node,
+                packet: self.arena.take(r),
+            };
+            if node < self.owned.start {
+                self.outbox_west.push(arrival);
+            } else {
+                self.outbox_east.push(arrival);
             }
         }
     }
@@ -1169,7 +1556,7 @@ impl Engine {
         // Routers drop the packet; for probes they answer with a
         // time-exceeded message routed back through the regular queues.
         let packet = self.arena.take(r);
-        self.drops.push(DropRecord {
+        self.push_drop(DropRecord {
             id: packet.id,
             class: packet.class,
             seq: packet.seq,
@@ -1242,7 +1629,7 @@ impl Engine {
 
     fn note_drop(&mut self, at: SimTime, port: usize, r: PacketRef, reason: DropReason) {
         let packet = self.arena.take(r);
-        self.drops.push(DropRecord {
+        self.push_drop(DropRecord {
             id: packet.id,
             class: packet.class,
             seq: packet.seq,

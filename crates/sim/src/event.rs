@@ -48,8 +48,9 @@
 //! [`EventQueue::pop_in_bucket`]) check out a bucket once and drain it
 //! without re-touching the ring index per event — the engine's hot loop.
 //! Advancing to the next bucket probes slot lengths linearly from the
-//! cursor; the sweeps keep a few events in every bucket, so the probe
-//! stops at the next slot.
+//! cursor. Since the engine runs most hops without queueing them, the
+//! sweeps keep about one event per bucket or fewer, so the probe passes
+//! a few empty slots.
 //!
 //! The original `BinaryHeap` implementation is retained as
 //! [`reference::BinaryHeapQueue`] and pinned against this one by
@@ -160,6 +161,9 @@ pub struct EventQueue<E> {
     cursor: usize,
     next_seq: u64,
     now: SimTime,
+    /// Lane of the last popped event: with `now`, the key of the event
+    /// being handled.
+    lane: u64,
     len: usize,
     peak: usize,
 }
@@ -186,6 +190,7 @@ impl<E> EventQueue<E> {
             cursor: 0,
             next_seq: 0,
             now: SimTime::ZERO,
+            lane: 0,
             len: 0,
             peak: 0,
         }
@@ -195,6 +200,14 @@ impl<E> EventQueue<E> {
     /// (zero before any pop).
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The lane of the last popped event (zero before any pop). With
+    /// [`EventQueue::now`] it is the `(time, lane)` key of the event being
+    /// handled, which a caller that runs some events outside the queue
+    /// compares against the keys those events would have had.
+    pub fn lane(&self) -> u64 {
+        self.lane
     }
 
     /// Number of pending events.
@@ -234,6 +247,7 @@ impl<E> EventQueue<E> {
         self.cursor = 0;
         self.next_seq = 0;
         self.now = SimTime::ZERO;
+        self.lane = 0;
         self.len = 0;
         self.peak = 0;
     }
@@ -353,8 +367,9 @@ impl<E> EventQueue<E> {
     }
 
     /// First occupied ring slot at index `from` or later. A linear probe:
-    /// at the engine's event densities (a few events per 2.1 ms bucket)
-    /// the next slot is almost always occupied.
+    /// at the engine's event densities (0.4–1.4 queued events per 2.1 ms
+    /// bucket on the paper sweeps) the next occupied slot is a few slots
+    /// on.
     #[inline]
     fn next_occupied(&self, from: usize) -> Option<usize> {
         (from..RING_SIZE).find(|&s| !self.ring[s].is_empty())
@@ -430,9 +445,8 @@ impl<E> EventQueue<E> {
     /// check out the next bucket.
     pub fn pop_in_bucket(&mut self) -> Option<(SimTime, E)> {
         // Steady-state fast path: no cascade overflow, pure run pop.
-        let (key, payload) = if self.late.is_empty() {
-            let (k, _, p) = self.run.pop()?;
-            (k, p)
+        let (key, lane, payload) = if self.late.is_empty() {
+            self.run.pop()?
         } else {
             let take_late = match self.run.last() {
                 Some(r) => {
@@ -443,16 +457,16 @@ impl<E> EventQueue<E> {
             };
             if take_late {
                 let l = self.late.pop().expect("checked non-empty");
-                (l.key, l.payload)
+                (l.key, l.lane, l.payload)
             } else {
-                let (k, _, p) = self.run.pop().expect("matched Some above");
-                (k, p)
+                self.run.pop().expect("matched Some above")
             }
         };
         self.len -= 1;
         let at = SimTime::from_nanos(key);
         debug_assert!(at >= self.now);
         self.now = at;
+        self.lane = lane;
         Some((at, payload))
     }
 
@@ -632,6 +646,20 @@ mod tests {
         // Content lanes first (by lane value), then locals in FIFO order —
         // regardless of interleaved insertion.
         assert_eq!(order, vec!["keyed-2", "keyed-9", "local-0", "local-1"]);
+    }
+
+    #[test]
+    fn lane_is_the_last_popped_events() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        q.schedule(t, "local");
+        q.schedule_keyed(t, 9, "keyed");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("keyed"));
+        assert_eq!(q.lane(), 9);
+        assert_eq!(q.pop().map(|(_, e)| e), Some("local"));
+        assert_eq!(q.lane(), LOCAL_LANE);
+        q.clear();
+        assert_eq!(q.lane(), 0);
     }
 
     #[test]

@@ -93,8 +93,8 @@ pub struct Port {
 pub enum Admission {
     /// Packet was queued; the server was already busy.
     Queued,
-    /// Packet was queued and service should start now: the caller must
-    /// schedule a `TxDone` after the returned transmission time.
+    /// Packet was queued and its service starts now: the caller completes
+    /// it ([`Port::complete`]) after the returned transmission time.
     StartService(SimDuration),
     /// Buffer full; packet dropped (drop-tail).
     Overflow,
@@ -146,6 +146,11 @@ impl Port {
     /// True if the server is transmitting.
     pub fn busy(&self) -> bool {
         self.in_service.is_some()
+    }
+
+    /// The packet being transmitted, if any.
+    pub fn in_service(&self) -> Option<PacketRef> {
+        self.in_service.map(|(r, _)| r)
     }
 
     fn integrate(&mut self, now: SimTime) {

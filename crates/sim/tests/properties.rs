@@ -654,3 +654,204 @@ fn drop_records_identify_the_bottleneck() {
         assert_eq!(d.port, out_port, "drop at unexpected port {}", d.port);
     }
 }
+
+/// A four-link path with every kind of impairment on its second link, a
+/// lossy 128 kb/s third link, and a route shift on the second (shorter)
+/// and fourth (longer) links: the queued path and the fast path both run.
+fn replay_path() -> Path {
+    let ms = SimDuration::from_millis;
+    let impaired = ImpairmentSpec::none()
+        .with_burst_loss(GilbertElliott::bursty(ms(300), ms(30), 0.4))
+        .with_duplicate(0.05, ms(2))
+        .with_reorder(0.05, ms(3))
+        .with_corruption(0.02)
+        .with_flap(SimTime::from_millis(300), SimTime::from_millis(340))
+        .with_route_shift(SimTime::from_millis(600), ms(3));
+    Path::new(
+        (0..5).map(|i| format!("n{i}")).collect(),
+        vec![
+            LinkSpec::new(10_000_000, SimDuration::from_micros(300))
+                .with_buffer(BufferLimit::Packets(8)),
+            LinkSpec::new(512_000, ms(7))
+                .with_buffer(BufferLimit::Packets(4))
+                .with_impairments(impaired),
+            LinkSpec::new(128_000, ms(20))
+                .with_buffer(BufferLimit::Packets(6))
+                .with_random_loss(0.02),
+            LinkSpec::new(2_000_000, ms(2))
+                .with_buffer(BufferLimit::Packets(5))
+                .with_impairments(
+                    ImpairmentSpec::none().with_route_shift(SimTime::from_millis(900), ms(6)),
+                ),
+        ],
+    )
+}
+
+/// What a run left behind, every log in its order. Port statistics are
+/// compared through their `Debug` text.
+#[derive(Debug, PartialEq)]
+struct Replay {
+    trace: Vec<(u64, Option<usize>, u64, TraceKind)>,
+    deliveries: Vec<(u64, u64, u64, Option<u64>)>,
+    drops: Vec<(u64, u64, usize, DropReason)>,
+    ttl_replies: Vec<(u64, usize, u64)>,
+    ports: Vec<String>,
+    now: u64,
+    events: u64,
+}
+
+fn replay(e: &mut Engine) -> Replay {
+    let links = e.path().links.len();
+    Replay {
+        trace: e
+            .take_trace()
+            .iter()
+            .map(|t| (t.at.as_nanos(), t.port, t.packet.0, t.kind))
+            .collect(),
+        deliveries: e
+            .deliveries()
+            .iter()
+            .map(|d| {
+                let echoed = d.echoed_at.map(SimTime::as_nanos);
+                (d.id.0, d.seq, d.delivered_at.as_nanos(), echoed)
+            })
+            .collect(),
+        drops: e
+            .drops()
+            .iter()
+            .map(|d| (d.id.0, d.at.as_nanos(), d.port, d.reason))
+            .collect(),
+        ttl_replies: e
+            .ttl_replies()
+            .iter()
+            .map(|r| (r.probe_seq, r.node, r.received_at.as_nanos()))
+            .collect(),
+        ports: (0..links)
+            .flat_map(|l| [Direction::Outbound, Direction::Inbound].map(|d| (l, d)))
+            .map(|(l, d)| format!("{:?}", e.port(l, d).stats))
+            .collect(),
+        now: e.now().as_nanos(),
+        events: e.stats().events_processed,
+    }
+}
+
+/// Load `e` with cross traffic on the third link both ways and the first
+/// link inbound (the third field of each arrival picks which), and `probes` probes `interval_us` apart: a probe train,
+/// or with `ttl` one probe at a time, every fifth with a TTL that runs
+/// out on the way.
+fn load_replay(
+    e: &mut Engine,
+    cross: &[(u64, bool, u8)],
+    probes: u64,
+    interval_us: u64,
+    ttl: bool,
+) {
+    let ports = [
+        (2, Direction::Outbound),
+        (2, Direction::Inbound),
+        (0, Direction::Inbound),
+    ];
+    for (source, (link, direction)) in ports.into_iter().enumerate() {
+        e.attach_cross_traffic(
+            link,
+            direction,
+            cross
+                .iter()
+                .filter(|c| usize::from(c.2) == source)
+                .map(|&(us, big, _)| (SimTime::from_micros(us), if big { 576 } else { 72 })),
+        );
+    }
+    if !ttl {
+        let interval = SimDuration::from_micros(interval_us);
+        e.inject_probe_train(SimTime::ZERO, interval, 72, probes);
+        return;
+    }
+    for n in 0..probes {
+        let at = SimTime::from_micros(n * interval_us);
+        if n % 5 == 0 {
+            e.inject_probe_with_ttl(at, 72, n, 1 + (n % 7) as u8);
+        } else {
+            e.inject_probe(at, 72, n);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Pausing at any set of horizons changes nothing: `run_until` at each
+    /// horizon and then `run` leaves the same deliveries and drops (in
+    /// order), TTL replies, trace, port statistics, clock and event count
+    /// as one `run`. Untraced runs take the inline hops (whose departures
+    /// and arrivals stop at each horizon); traced runs take only the early
+    /// departures. Arrival and probe times sit on a 1 ms grid half the
+    /// time, so ties between ports at one instant are common.
+    #[test]
+    fn prop_run_until_at_any_horizons_equals_run(
+        cross in proptest::collection::vec((0u64..1_500_000, any::<bool>(), 0u8..3), 0..200),
+        probes in 0u64..120,
+        interval_us in 500u64..12_000,
+        horizons in proptest::collection::vec(0u64..1_800_000, 1..40),
+        grid in any::<bool>(),
+        ttl in any::<bool>(),
+        traced in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let snap = |us: u64| if grid { us / 1000 * 1000 } else { us };
+        let cross: Vec<_> = cross.iter().map(|&(us, big, port)| (snap(us), big, port)).collect();
+        let interval_us = snap(interval_us).max(1000);
+        let build = || {
+            let mut e = Engine::new(replay_path(), seed);
+            if traced {
+                e.enable_trace();
+            }
+            load_replay(&mut e, &cross, probes, interval_us, ttl);
+            e
+        };
+        let mut straight = build();
+        straight.run();
+        let mut stepped = build();
+        let mut horizons: Vec<u64> = horizons.iter().map(|&us| snap(us)).collect();
+        horizons.sort_unstable();
+        for us in horizons {
+            stepped.run_until(SimTime::from_micros(us));
+        }
+        stepped.run();
+        prop_assert_eq!(replay(&mut stepped), replay(&mut straight));
+    }
+
+    /// A reset engine replays bit-identically even when the run before it
+    /// stopped at a horizon, in the middle of transmissions and hops: the
+    /// fast path's per-port state goes with the reset. The peak queue
+    /// depth, which the reset rewinds too, must match a fresh engine's.
+    #[test]
+    fn prop_reset_after_a_paused_run_replays_exactly(
+        cross in proptest::collection::vec((0u64..1_500_000, any::<bool>(), 0u8..3), 0..200),
+        probes in 1u64..120,
+        interval_us in 500u64..12_000,
+        pause_us in 0u64..1_500_000,
+        traced in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let load = |e: &mut Engine| {
+            if traced {
+                e.enable_trace();
+            }
+            load_replay(e, &cross, probes, interval_us, false);
+        };
+        let mut fresh = Engine::new(replay_path(), seed);
+        load(&mut fresh);
+        fresh.run();
+        let mut reused = Engine::new(replay_path(), seed ^ 1);
+        load(&mut reused);
+        reused.run_until(SimTime::from_micros(pause_us));
+        reused.reset(seed);
+        load(&mut reused);
+        reused.run();
+        prop_assert_eq!(
+            reused.stats().peak_queue_depth,
+            fresh.stats().peak_queue_depth
+        );
+        prop_assert_eq!(replay(&mut reused), replay(&mut fresh));
+    }
+}
