@@ -8,7 +8,7 @@
 //! regenerate the artifacts with `cargo run --release --bin repro -- --bless`
 //! and commit the diff; if not, it is a determinism or regression bug.
 
-use probenet_bench::{golden_report_threads, GOLDEN_SEEDS};
+use probenet_bench::{golden_report_threads, GOLDEN_SCENARIO, GOLDEN_SEEDS};
 
 /// The checked-in artifacts, pinned at compile time so the test cannot
 /// silently pass against freshly regenerated files.
@@ -23,7 +23,7 @@ fn checked_in(seed: u64) -> &'static str {
 #[test]
 fn golden_traces_match_serial_rendering() {
     for seed in GOLDEN_SEEDS {
-        let fresh = golden_report_threads(seed, 1);
+        let fresh = golden_report_threads(GOLDEN_SCENARIO, seed, 1);
         assert_eq!(
             fresh,
             checked_in(seed),
@@ -36,7 +36,7 @@ fn golden_traces_match_serial_rendering() {
 #[test]
 fn golden_traces_match_pooled_rendering() {
     for seed in GOLDEN_SEEDS {
-        let fresh = golden_report_threads(seed, 4);
+        let fresh = golden_report_threads(GOLDEN_SCENARIO, seed, 4);
         assert_eq!(
             fresh,
             checked_in(seed),
