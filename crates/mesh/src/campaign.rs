@@ -23,7 +23,8 @@
 //!    *decoded* frame annotations, proving the tag-11 section survives the
 //!    wire; the tomography pass ([`crate::tomography`]) infers the same
 //!    quantities from end-to-end loss alone and the report compares the
-//!    two within [`TOLERANCE_REL`]/[`TOLERANCE_ABS`].
+//!    two within the loosest of [`TOLERANCE_REL`], [`TOLERANCE_ABS`] and
+//!    [`TOLERANCE_RATE`].
 
 use std::io::Cursor;
 

@@ -41,6 +41,16 @@ pub struct PacketArena {
     live: usize,
 }
 
+impl PacketRef {
+    /// A handle to no arena slot, for a packet a port holds whose state
+    /// lives elsewhere (a folded cross-traffic packet). Never dereference
+    /// it.
+    pub(crate) const DETACHED: PacketRef = PacketRef {
+        idx: u32::MAX,
+        gen: u32::MAX,
+    };
+}
+
 impl PacketArena {
     /// An empty arena.
     pub fn new() -> Self {

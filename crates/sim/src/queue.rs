@@ -71,13 +71,17 @@ pub struct Port {
     /// Cached `spec.impair.is_inert()` — read on every arrival; the spec's
     /// impairment set is fixed for the port's lifetime.
     pub impair_inert: bool,
-    /// `(handle, wire size)` — the size rides beside the handle so byte
-    /// accounting and service times never touch the arena.
-    queue: VecDeque<(PacketRef, u32)>,
+    /// `(handle, wire size, transmission time)` — size and service time
+    /// ride beside the handle, so byte accounting and service never touch
+    /// the arena.
+    queue: VecDeque<(PacketRef, u32, SimDuration)>,
     queued_bytes: u64,
     /// Packet currently being transmitted, if any.
     in_service: Option<(PacketRef, u32)>,
     service_started: SimTime,
+    /// When the last packet admitted finishes transmission (meaningful
+    /// while the port is busy).
+    drain_at: SimTime,
     last_change: SimTime,
     /// RED state: EWMA of the queue length (packets), updated per arrival.
     avg_queue: f64,
@@ -112,6 +116,7 @@ impl Port {
             queued_bytes: 0,
             in_service: None,
             service_started: SimTime::ZERO,
+            drain_at: SimTime::ZERO,
             last_change: SimTime::ZERO,
             avg_queue: 0.0,
             since_drop: 0,
@@ -127,6 +132,7 @@ impl Port {
         self.queued_bytes = 0;
         self.in_service = None;
         self.service_started = SimTime::ZERO;
+        self.drain_at = SimTime::ZERO;
         self.last_change = SimTime::ZERO;
         self.avg_queue = 0.0;
         self.since_drop = 0;
@@ -151,6 +157,22 @@ impl Port {
     /// The packet being transmitted, if any.
     pub fn in_service(&self) -> Option<PacketRef> {
         self.in_service.map(|(r, _)| r)
+    }
+
+    /// When the packet admitted last finishes transmission: FIFO service
+    /// fixes it at admission, since nothing admitted is dropped later.
+    /// Meaningful right after [`Port::offer`] admits a packet.
+    pub fn drain_at(&self) -> SimTime {
+        self.drain_at
+    }
+
+    /// Whether every packet that reached the port is accounted for:
+    /// `arrivals == served + overflow_drops + early_drops + random_drops +
+    /// impair_drops + occupancy`.
+    pub fn conserves_packets(&self) -> bool {
+        let s = &self.stats;
+        let out = s.served + s.overflow_drops + s.early_drops + s.random_drops + s.impair_drops;
+        s.arrivals == out + self.occupancy() as u64
     }
 
     fn integrate(&mut self, now: SimTime) {
@@ -214,7 +236,13 @@ impl Port {
         }
         self.integrate(now);
         self.queued_bytes += size as u64;
-        self.queue.push_back((r, size));
+        let d = SimDuration::transmission(size, self.spec.bandwidth_bps);
+        self.drain_at = if self.in_service.is_some() {
+            self.drain_at + d
+        } else {
+            now + d
+        };
+        self.queue.push_back((r, size, d));
         let occ = self.occupancy();
         if occ > self.stats.max_occupancy {
             self.stats.max_occupancy = occ;
@@ -231,9 +259,8 @@ impl Port {
     /// or `None` if the queue is empty.
     fn start_next(&mut self, now: SimTime) -> Option<SimDuration> {
         debug_assert!(self.in_service.is_none());
-        let (r, size) = self.queue.pop_front()?;
+        let (r, size, d) = self.queue.pop_front()?;
         self.queued_bytes -= size as u64;
-        let d = SimDuration::transmission(size, self.spec.bandwidth_bps);
         self.in_service = Some((r, size));
         self.service_started = now;
         Some(d)

@@ -176,8 +176,12 @@ impl SimDuration {
     /// Panics if `bandwidth_bps` is zero.
     pub fn transmission(size_bytes: u32, bandwidth_bps: u64) -> SimDuration {
         assert!(bandwidth_bps > 0, "link bandwidth must be positive");
-        let bits = size_bytes as u128 * 8;
-        let ns = (bits * NANOS_PER_SEC as u128).div_ceil(bandwidth_bps as u128);
+        let bits = u64::from(size_bytes) * 8;
+        // Packets under 2 GiB stay in 64 bits, whose division is cheaper.
+        if let Some(bit_ns) = bits.checked_mul(NANOS_PER_SEC) {
+            return SimDuration(bit_ns.div_ceil(bandwidth_bps));
+        }
+        let ns = (u128::from(bits) * u128::from(NANOS_PER_SEC)).div_ceil(u128::from(bandwidth_bps));
         SimDuration(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 }
@@ -371,6 +375,16 @@ mod tests {
             SimDuration::transmission(1500, 10_000_000),
             SimDuration::from_micros(1200)
         );
+    }
+
+    #[test]
+    fn transmission_of_huge_packets_takes_the_wide_path() {
+        // 2^31 bytes and up overflow 64-bit bit·ns; the result must be the
+        // exact ceiling either way.
+        for size in [(1u32 << 31) - 1, 1 << 31, u32::MAX] {
+            let exact = (u128::from(size) * 8 * 1_000_000_000).div_ceil(3);
+            assert_eq!(SimDuration::transmission(size, 3).as_nanos() as u128, exact);
+        }
     }
 
     #[test]
