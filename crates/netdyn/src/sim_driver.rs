@@ -39,7 +39,7 @@ pub struct SimRun {
     pub now: SimTime,
     /// Engine work counters (summed over partitions).
     pub stats: EngineStats,
-    /// Every drop, probes and cross traffic alike.
+    /// Every drop except cross traffic's, which the engine keeps per port.
     pub drops: Vec<probenet_sim::DropRecord>,
     /// Per-port statistics in global port order (outbound `0..links`, then
     /// inbound `0..links`).
@@ -189,8 +189,7 @@ impl SimExperiment {
 
         let run = if self.partitions <= 1 {
             let mut engine = checkout_engine(&self.path, self.seed);
-            let cross_total: usize = self.cross_traffic.iter().map(|b| b.arrivals.len()).sum();
-            engine.reserve(self.config.count, cross_total);
+            engine.reserve(self.config.count);
             for binding in &self.cross_traffic {
                 engine.attach_cross_traffic(
                     binding.link,

@@ -30,11 +30,16 @@
 //! ## Quick example
 //!
 //! ```
-//! use probenet_sim::{Engine, Path, SimTime};
+//! use probenet_sim::{Direction, Engine, Path, SimTime};
 //!
 //! // The paper's INRIA -> University of Maryland path, July 1992.
 //! let path = Path::inria_umd_1992();
+//! let (bottleneck, _) = path.bottleneck();
 //! let mut engine = Engine::new(path, 42);
+//!
+//! // A 512-byte Internet packet every 30 ms competes at the bottleneck.
+//! let cross = (0..160u64).map(|n| (SimTime::from_millis(30 * n), 512));
+//! engine.attach_cross_traffic(bottleneck, Direction::Outbound, cross);
 //!
 //! // Send 100 32-byte probes, one every 50 ms (one of the paper's settings).
 //! for n in 0..100u64 {
@@ -46,6 +51,11 @@
 //! let delivered = engine.probe_deliveries().count();
 //! let dropped = engine.drops().len();
 //! assert_eq!(delivered + dropped, 100);
+//!
+//! // Cross traffic's records stay with the port it was attached to.
+//! let served = engine.cross_deliveries(bottleneck, Direction::Outbound).len();
+//! let lost = engine.cross_drops(bottleneck, Direction::Outbound).len();
+//! assert_eq!(served + lost, 160);
 //! ```
 
 pub mod arena;

@@ -138,4 +138,22 @@ fn run_until_then_continue_equals_run_straight_through() {
     };
     assert_eq!(key(&straight), key(&stepped));
     assert_eq!(straight.drops().len(), stepped.drops().len());
+    // The cross traffic's records, kept at its port, match in order too,
+    // and account for every cross packet.
+    let cross = |e: &Engine| {
+        let delivered: Vec<(u64, u64)> = e
+            .cross_deliveries(4, Direction::Outbound)
+            .iter()
+            .map(|d| (d.seq, d.delivered_at.as_nanos()))
+            .collect();
+        let dropped: Vec<(u64, u64)> = e
+            .cross_drops(4, Direction::Outbound)
+            .iter()
+            .map(|d| (d.seq, d.at.as_nanos()))
+            .collect();
+        (delivered, dropped)
+    };
+    let (delivered, dropped) = cross(&straight);
+    assert_eq!(delivered.len() + dropped.len(), 500);
+    assert_eq!(cross(&stepped), (delivered, dropped));
 }

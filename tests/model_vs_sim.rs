@@ -132,12 +132,15 @@ fn engine_matches_lindley_finite_queue() {
     let outcomes = finite_queue(&arr_s, &services, capacity_queued + 1);
 
     let delivered: std::collections::HashMap<u64, f64> = engine
-        .deliveries()
+        .cross_deliveries(0, Direction::Outbound)
         .iter()
-        .filter(|d| d.class == FlowClass::Cross)
         .map(|d| (d.seq, d.rtt().as_secs_f64()))
         .collect();
-    let dropped: std::collections::HashSet<u64> = engine.drops().iter().map(|d| d.seq).collect();
+    let dropped: std::collections::HashSet<u64> = engine
+        .cross_drops(0, Direction::Outbound)
+        .iter()
+        .map(|d| d.seq)
+        .collect();
 
     for (i, o) in outcomes.iter().enumerate() {
         match o {
@@ -188,7 +191,7 @@ fn md1_queue_matches_pollaczek_khinchine() {
     engine.run();
 
     let total_wait: f64 = engine
-        .deliveries()
+        .cross_deliveries(0, Direction::Outbound)
         .iter()
         .map(|d| d.rtt().as_secs_f64() - service)
         .sum();
