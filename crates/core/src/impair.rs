@@ -93,8 +93,7 @@ fn bursty_transatlantic() -> ImpairedScenario {
 /// re-homes from its 2 ms satellite-free route onto a 30 ms detour, with a
 /// half-second blackout while routing reconverges; at t = 80 s the
 /// original route comes back. The RTT baseline shifts by ~56 ms (both
-/// directions) and then returns — the signature
-/// [`crate::routechange::detect_route_changes`] looks for.
+/// directions) and then returns.
 fn route_flap() -> ImpairedScenario {
     let mut scenario = PaperScenario::inria_umd(0);
     let (bidx, _) = scenario.path.bottleneck();

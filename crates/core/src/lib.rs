@@ -14,9 +14,11 @@
 //!   randomness tests (§5, Table 3).
 //! * [`experiment`] — calibrated INRIA–UMd and UMd–Pitt scenarios and the
 //!   parallel δ sweep behind Table 3.
-//! * [`recovery`] — FEC and repetition recovery under measured loss
-//!   processes (§5's audio/video implications).
+//! * [`campaign`], [`impair`], [`sched`] — multi-seed campaigns, named
+//!   impairment scenarios, and the bounded pool they run on.
 //! * [`report`] — terminal renderings of every table and figure.
+//! * [`summary`] — the three readings above for one series in one
+//!   structure: what the `analyze` binary prints.
 //!
 //! ## End-to-end example
 //!
@@ -37,15 +39,11 @@
 //! ```
 
 pub mod campaign;
-pub mod delay;
 pub mod experiment;
 pub mod impair;
 pub mod loss;
-pub mod owd;
 pub mod phase;
-pub mod recovery;
 pub mod report;
-pub mod routechange;
 pub mod sched;
 pub mod summary;
 pub mod workload;
@@ -54,20 +52,11 @@ pub use campaign::{
     campaign_matrix, impaired_campaign, inria_umd_campaign, run_campaign, run_campaign_serial,
     CampaignResult, MetricSpread,
 };
-pub use delay::{
-    analyze_delay_distribution, loss_delay_correlation, loss_given_delay, playback_buffer_ms,
-    DelayAnalysis, DelayFit,
-};
 pub use experiment::{delta_sweep, delta_sweep_serial, ExperimentOutput, PaperScenario, SweepRow};
 pub use impair::{impairment_scenario, impairment_scenarios, ImpairedScenario};
-pub use loss::{
-    analyze_loss_flags, analyze_losses, Chi2Summary, GilbertModel, LossAnalysis, RunsTestSummary,
-};
-pub use owd::{analyze_owd, DirectionSummary, OwdAnalysis};
+pub use loss::{analyze_loss_flags, analyze_losses, Chi2Summary, LossAnalysis, RunsTestSummary};
 pub use phase::{BottleneckEstimate, PhasePlot, PhasePoint};
-pub use recovery::{fec_overhead, fec_recovery, repetition_recovery, RecoveryStats};
 pub use report::{render_histogram, render_phase_plot, render_table3, render_time_series};
-pub use routechange::{detect_route_changes, RouteChange};
 pub use summary::{full_report, render_report, FullReport, MeasurementSummary};
 pub use workload::{
     analyze_workload, interarrival_series, workload_estimates, LabeledPeak, PeakLabel,

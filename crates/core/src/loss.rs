@@ -16,7 +16,6 @@
 
 use probenet_netdyn::RttSeries;
 use probenet_stream::StreamingLoss;
-use serde::{Deserialize, Serialize};
 
 /// Loss metrics of one experiment: the streaming estimator's snapshot.
 pub use probenet_stream::{
@@ -47,87 +46,6 @@ pub fn analyze_loss_flags(flags: &[bool]) -> LossAnalysis {
 /// Analyze the loss process of an RTT series.
 pub fn analyze_losses(series: &RttSeries) -> LossAnalysis {
     analyze_loss_flags(&series.loss_flags())
-}
-
-/// The Gilbert two-state loss model: a Markov chain on {Good, Bad} where
-/// packets are lost in the Bad state. It is the canonical generative model
-/// behind the paper's `ulp`/`clp`/`plg` triple:
-///
-/// * `p = P(Bad | Good)` — probability a loss burst starts;
-/// * `r = P(Good | Bad)` — probability a burst ends, so the mean burst
-///   length (the paper's loss gap) is `1/r`;
-/// * the stationary loss rate is `p / (p + r)` and `clp = 1 − r`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GilbertModel {
-    /// P(loss | previous delivered).
-    pub p: f64,
-    /// P(delivered | previous lost).
-    pub r: f64,
-}
-
-impl GilbertModel {
-    /// Maximum-likelihood fit from a loss indicator sequence: transition
-    /// frequencies of the 2-state chain. Returns `None` when either state
-    /// was never left *and* never entered (degenerate conditioning).
-    pub fn fit(flags: &[bool]) -> Option<GilbertModel> {
-        let mut from_good = (0u64, 0u64); // (to bad, total)
-        let mut from_bad = (0u64, 0u64); // (to good, total)
-        for w in flags.windows(2) {
-            if w[0] {
-                from_bad.1 += 1;
-                if !w[1] {
-                    from_bad.0 += 1;
-                }
-            } else {
-                from_good.1 += 1;
-                if w[1] {
-                    from_good.0 += 1;
-                }
-            }
-        }
-        if from_good.1 == 0 || from_bad.1 == 0 {
-            return None;
-        }
-        Some(GilbertModel {
-            p: from_good.0 as f64 / from_good.1 as f64,
-            r: from_bad.0 as f64 / from_bad.1 as f64,
-        })
-    }
-
-    /// Stationary loss probability `p / (p + r)` — the model's `ulp`.
-    pub fn loss_rate(&self) -> f64 {
-        if self.p + self.r == 0.0 {
-            return 0.0;
-        }
-        self.p / (self.p + self.r)
-    }
-
-    /// Conditional loss probability `1 − r` — the model's `clp`.
-    pub fn clp(&self) -> f64 {
-        1.0 - self.r
-    }
-
-    /// Mean loss-burst length `1/r` — the model's packet loss gap.
-    ///
-    /// # Panics
-    /// Panics if `r == 0` (bursts never end).
-    pub fn loss_gap(&self) -> f64 {
-        assert!(self.r > 0.0, "loss bursts never end when r = 0");
-        1.0 / self.r
-    }
-
-    /// Generate a synthetic loss sequence from the model — e.g. to stress
-    /// recovery schemes with the measured burstiness at arbitrary length.
-    pub fn simulate<R: rand::Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<bool> {
-        let mut out = Vec::with_capacity(n);
-        let mut bad = rng.gen::<f64>() < self.loss_rate();
-        for _ in 0..n {
-            out.push(bad);
-            let u = rng.gen::<f64>();
-            bad = if bad { u >= self.r } else { u < self.p };
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -208,54 +126,6 @@ mod tests {
         assert!((clp - 0.6).abs() < 0.03);
         assert!((a.plg_palm.unwrap() - 2.5).abs() < 0.2);
         assert!(!a.losses_look_random(0.01));
-    }
-
-    #[test]
-    fn gilbert_fit_recovers_markov_parameters() {
-        // Generate from known (p, r) with an LCG and fit back.
-        let (p, r) = (0.04, 0.4);
-        let mut state = 3u64;
-        let mut bad = false;
-        let flags: Vec<bool> = (0..300_000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-                bad = if bad { u >= r } else { u < p };
-                bad
-            })
-            .collect();
-        let m = GilbertModel::fit(&flags).expect("both states visited");
-        assert!((m.p - p).abs() < 0.005, "p {}", m.p);
-        assert!((m.r - r).abs() < 0.02, "r {}", m.r);
-        // Model identities line up with the empirical loss analysis.
-        let a = analyze_loss_flags(&flags);
-        assert!((m.loss_rate() - a.ulp).abs() < 0.01);
-        assert!((m.clp() - a.clp.unwrap()).abs() < 0.01);
-        assert!((m.loss_gap() - a.plg_measured.unwrap()).abs() < 0.1);
-    }
-
-    #[test]
-    fn gilbert_simulation_matches_its_own_parameters() {
-        use rand::SeedableRng;
-        let model = GilbertModel { p: 0.05, r: 0.5 };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let flags = model.simulate(&mut rng, 200_000);
-        let refit = GilbertModel::fit(&flags).expect("both states");
-        assert!((refit.p - 0.05).abs() < 0.01);
-        assert!((refit.r - 0.5).abs() < 0.03);
-    }
-
-    #[test]
-    fn gilbert_degenerate_fits() {
-        assert!(GilbertModel::fit(&[false; 100]).is_none());
-        assert!(GilbertModel::fit(&[true; 100]).is_none());
-        assert!(GilbertModel::fit(&[]).is_none());
-        // iid losses: p ≈ loss rate, r ≈ 1 - loss rate.
-        let flags: Vec<bool> = (0..10_000).map(|i| i % 10 == 0).collect();
-        let m = GilbertModel::fit(&flags).expect("both states");
-        assert!(m.r > 0.99, "periodic singleton losses: r {}", m.r);
     }
 
     #[test]

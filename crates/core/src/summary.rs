@@ -1,15 +1,13 @@
-//! One-stop analysis: everything the pipeline knows about a measurement,
-//! in one structure — what you run on a series you just collected (real or
-//! simulated) to get the paper's §4 and §5 readings at once.
+//! One-stop analysis: the paper's three readings of one series in one
+//! structure — what you run on a series you just collected (real or
+//! simulated) to get the §4 phase-plot bottleneck and workload and the §5
+//! loss metrics at once.
 
 use probenet_netdyn::RttSeries;
 use serde::{Deserialize, Serialize};
 
-use crate::delay::{analyze_delay_distribution, loss_delay_correlation, DelayAnalysis};
-use crate::loss::{analyze_losses, GilbertModel, LossAnalysis};
-use crate::owd::{analyze_owd, OwdAnalysis};
+use crate::loss::{analyze_losses, LossAnalysis};
 use crate::phase::{BottleneckEstimate, PhasePlot};
-use crate::routechange::{detect_route_changes, RouteChange};
 use crate::workload::{analyze_workload, WorkloadAnalysis};
 
 /// Basic facts about the measurement itself.
@@ -29,35 +27,24 @@ pub struct MeasurementSummary {
     pub reordering: u64,
 }
 
-/// Every analysis the pipeline can run on one series.
+/// The paper's readings of one series.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FullReport {
     /// The measurement's vitals.
     pub measurement: MeasurementSummary,
     /// Loss metrics (§5).
     pub loss: LossAnalysis,
-    /// Fitted Gilbert loss model, when both states occur.
-    pub gilbert: Option<GilbertModel>,
-    /// Loss–delay correlation (ref \[19\]), when computable.
-    pub loss_delay_correlation: Option<f64>,
-    /// Delay distribution summary and constant+gamma fit.
-    pub delay: Option<DelayAnalysis>,
     /// Phase-plot bottleneck estimate (§4), when compression exists.
     pub bottleneck: Option<BottleneckEstimate>,
     /// Workload analysis (§4, Figures 8–9) using the estimated or supplied
     /// bottleneck rate; absent when no rate is known.
     pub workload: Option<WorkloadAnalysis>,
-    /// One-way decomposition, when echo timestamps exist (simulation, or
-    /// synchronized real hosts).
-    pub owd: Option<OwdAnalysis>,
-    /// Detected RTT baseline shifts (route changes).
-    pub route_changes: Vec<RouteChange>,
 }
 
 /// Run every applicable analysis. `mu_bps_hint` supplies the bottleneck
 /// rate when known; otherwise the phase-plot estimate is used, and the
-/// workload analysis is skipped if neither is available. `bulk_bits` is the
-/// hypothesized bulk packet size for peak labeling (512 bytes default).
+/// workload analysis is skipped if neither is available. Peaks are labeled
+/// against a 512-byte bulk packet.
 pub fn full_report(series: &RttSeries, mu_bps_hint: Option<f64>) -> FullReport {
     let plot = PhasePlot::from_series(series);
     let bottleneck = plot.bottleneck_estimate(10);
@@ -65,7 +52,6 @@ pub fn full_report(series: &RttSeries, mu_bps_hint: Option<f64>) -> FullReport {
     let delta_ms = series.interval().as_millis_f64();
     let workload =
         mu.map(|mu| analyze_workload(series, mu, 512.0 * 8.0, (4.0 * delta_ms).max(100.0)));
-    let flags = series.loss_flags();
     FullReport {
         measurement: MeasurementSummary {
             sent: series.len(),
@@ -76,14 +62,14 @@ pub fn full_report(series: &RttSeries, mu_bps_hint: Option<f64>) -> FullReport {
             reordering: series.reordering_count(),
         },
         loss: analyze_losses(series),
-        gilbert: GilbertModel::fit(&flags),
-        loss_delay_correlation: loss_delay_correlation(series),
-        delay: analyze_delay_distribution(series),
         bottleneck,
         workload,
-        owd: analyze_owd(series),
-        route_changes: detect_route_changes(series, (series.len() / 10).max(50), 10.0),
     }
+}
+
+/// An optional reading at `precision` decimals, or `n/a` when absent.
+fn or_na(value: Option<f64>, precision: usize) -> String {
+    value.map_or_else(|| "n/a".to_owned(), |v| format!("{v:.precision$}"))
 }
 
 /// Render a report as human-readable text.
@@ -98,39 +84,13 @@ pub fn render_report(r: &FullReport) -> String {
     );
     let _ = writeln!(
         s,
-        "loss: ulp {:.3}, clp {:?}, gap {:?} (Palm {:?}), random? {}",
+        "loss: ulp {:.3}, clp {}, gap {} (Palm {}), random? {}",
         r.loss.ulp,
-        r.loss.clp,
-        r.loss.plg_measured,
-        r.loss.plg_palm,
+        or_na(r.loss.clp, 3),
+        or_na(r.loss.plg_measured, 3),
+        or_na(r.loss.plg_palm, 3),
         r.loss.losses_look_random(0.01)
     );
-    if let Some(g) = &r.gilbert {
-        let _ = writeln!(
-            s,
-            "gilbert model: p {:.4}, r {:.4} (burst length {:.2})",
-            g.p,
-            g.r,
-            if g.r > 0.0 { 1.0 / g.r } else { f64::NAN }
-        );
-    }
-    if let Some(c) = r.loss_delay_correlation {
-        let _ = writeln!(s, "loss-delay correlation: {c:.3}");
-    }
-    if let Some(d) = &r.delay {
-        let _ = writeln!(
-            s,
-            "delay: min {:.1} / median {:.1} / mean {:.1} / p95 {:.1} ms",
-            d.min_ms, d.median_ms, d.mean_ms, d.p95_ms
-        );
-        if let Some(f) = &d.fit {
-            let _ = writeln!(
-                s,
-                "  constant+gamma fit: shift {:.1} ms, shape {:.2}, scale {:.2} ms (KS {:.3})",
-                f.shift_ms, f.shape, f.scale_ms, f.ks_distance
-            );
-        }
-    }
     match &r.bottleneck {
         Some(b) => {
             let _ = writeln!(
@@ -150,31 +110,10 @@ pub fn render_report(r: &FullReport) -> String {
     if let Some(w) = &r.workload {
         let _ = writeln!(
             s,
-            "workload: {} peaks; mean per-interval estimate {:.0} B; inferred bulk packet {:?} B",
+            "workload: {} peaks; mean per-interval estimate {:.0} B; inferred bulk packet {} B",
             w.peaks.len(),
             w.mean_workload_bytes(),
-            w.inferred_bulk_bytes().map(|b| b.round())
-        );
-    }
-    if let Some(o) = &r.owd {
-        let _ = writeln!(
-            s,
-            "one-way: out {:.1}±{:.1} ms vs back {:.1}±{:.1} ms (queueing asymmetry {:+.1} ms)",
-            o.outbound.mean_ms,
-            o.outbound.std_ms,
-            o.inbound.mean_ms,
-            o.inbound.std_ms,
-            o.queueing_asymmetry_ms
-        );
-    }
-    for c in &r.route_changes {
-        let _ = writeln!(
-            s,
-            "route change at probe {}: {:.1} -> {:.1} ms ({:+.1} ms)",
-            c.at_index,
-            c.before_ms,
-            c.after_ms,
-            c.shift_ms()
+            or_na(w.inferred_bulk_bytes(), 0)
         );
     }
     s
@@ -184,7 +123,7 @@ pub fn render_report(r: &FullReport) -> String {
 mod tests {
     use super::*;
     use crate::experiment::PaperScenario;
-    use probenet_netdyn::ExperimentConfig;
+    use probenet_netdyn::{ExperimentConfig, RttRecord};
     use probenet_sim::SimDuration;
 
     fn scenario_series(seed: u64) -> RttSeries {
@@ -202,12 +141,8 @@ mod tests {
         assert_eq!(r.measurement.sent, 4500);
         assert_eq!(r.measurement.reordering, 0);
         assert!(r.loss.ulp > 0.0);
-        assert!(r.gilbert.is_some());
-        assert!(r.delay.is_some());
         assert!(r.bottleneck.is_some(), "compression expected at 20 ms");
         assert!(r.workload.is_some(), "mu known via the phase estimate");
-        assert!(r.owd.is_some(), "simulation provides echo stamps");
-        assert!(r.route_changes.is_empty(), "stable route");
     }
 
     #[test]
@@ -223,17 +158,28 @@ mod tests {
         let series = scenario_series(3);
         let r = full_report(&series, Some(128_000.0));
         let text = render_report(&r);
-        for needle in [
-            "measurement:",
-            "loss:",
-            "gilbert model:",
-            "delay:",
-            "bottleneck:",
-            "workload:",
-            "one-way:",
-        ] {
+        for needle in ["measurement:", "loss:", "bottleneck:", "workload:"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn missing_readings_render_as_not_available() {
+        // No loss: clp and both gaps are undefined.
+        let records = (0..20u64)
+            .map(|n| RttRecord {
+                seq: n,
+                sent_at: n * 50_000_000,
+                echoed_at: None,
+                rtt: Some(140_000_000),
+            })
+            .collect();
+        let series = RttSeries::new(SimDuration::from_millis(50), 72, SimDuration::ZERO, records);
+        let text = render_report(&full_report(&series, None));
+        assert!(
+            text.contains("clp n/a, gap n/a (Palm n/a)"),
+            "missing n/a in:\n{text}"
+        );
     }
 
     #[test]

@@ -190,24 +190,6 @@ impl RttSeries {
             .collect();
         count_inversions(&mut arrivals)
     }
-
-    /// One-way delay pairs `(outbound_ms, inbound_ms)` for probes with an
-    /// echo timestamp. **Requires source and echo clocks to be
-    /// synchronized** (always true in simulation; rarely on real paths —
-    /// the paper avoided one-way delays for exactly this reason).
-    pub fn one_way_delays_ms(&self) -> Vec<(f64, f64)> {
-        self.records
-            .iter()
-            .filter_map(|r| match (r.echoed_at, r.rtt) {
-                (Some(echo), Some(rtt)) => {
-                    let out = echo.saturating_sub(r.sent_at);
-                    let back = rtt.saturating_sub(out);
-                    Some((out as f64 / 1e6, back as f64 / 1e6))
-                }
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// Exact inversion count of a sequence by bottom-up merge sort (the slice
@@ -417,15 +399,6 @@ mod tests {
             vec![mk(0, 0, 300), mk(1, 50, 250), mk(2, 100, 200)],
         );
         assert_eq!(s.reordering_count(), 3);
-    }
-
-    #[test]
-    fn one_way_delays_require_echo_stamp() {
-        let s = series();
-        let owd = s.one_way_delays_ms();
-        assert_eq!(owd.len(), 1);
-        assert!((owd[0].0 - 70.0).abs() < 1e-9);
-        assert!((owd[0].1 - 72.0).abs() < 1e-9);
     }
 
     #[test]

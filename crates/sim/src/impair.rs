@@ -26,8 +26,7 @@
 //!   every arrival at the hop is destroyed.
 //! * **Route shifts** ([`RouteShift`]) — scheduled changes of the hop's
 //!   propagation delay, modelling a mid-run route change (the RTT baseline
-//!   shifts of the paper's companion work, ref \[21\]). Named `RouteShift`
-//!   to stay clear of the `RouteChange` *detector* in the analysis layer.
+//!   shifts of the paper's companion work, ref \[21\]).
 //!
 //! # Determinism contract
 //!

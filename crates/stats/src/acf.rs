@@ -40,12 +40,6 @@ pub fn autocorrelation(xs: &[f64], max_lag: usize) -> Vec<f64> {
     acov.iter().map(|c| c / c0).collect()
 }
 
-/// First lag at which |acf| drops below `threshold`, or `None` if it never
-/// does within the computed range. A crude but useful decorrelation scale.
-pub fn decorrelation_lag(acf: &[f64], threshold: f64) -> Option<usize> {
-    acf.iter().position(|c| c.abs() < threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +88,6 @@ mod tests {
         for (k, c) in acf.iter().enumerate().skip(1) {
             assert!(c.abs() < 0.05, "lag {k} acf {c}");
         }
-        assert_eq!(decorrelation_lag(&acf, 0.05), Some(1));
     }
 
     #[test]

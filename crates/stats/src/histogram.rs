@@ -245,22 +245,6 @@ impl Ecdf {
     pub fn median(&self) -> f64 {
         self.quantile(0.5)
     }
-
-    /// Kolmogorov–Smirnov statistic against a reference CDF.
-    pub fn ks_statistic<F: Fn(f64) -> f64>(&self, cdf: F) -> f64 {
-        let n = self.sorted.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let mut d: f64 = 0.0;
-        for (i, &x) in self.sorted.iter().enumerate() {
-            let f = cdf(x);
-            let lo = i as f64 / n as f64;
-            let hi = (i + 1) as f64 / n as f64;
-            d = d.max((f - lo).abs()).max((hi - f).abs());
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -336,25 +320,6 @@ mod tests {
     fn ecdf_drops_nan() {
         let e = Ecdf::new(&[1.0, f64::NAN, 2.0]);
         assert_eq!(e.len(), 2);
-    }
-
-    #[test]
-    fn ks_statistic_zero_against_own_ecdf_limit() {
-        // Against the true uniform CDF, a uniform grid sample has KS ~ 1/n.
-        let n = 1000;
-        let data: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) / n as f64).collect();
-        let e = Ecdf::new(&data);
-        let d = e.ks_statistic(|x| x.clamp(0.0, 1.0));
-        assert!(d < 1.0 / n as f64 + 1e-9, "KS {d}");
-    }
-
-    #[test]
-    fn ks_statistic_detects_mismatch() {
-        let data: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
-        let e = Ecdf::new(&data);
-        // Against a point mass at 0.5 the distance is ~0.5.
-        let d = e.ks_statistic(|x| if x < 0.5 { 0.0 } else { 1.0 });
-        assert!(d > 0.4, "KS {d}");
     }
 
     #[test]

@@ -100,52 +100,6 @@ pub fn chi2_2x2(a: u64, b: u64, c: u64, d: u64) -> Option<Chi2Test> {
     Some(Chi2Test { statistic, p_value })
 }
 
-/// Result of a Ljung–Box portmanteau test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LjungBoxTest {
-    /// The Q statistic.
-    pub statistic: f64,
-    /// Degrees of freedom used (`lags − fitted_params`).
-    pub dof: usize,
-    /// p-value from the χ²(dof) distribution.
-    pub p_value: f64,
-}
-
-/// Ljung–Box test for autocorrelation up to `lags`, with `fitted_params`
-/// subtracted from the degrees of freedom when testing model residuals
-/// (e.g. the order of a fitted AR model). Small p-values reject whiteness.
-///
-/// Returns `None` for degenerate inputs (too short, zero variance, or
-/// `lags <= fitted_params`).
-pub fn ljung_box(xs: &[f64], lags: usize, fitted_params: usize) -> Option<LjungBoxTest> {
-    if lags == 0 || lags <= fitted_params || xs.len() <= lags + 1 {
-        return None;
-    }
-    let acf = crate::acf::autocorrelation(xs, lags);
-    if acf[1..].iter().all(|&c| c == 0.0) && acf[0] == 1.0 {
-        // Constant series convention from autocorrelation(): no variance.
-        let has_var = xs.windows(2).any(|w| w[0] != w[1]);
-        if !has_var {
-            return None;
-        }
-    }
-    let n = xs.len() as f64;
-    let q = n
-        * (n + 2.0)
-        * acf[1..=lags]
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| r * r / (n - (i + 1) as f64))
-            .sum::<f64>();
-    let dof = lags - fitted_params;
-    let p_value = 1.0 - crate::special::reg_lower_gamma(dof as f64 / 2.0, q / 2.0);
-    Some(LjungBoxTest {
-        statistic: q,
-        dof,
-        p_value,
-    })
-}
-
 /// Build the lag-1 contingency table of a binary sequence and test whether
 /// `xs[n+1]` is independent of `xs[n]` — exactly the dependence the paper's
 /// conditional loss probability `clp` measures.
@@ -256,76 +210,6 @@ mod tests {
     fn chi2_zero_marginal_is_none() {
         assert!(chi2_2x2(0, 0, 5, 5).is_none());
         assert!(chi2_2x2(5, 0, 5, 0).is_none());
-    }
-
-    #[test]
-    fn ljung_box_accepts_white_noise() {
-        let mut state = 4u64;
-        let xs: Vec<f64> = (0..20_000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-            })
-            .collect();
-        let t = ljung_box(&xs, 20, 0).expect("valid input");
-        assert!(t.p_value > 0.001, "p {}", t.p_value);
-        assert_eq!(t.dof, 20);
-    }
-
-    #[test]
-    fn ljung_box_rejects_ar1_series() {
-        let mut state = 8u64;
-        let mut x = 0.0;
-        let xs: Vec<f64> = (0..5_000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let e = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-                x = 0.7 * x + e;
-                x
-            })
-            .collect();
-        let t = ljung_box(&xs, 10, 0).expect("valid input");
-        assert!(t.p_value < 1e-10, "p {}", t.p_value);
-        assert!(t.statistic > 100.0);
-    }
-
-    #[test]
-    fn ljung_box_residual_whiteness_after_ar_fit() {
-        // Fit AR(1) to an AR(1) series: residuals must be white.
-        let mut state = 16u64;
-        let mut x = 0.0;
-        let xs: Vec<f64> = (0..30_000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let e = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-                x = 0.6 * x + e;
-                x
-            })
-            .collect();
-        let model = crate::ar::ArModel::fit(&xs, 1);
-        let residuals: Vec<f64> = (1..xs.len())
-            .map(|t| xs[t] - model.predict_next(&xs[..t]))
-            .collect();
-        let t = ljung_box(&residuals, 15, 1).expect("valid input");
-        assert!(
-            t.p_value > 0.001,
-            "AR(1) residuals should be white: p {}",
-            t.p_value
-        );
-        assert_eq!(t.dof, 14);
-    }
-
-    #[test]
-    fn ljung_box_degenerate_inputs() {
-        assert!(ljung_box(&[1.0, 2.0], 5, 0).is_none());
-        assert!(ljung_box(&[5.0; 100], 5, 0).is_none());
-        assert!(ljung_box(&(0..100).map(|i| i as f64).collect::<Vec<_>>(), 3, 3).is_none());
     }
 
     #[test]

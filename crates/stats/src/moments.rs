@@ -1,5 +1,4 @@
-//! Streaming summary statistics (Welford's algorithm) and basic batch
-//! helpers.
+//! Streaming summary statistics (Welford's algorithm).
 
 /// Numerically stable streaming mean/variance/extremes.
 #[derive(Debug, Clone, Default)]
@@ -188,61 +187,6 @@ pub struct MomentsState {
     pub max: f64,
 }
 
-/// Sample Pearson correlation of two equal-length series.
-///
-/// Returns 0 for degenerate inputs (length < 2 or zero variance).
-///
-/// # Panics
-/// Panics if the lengths differ.
-pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "correlation needs equal lengths");
-    let n = xs.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mx = xs.iter().sum::<f64>() / n as f64;
-    let my = ys.iter().sum::<f64>() / n as f64;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for i in 0..n {
-        let dx = xs[i] - mx;
-        let dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return 0.0;
-    }
-    sxy / (sxx * syy).sqrt()
-}
-
-/// Ordinary least squares fit `y = a + b x`; returns `(intercept, slope)`.
-///
-/// Returns `(mean(y), 0)` when x has no variance.
-///
-/// # Panics
-/// Panics if lengths differ or the input is empty.
-pub fn ols(xs: &[f64], ys: &[f64]) -> (f64, f64) {
-    assert_eq!(xs.len(), ys.len(), "ols needs equal lengths");
-    assert!(!xs.is_empty(), "ols needs data");
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    for i in 0..xs.len() {
-        sxy += (xs[i] - mx) * (ys[i] - my);
-        sxx += (xs[i] - mx) * (xs[i] - mx);
-    }
-    if sxx == 0.0 {
-        return (my, 0.0);
-    }
-    let b = sxy / sxx;
-    (my - b * mx, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,35 +243,5 @@ mod tests {
         let base = 1e12;
         let m = Moments::from_slice(&[base + 1.0, base + 2.0, base + 3.0]);
         assert!((m.variance() - 1.0).abs() < 1e-6, "var {}", m.variance());
-    }
-
-    #[test]
-    fn correlation_perfect_and_inverse() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y: Vec<f64> = x.iter().map(|v| 2.0 * v + 1.0).collect();
-        assert!((correlation(&x, &y) - 1.0).abs() < 1e-12);
-        let z: Vec<f64> = x.iter().map(|v| -v).collect();
-        assert!((correlation(&x, &z) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_degenerate_is_zero() {
-        assert_eq!(correlation(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
-        assert_eq!(correlation(&[1.0], &[2.0]), 0.0);
-    }
-
-    #[test]
-    fn ols_recovers_line() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 - 0.5 * x).collect();
-        let (a, b) = ols(&xs, &ys);
-        assert!((a - 3.0).abs() < 1e-10);
-        assert!((b + 0.5).abs() < 1e-10);
-    }
-
-    #[test]
-    fn ols_constant_x() {
-        let (a, b) = ols(&[2.0, 2.0], &[5.0, 7.0]);
-        assert_eq!((a, b), (6.0, 0.0));
     }
 }

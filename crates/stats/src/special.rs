@@ -1,9 +1,9 @@
-//! Special functions needed by the distribution-fitting code: log-gamma,
-//! digamma, trigamma, and the regularized incomplete gamma function.
+//! Special functions behind the χ² p-values of [`crate::independence`]:
+//! log-gamma and the regularized incomplete gamma function.
 //!
 //! Implemented from scratch (Lanczos approximation and the classic series /
 //! continued-fraction split for P(a, x)) so the workspace has no numeric
-//! dependencies; accuracy is ~1e-10 over the ranges the fitters use, which
+//! dependencies; accuracy is ~1e-10 over the ranges the tests use, which
 //! unit tests pin against reference values.
 
 /// Natural log of the gamma function, Lanczos approximation (g = 7, n = 9).
@@ -32,45 +32,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     }
     let t = x + G + 0.5;
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-}
-
-/// Digamma ψ(x) = d/dx ln Γ(x), via upward recurrence + asymptotic series.
-///
-/// # Panics
-/// Panics if `x <= 0`.
-pub fn digamma(x: f64) -> f64 {
-    assert!(x > 0.0, "digamma requires x > 0, got {x}");
-    let mut x = x;
-    let mut result = 0.0;
-    // Shift x above 6 where the asymptotic series is accurate.
-    while x < 10.0 {
-        result -= 1.0 / x;
-        x += 1.0;
-    }
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    result += x.ln()
-        - 0.5 * inv
-        - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0))));
-    result
-}
-
-/// Trigamma ψ′(x), via upward recurrence + asymptotic series.
-///
-/// # Panics
-/// Panics if `x <= 0`.
-pub fn trigamma(x: f64) -> f64 {
-    assert!(x > 0.0, "trigamma requires x > 0, got {x}");
-    let mut x = x;
-    let mut result = 0.0;
-    while x < 10.0 {
-        result += 1.0 / (x * x);
-        x += 1.0;
-    }
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    result
-        + inv * (1.0 + inv * (0.5 + inv * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0)))))
 }
 
 /// Regularized lower incomplete gamma P(a, x) = γ(a, x) / Γ(a) ∈ [0, 1].
@@ -131,14 +92,6 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
     }
 }
 
-/// CDF of the gamma distribution with `shape` k and `scale` θ at `x`.
-pub fn gamma_cdf(shape: f64, scale: f64, x: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    reg_lower_gamma(shape, x / scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,36 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn digamma_reference_values() {
-        // ψ(1) = -γ (Euler–Mascheroni).
-        let euler = 0.577_215_664_901_532_9;
-        assert!((digamma(1.0) + euler).abs() < 1e-10);
-        // ψ(2) = 1 - γ.
-        assert!((digamma(2.0) - (1.0 - euler)).abs() < 1e-10);
-        // ψ(0.5) = -γ - 2 ln 2.
-        assert!((digamma(0.5) + euler + 2.0 * std::f64::consts::LN_2).abs() < 1e-10);
-    }
-
-    #[test]
-    fn digamma_recurrence_property() {
-        // ψ(x+1) = ψ(x) + 1/x
-        for &x in &[0.3, 1.7, 4.2, 11.0] {
-            assert!((digamma(x + 1.0) - digamma(x) - 1.0 / x).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn trigamma_reference_values() {
-        // ψ'(1) = π²/6.
-        let want = std::f64::consts::PI.powi(2) / 6.0;
-        assert!((trigamma(1.0) - want).abs() < 1e-9);
-        // ψ'(x+1) = ψ'(x) - 1/x².
-        for &x in &[0.4, 2.3, 7.0] {
-            assert!((trigamma(x + 1.0) - trigamma(x) + 1.0 / (x * x)).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn incomplete_gamma_exponential_special_case() {
         // For a = 1 the gamma distribution is exponential:
         // P(1, x) = 1 - e^-x.
@@ -230,14 +153,5 @@ mod tests {
             prev = v;
         }
         assert!(prev > 0.9999);
-    }
-
-    #[test]
-    fn gamma_cdf_median_of_shape2() {
-        // Median of gamma(k=2, θ=1) ≈ 1.67834699.
-        let m = 1.678_346_99;
-        assert!((gamma_cdf(2.0, 1.0, m) - 0.5).abs() < 1e-6);
-        // Scale parameter scales x.
-        assert!((gamma_cdf(2.0, 3.0, 3.0 * m) - 0.5).abs() < 1e-6);
     }
 }

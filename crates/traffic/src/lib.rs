@@ -8,7 +8,7 @@
 //! * [`process`] — arrival processes: Poisson, periodic, compound/batch
 //!   Poisson, Markov on/off.
 //! * [`stream`] — the [`Arrival`] type, packet-size distributions, and
-//!   stream combinators (merge, thinning, time-varying modulation).
+//!   stream combinators (merge, thinning, delay).
 //! * [`mix`] — the paper's hypothesized Internet workload: small interactive
 //!   (Telnet) packets plus batched bulk (FTP) packets, with calibration to a
 //!   target bottleneck utilization.
@@ -31,13 +31,9 @@ pub mod mix;
 pub mod process;
 pub mod stream;
 
-pub use mix::{
-    diurnal_factor, ftp_batches, ftp_transfers, telnet, telnet_sizes, InternetMix, FTP_PACKET_BYTES,
-};
+pub use mix::{ftp_batches, ftp_transfers, telnet, telnet_sizes, InternetMix, FTP_PACKET_BYTES};
 pub use process::{
     exponential, geometric, pareto, BatchPoissonStream, OnOffStream, ParetoOnOffStream,
     PeriodicStream, PoissonStream,
 };
-pub use stream::{
-    delay, merge, offered_bps, thin, thin_with, to_pairs, total_bytes, Arrival, PacketSize,
-};
+pub use stream::{delay, merge, offered_bps, thin, to_pairs, total_bytes, Arrival, PacketSize};

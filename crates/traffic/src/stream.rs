@@ -131,21 +131,6 @@ pub fn thin<R: Rng + ?Sized>(stream: &[Arrival], keep: f64, rng: &mut R) -> Vec<
         .collect()
 }
 
-/// Keep arrivals with a time-varying probability `keep(t)` clamped to
-/// `[0, 1]` — models slow load modulation such as the diurnal congestion
-/// cycle reported for the NSFNET (paper ref \[19\]).
-pub fn thin_with<R, F>(stream: &[Arrival], mut keep: F, rng: &mut R) -> Vec<Arrival>
-where
-    R: Rng + ?Sized,
-    F: FnMut(SimTime) -> f64,
-{
-    stream
-        .iter()
-        .copied()
-        .filter(|a| rng.gen::<f64>() < keep(a.at).clamp(0.0, 1.0))
-        .collect()
-}
-
 /// Shift every arrival later by `offset`.
 pub fn delay(stream: &[Arrival], offset: SimDuration) -> Vec<Arrival> {
     stream
@@ -252,21 +237,6 @@ mod tests {
         let kept = thin(&stream, 0.3, &mut rng());
         let frac = kept.len() as f64 / stream.len() as f64;
         assert!((frac - 0.3).abs() < 0.02, "kept fraction {frac}");
-    }
-
-    #[test]
-    fn thin_with_time_varying_rate() {
-        let stream: Vec<Arrival> = (0..10_000)
-            .map(|i| Arrival { at: at(i), size: 1 })
-            .collect();
-        // Keep nothing in the first half, everything after.
-        let kept = thin_with(
-            &stream,
-            |t| if t < at(5000) { 0.0 } else { 1.0 },
-            &mut rng(),
-        );
-        assert_eq!(kept.len(), 5000);
-        assert!(kept.iter().all(|a| a.at >= at(5000)));
     }
 
     #[test]

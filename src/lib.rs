@@ -10,7 +10,8 @@
 //!   substrate the probes traverse).
 //! * [`traffic`] — cross-traffic models (the "Internet stream").
 //! * [`wire`] — packet wire formats (NetDyn probe packets, IPv4/UDP/ICMP).
-//! * [`stats`] — statistics substrate (histograms, ACF, FFT, fitting).
+//! * [`stats`] — statistics substrate (histograms, ACF, peaks, independence
+//!   tests).
 //! * [`queueing`] — queueing theory (Lindley recurrence, M/D/1, the paper's
 //!   two-stream batch model).
 //! * [`netdyn`] — the probe tool itself (simulation driver + real UDP echo).

@@ -6,7 +6,7 @@ use probenet::core::{
 };
 use probenet::netdyn::ExperimentConfig;
 use probenet::sim::SimDuration;
-use probenet::stats::{autocorrelation, ArModel, Moments};
+use probenet::stats::autocorrelation;
 
 fn run(delta_ms: u64, seconds: u64, seed: u64) -> probenet::core::ExperimentOutput {
     let scenario = PaperScenario::inria_umd(seed);
@@ -80,15 +80,6 @@ fn rtt_series_is_strongly_autocorrelated_at_small_delta() {
     let rtts = out.series.delivered_rtts_ms();
     let acf = autocorrelation(&rtts, 10);
     assert!(acf[1] > 0.8, "lag-1 autocorrelation {}", acf[1]);
-
-    // An AR model therefore predicts far better than the mean.
-    let model = ArModel::fit(&rtts, 4);
-    let mse = model.one_step_mse(&rtts);
-    let var = Moments::from_slice(&rtts).variance();
-    assert!(
-        mse < 0.3 * var,
-        "AR(4) one-step MSE {mse:.2} vs variance {var:.2}"
-    );
 }
 
 #[test]

@@ -1,18 +1,11 @@
-//! Integration tests for the beyond-the-paper extensions: the §6 analytic
-//! model against the full simulator, one-way delays, route changes, delay
-//! fits, and CSV interchange — each exercised across crate boundaries.
+//! Integration tests beyond the paper's own artifacts: the §6 analytic
+//! model against the full simulator, CSV interchange, and reordering on a
+//! shortened route — each exercised across crate boundaries.
 
-use probenet::core::{
-    analyze_delay_distribution, analyze_owd, detect_route_changes, loss_given_delay,
-    playback_buffer_ms, PaperScenario,
-};
-use probenet::netdyn::{from_csv, to_csv, ExperimentConfig, RttRecord, RttSeries, SimExperiment};
+use probenet::core::PaperScenario;
+use probenet::netdyn::{from_csv, to_csv, ExperimentConfig, RttRecord, RttSeries};
 use probenet::queueing::{BatchModelSolver, BatchSizeDist, BolotModel};
 use probenet::sim::{Direction, Engine, Path, SimDuration, SimTime};
-use probenet::stats::hurst_aggregate_variance;
-use probenet::traffic::{thin_with, InternetMix};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn scenario_series(delta_ms: u64, count: usize, seed: u64) -> RttSeries {
     let sc = PaperScenario::inria_umd(seed);
@@ -92,70 +85,6 @@ fn analytic_model_tracks_simulated_compression_mass() {
 }
 
 #[test]
-fn owd_pipeline_end_to_end() {
-    let series = scenario_series(20, 4000, 5);
-    let owd = analyze_owd(&series).expect("sim provides echo stamps");
-    assert!(owd.samples > 2500);
-    // Consistency with the series' own view.
-    assert_eq!(owd.samples, series.one_way_delays_ms().len());
-    // Outbound carries the heavier configured load.
-    assert!(owd.queueing_asymmetry_ms > 0.0);
-}
-
-#[test]
-fn route_change_detected_through_loaded_path() {
-    let path = Path::inria_umd_1992();
-    let (bidx, spec) = path.bottleneck();
-    let mu = spec.bandwidth_bps;
-    let mut engine = Engine::new(path, 13);
-    let mix = InternetMix::calibrated(mu, 0.45, 0.1, 3.0);
-    let arrivals = mix.generate(&mut StdRng::seed_from_u64(6), SimDuration::from_secs(130));
-    engine.attach_cross_traffic(
-        bidx,
-        Direction::Outbound,
-        arrivals.iter().map(|a| a.into_pair()),
-    );
-    engine.schedule_propagation_change(
-        bidx,
-        SimTime::from_secs(60),
-        SimDuration::from_micros(49_750 + 25_000),
-    );
-    let count = 2400u64;
-    for n in 0..count {
-        engine.inject_probe(SimTime::from_millis(50 * n), 72, n);
-    }
-    engine.run();
-    let mut records: Vec<RttRecord> = (0..count)
-        .map(|n| RttRecord {
-            seq: n,
-            sent_at: n * 50_000_000,
-            echoed_at: None,
-            rtt: None,
-        })
-        .collect();
-    for d in engine.probe_deliveries() {
-        records[d.seq as usize].rtt = Some(d.rtt().as_nanos());
-    }
-    let series = RttSeries::new(SimDuration::from_millis(50), 72, SimDuration::ZERO, records);
-    let changes = detect_route_changes(&series, 100, 10.0);
-    assert_eq!(changes.len(), 1, "{changes:?}");
-    assert!((changes[0].shift_ms() - 50.0).abs() < 5.0, "{changes:?}");
-}
-
-#[test]
-fn delay_fit_and_playback_sizing_are_consistent() {
-    let series = scenario_series(50, 4800, 8);
-    let a = analyze_delay_distribution(&series).expect("data");
-    // The p95-based playback budget matches the quantile arithmetic.
-    let budget = playback_buffer_ms(&series, 0.05).expect("data");
-    assert!((budget - (a.p95_ms - a.min_ms)).abs() < 1e-9);
-    // Congestion losses follow high delays on this path at small delta.
-    let series8 = scenario_series(8, 12_000, 8);
-    let (hi, lo) = loss_given_delay(&series8, 0.9).expect("losses");
-    assert!(hi > lo, "loss after high delay {hi} vs low {lo}");
-}
-
-#[test]
 fn csv_round_trips_a_real_experiment() {
     let series = scenario_series(100, 600, 9);
     let text = to_csv(&series);
@@ -164,47 +93,6 @@ fn csv_round_trips_a_real_experiment() {
     assert_eq!(back.interval_ns, series.interval_ns);
     // The paper convention survives the round trip.
     assert_eq!(back.rtt_or_zero_ms(), series.rtt_or_zero_ms());
-}
-
-#[test]
-fn diurnal_modulation_raises_hurst() {
-    // Stationary load vs. slowly modulated load: the modulated series has
-    // more long-time-scale variance (higher aggregate-variance Hurst).
-    let path = Path::inria_umd_1992();
-    let (bidx, spec) = path.bottleneck();
-    let horizon = SimDuration::from_secs(300);
-    let cfg = ExperimentConfig::paper(SimDuration::from_millis(100))
-        .with_count(3000)
-        .with_clock(SimDuration::ZERO);
-
-    let stationary = {
-        let mix = InternetMix::calibrated(spec.bandwidth_bps, 0.55, 0.1, 3.0);
-        let arr = mix.generate(&mut StdRng::seed_from_u64(1), horizon);
-        SimExperiment::new(cfg.clone(), path.clone(), 2)
-            .with_cross_traffic(bidx, Direction::Outbound, arr)
-            .run()
-            .0
-    };
-    let modulated = {
-        let mix = InternetMix::calibrated(spec.bandwidth_bps, 0.85, 0.1, 3.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let arr = mix.generate(&mut rng, horizon);
-        let arr = thin_with(
-            &arr,
-            probenet::traffic::diurnal_factor(0.3, 1.0, SimDuration::from_secs(150)),
-            &mut rng,
-        );
-        SimExperiment::new(cfg, path, 2)
-            .with_cross_traffic(bidx, Direction::Outbound, arr)
-            .run()
-            .0
-    };
-    let h_flat = hurst_aggregate_variance(&stationary.delivered_rtts_ms()).expect("data");
-    let h_mod = hurst_aggregate_variance(&modulated.delivered_rtts_ms()).expect("data");
-    assert!(
-        h_mod > h_flat,
-        "modulated H {h_mod:.3} should exceed stationary H {h_flat:.3}"
-    );
 }
 
 #[test]
