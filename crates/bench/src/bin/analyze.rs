@@ -1,13 +1,14 @@
-//! `analyze` — run the full probenet analysis pipeline on a measurement
-//! file.
+//! `analyze` — the paper's three readings of one measurement file: loss
+//! (ulp, clp, gap), the phase-plot bottleneck, and the eq.-6 workload.
 //!
 //! ```text
 //! analyze <series.csv> [--mu-kbps N] [--json]
 //! analyze --demo [--json]
 //! ```
 //!
-//! The input is the CSV format written by `probenet_netdyn::to_csv` (and by
-//! the `udp_echo` tooling). `--mu-kbps` supplies the bottleneck rate when
+//! The input is the CSV format written by `probenet_netdyn::to_csv`; a file
+//! that skips probes or leaves out δ or the probe size is rejected with its
+//! line number (exit 1). `--mu-kbps` supplies the bottleneck rate when
 //! known; otherwise it is estimated from probe compression where possible.
 //! `--demo` analyzes a freshly simulated INRIA–UMd run instead of a file.
 

@@ -5,9 +5,13 @@
 //! move between probenet and external tools (gnuplot, R, spreadsheets)
 //! without a serde dependency on the consumer side.
 //!
-//! Format (header + one row per probe; empty fields for lost probes):
+//! Format (metadata comments, header, then one row per probe in sequence
+//! order; empty fields for lost probes):
 //!
 //! ```text
+//! # interval_ns=50000000
+//! # wire_bytes=72
+//! # clock_resolution_ns=0
 //! seq,sent_at_ns,echoed_at_ns,rtt_ns
 //! 0,0,71214771,142429542
 //! 1,50000000,,
@@ -36,6 +40,25 @@ pub enum CsvError {
         /// Column name.
         column: &'static str,
     },
+    /// A row's `seq` is not its row index: a probe is missing, repeated or
+    /// out of order. The analyses read loss off the rows, so a gap would
+    /// hide the missing probes' losses.
+    OutOfSequence {
+        /// 1-based line number.
+        line: usize,
+        /// The row index, which is the `seq` this row must carry.
+        expected: u64,
+        /// The `seq` the row carries.
+        found: u64,
+    },
+    /// The header came without a nonzero `interval_ns` or `wire_bytes`
+    /// comment before it; δ and P enter every analysis.
+    MissingMetadata {
+        /// 1-based line number of the header.
+        line: usize,
+        /// The missing key.
+        key: &'static str,
+    },
 }
 
 impl std::fmt::Display for CsvError {
@@ -45,6 +68,17 @@ impl std::fmt::Display for CsvError {
             CsvError::BadRow { line } => write!(f, "line {line}: wrong field count"),
             CsvError::BadField { line, column } => {
                 write!(f, "line {line}: invalid {column}")
+            }
+            CsvError::OutOfSequence {
+                line,
+                expected,
+                found,
+            } => write!(
+                f,
+                "line {line}: seq {found} where seq {expected} belongs (one row per probe, in order)"
+            ),
+            CsvError::MissingMetadata { line, key } => {
+                write!(f, "line {line}: header without a nonzero `# {key}=` before it")
             }
         }
     }
@@ -78,7 +112,14 @@ pub fn to_csv(series: &RttSeries) -> String {
 }
 
 /// Parse a series from CSV produced by [`to_csv`] (or hand-written in the
-/// same format; metadata comments are optional and default to zero).
+/// same format).
+///
+/// The `interval_ns` and `wire_bytes` comments must come before the header
+/// and be nonzero; `clock_resolution_ns` may be left out and defaults to 0,
+/// an ideal clock. After the header, `#` lines are plain comments. Row `i`
+/// (from 0) must carry `seq` `i`, as [`to_csv`] writes it, so a file that
+/// skips, repeats or reorders probes is rejected rather than analysed as if
+/// the missing probes had never been sent.
 pub fn from_csv(text: &str) -> Result<RttSeries, CsvError> {
     let mut interval_ns = 0u64;
     let mut wire_bytes = 0u32;
@@ -92,6 +133,9 @@ pub fn from_csv(text: &str) -> Result<RttSeries, CsvError> {
             continue;
         }
         if let Some(meta) = line.strip_prefix('#') {
+            if saw_header {
+                continue;
+            }
             let meta = meta.trim();
             if let Some(v) = meta.strip_prefix("interval_ns=") {
                 interval_ns = v.parse().map_err(|_| CsvError::BadField {
@@ -115,6 +159,14 @@ pub fn from_csv(text: &str) -> Result<RttSeries, CsvError> {
             if line != HEADER {
                 return Err(CsvError::BadHeader);
             }
+            for (key, value) in [
+                ("interval_ns", interval_ns),
+                ("wire_bytes", u64::from(wire_bytes)),
+            ] {
+                if value == 0 {
+                    return Err(CsvError::MissingMetadata { line: line_no, key });
+                }
+            }
             saw_header = true;
             continue;
         }
@@ -122,10 +174,18 @@ pub fn from_csv(text: &str) -> Result<RttSeries, CsvError> {
         if fields.len() != 4 {
             return Err(CsvError::BadRow { line: line_no });
         }
-        let seq = fields[0].parse().map_err(|_| CsvError::BadField {
+        let seq: u64 = fields[0].parse().map_err(|_| CsvError::BadField {
             line: line_no,
             column: "seq",
         })?;
+        let expected = records.len() as u64;
+        if seq != expected {
+            return Err(CsvError::OutOfSequence {
+                line: line_no,
+                expected,
+                found: seq,
+            });
+        }
         let sent_at = fields[1].parse().map_err(|_| CsvError::BadField {
             line: line_no,
             column: "sent_at_ns",
@@ -214,32 +274,92 @@ mod tests {
         assert_eq!(from_csv("").unwrap_err(), CsvError::BadHeader);
     }
 
+    /// The two required metadata lines, so a test's header is line 3.
+    const META: &str = "# interval_ns=50000000\n# wire_bytes=72\n";
+
     #[test]
     fn bad_rows_are_located() {
-        let text = format!("{HEADER}\n0,0,,\n1,2,3\n");
-        assert_eq!(from_csv(&text).unwrap_err(), CsvError::BadRow { line: 3 });
-        let text = format!("{HEADER}\nx,0,,\n");
+        let text = format!("{META}{HEADER}\n0,0,,\n1,2,3\n");
+        assert_eq!(from_csv(&text).unwrap_err(), CsvError::BadRow { line: 5 });
+        let text = format!("{META}{HEADER}\nx,0,,\n");
         assert!(matches!(
             from_csv(&text),
             Err(CsvError::BadField {
-                line: 2,
+                line: 4,
                 column: "seq"
             })
         ));
     }
 
     #[test]
-    fn metadata_is_optional() {
+    fn rows_out_of_sequence_are_rejected_at_their_line() {
+        // (rows, line, expected seq, found seq). A gap (probes 2-4 missing)
+        // would otherwise read as 4 probes and no loss.
+        for (rows, line, expected, found) in [
+            ("0,0,,1\n1,1,,1\n5,5,,1\n6,6,,1\n", 6, 2, 5),
+            ("5,0,,1\n5,0,,1\n2,0,,1\n", 4, 0, 5),
+            ("0,0,,1\n0,0,,1\n", 5, 1, 0),
+        ] {
+            let text = format!("{META}{HEADER}\n{rows}");
+            assert_eq!(
+                from_csv(&text).unwrap_err(),
+                CsvError::OutOfSequence {
+                    line,
+                    expected,
+                    found
+                },
+                "{rows}"
+            );
+        }
+    }
+
+    #[test]
+    fn interval_and_wire_size_are_required_and_nonzero() {
         let text = format!("{HEADER}\n0,0,,150000000\n");
+        assert_eq!(
+            from_csv(&text).unwrap_err(),
+            CsvError::MissingMetadata {
+                line: 1,
+                key: "interval_ns"
+            }
+        );
+        let text = format!("# interval_ns=50000000\n{HEADER}\n0,0,,150000000\n");
+        assert_eq!(
+            from_csv(&text).unwrap_err(),
+            CsvError::MissingMetadata {
+                line: 2,
+                key: "wire_bytes"
+            }
+        );
+        let text = format!("# interval_ns=0\n# wire_bytes=72\n{HEADER}\n");
+        assert!(matches!(
+            from_csv(&text),
+            Err(CsvError::MissingMetadata {
+                key: "interval_ns",
+                ..
+            })
+        ));
+        // Metadata after the header is a plain comment, not a late default.
+        let text = format!("{HEADER}\n# interval_ns=50000000\n# wire_bytes=72\n");
+        assert!(matches!(
+            from_csv(&text),
+            Err(CsvError::MissingMetadata { line: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn clock_resolution_defaults_to_an_ideal_clock() {
+        let text = format!("{META}{HEADER}\n0,0,,150000000\n");
         let s = from_csv(&text).expect("parse");
-        assert_eq!(s.interval_ns, 0);
+        assert_eq!(s.interval_ns, 50_000_000);
+        assert_eq!(s.clock_resolution_ns, 0);
         assert_eq!(s.len(), 1);
         assert_eq!(s.received(), 1);
     }
 
     #[test]
     fn blank_lines_and_unknown_comments_are_ignored() {
-        let text = format!("# made by hand\n\n{HEADER}\n\n0,0,,150000000\n");
+        let text = format!("# made by hand\n{META}\n{HEADER}\n\n# note\n0,0,,150000000\n");
         let s = from_csv(&text).expect("parse");
         assert_eq!(s.len(), 1);
     }
@@ -248,5 +368,16 @@ mod tests {
     fn error_display() {
         assert!(CsvError::BadHeader.to_string().contains("header"));
         assert!(CsvError::BadRow { line: 7 }.to_string().contains('7'));
+        let gap = CsvError::OutOfSequence {
+            line: 9,
+            expected: 2,
+            found: 5,
+        };
+        assert!(gap.to_string().starts_with("line 9:"), "{gap}");
+        let meta = CsvError::MissingMetadata {
+            line: 1,
+            key: "wire_bytes",
+        };
+        assert!(meta.to_string().contains("wire_bytes"), "{meta}");
     }
 }
