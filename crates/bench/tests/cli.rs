@@ -96,6 +96,56 @@ fn analyze_rejects_a_rate_that_is_not_a_positive_number() {
     }
 }
 
+/// Write `text` under the test target's scratch directory and return the
+/// path.
+fn scratch_file(name: &str, text: &str) -> std::path::PathBuf {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("write scratch file");
+    path
+}
+
+#[test]
+fn analyze_reads_what_to_csv_writes_and_rejects_a_seq_gap() {
+    use probenet_core::PaperScenario;
+    use probenet_netdyn::{to_csv, ExperimentConfig};
+    use probenet_sim::SimDuration;
+    let analyze = env!("CARGO_BIN_EXE_analyze");
+
+    // A 12 s simulated run, written by the library's own writer.
+    let series = PaperScenario::inria_umd(7)
+        .run(&ExperimentConfig::paper(SimDuration::from_millis(20)).with_count(600))
+        .series;
+    let good = scratch_file("analyze-good.csv", &to_csv(&series));
+    let out = run(analyze, &[good.to_str().expect("utf-8 path"), "--json"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = serde_json::parse(&stdout).expect("--json prints JSON");
+    let serde::Value::Object(fields) = json else {
+        panic!("top level is not an object: {stdout}");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["measurement", "loss", "bottleneck", "workload"]);
+
+    // Probes 2-4 missing: not a file `to_csv` writes, and no series to
+    // report on as if they had never been sent.
+    let gap = scratch_file(
+        "analyze-gap.csv",
+        "# interval_ns=20000000\n# wire_bytes=72\nseq,sent_at_ns,echoed_at_ns,rtt_ns\n\
+         0,0,,140000000\n1,20000000,,140000000\n5,100000000,,140000000\n\
+         6,120000000,,140000000\n",
+    );
+    let out = run(analyze, &[gap.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("line 6:"), "{stderr}");
+    assert!(out.stdout.is_empty(), "reported on a rejected file");
+}
+
 #[test]
 fn ablation_rejects_an_unknown_study_and_lists_the_valid_ones() {
     assert_usage_error_of(
