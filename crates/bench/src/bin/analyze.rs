@@ -11,6 +11,10 @@
 //! line number (exit 1). `--mu-kbps` supplies the bottleneck rate when
 //! known; otherwise it is estimated from probe compression where possible.
 //! `--demo` analyzes a freshly simulated INRIA–UMd run instead of a file.
+//! A closed stdout (`analyze … | head`) ends the output quietly with exit
+//! 0; any other write error exits 1.
+
+use std::io::{ErrorKind, Write};
 
 use probenet_bench::flag_value;
 use probenet_core::{full_report, render_report, PaperScenario};
@@ -76,12 +80,18 @@ fn main() {
     };
 
     let report = full_report(&series, mu_bps);
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("serializable report")
-        );
+    let text = if json {
+        serde_json::to_string_pretty(&report).expect("serializable report") + "\n"
     } else {
-        print!("{}", render_report(&report));
+        render_report(&report)
+    };
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        // A reader that closed the pipe early (`analyze … | head`) wants
+        // no more output; that is not a failure.
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("cannot write the report: {e}");
+            std::process::exit(1);
+        }
     }
 }

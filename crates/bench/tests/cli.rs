@@ -1,7 +1,7 @@
 //! Command-line contract of the `repro`, `analyze` and `ablation`
 //! binaries: the flag handling no library-level test reaches.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
@@ -144,6 +144,39 @@ fn analyze_reads_what_to_csv_writes_and_rejects_a_seq_gap() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("line 6:"), "{stderr}");
     assert!(out.stdout.is_empty(), "reported on a rejected file");
+}
+
+/// `analyze --demo --json` with stdout piped to `stdout`, stderr captured.
+fn analyze_demo_into(stdout: Stdio) -> std::process::Child {
+    Command::new(env!("CARGO_BIN_EXE_analyze"))
+        .args(["--demo", "--json"])
+        .stdout(stdout)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn analyze")
+}
+
+#[test]
+fn analyze_exits_quietly_when_its_reader_goes_away() {
+    let mut child = analyze_demo_into(Stdio::piped());
+    // Close the read end before the report is written.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for analyze");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn analyze_fails_on_any_other_write_error() {
+    let full = std::fs::File::create("/dev/full").expect("open /dev/full");
+    let out = analyze_demo_into(full.into())
+        .wait_with_output()
+        .expect("wait for analyze");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write the report"), "{stderr}");
 }
 
 #[test]

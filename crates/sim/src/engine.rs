@@ -16,7 +16,8 @@
 //! handle instead of cloning the packet. Same-instant hops (router
 //! forwarding, the echo turnaround, TTL replies) are dispatched inline
 //! rather than round-tripped through the event queue, and the run loop
-//! drains whole time buckets via [`EventQueue::begin_bucket`].
+//! pops the rest one by one from [`EventQueue`], a binary heap on
+//! `(time, lane)`.
 //! Pre-generated traffic — cross-traffic arrival vectors
 //! ([`Engine::attach_cross_traffic`]) and periodic probe trains
 //! ([`Engine::inject_probe_train`]) — is fed one packet at a time: each
@@ -1417,10 +1418,8 @@ impl Engine {
     pub fn run(&mut self) {
         let started = std::time::Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) EngineStats wall-time observability, not sim data
         self.begin_run(SimTime::MAX);
-        while self.events.begin_bucket() {
-            while let Some((at, ev)) = self.events.pop_in_bucket() {
-                self.handle(at, ev);
-            }
+        while let Some((at, ev)) = self.events.pop() {
+            self.handle(at, ev);
         }
         self.run_wall += started.elapsed();
         self.finalize_ports();

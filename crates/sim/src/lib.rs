@@ -71,7 +71,7 @@ pub mod trace;
 
 pub use arena::{PacketArena, PacketRef};
 pub use engine::{discover_route, Engine, EngineStats, RemoteArrival, WindowFlow, TTL_REPLY_SIZE};
-pub use event::{reference::BinaryHeapQueue, EventQueue};
+pub use event::EventQueue;
 pub use impair::{
     DuplicateSpec, FlapWindow, GilbertElliott, ImpairmentSpec, ReorderSpec, RouteShift,
 };

@@ -454,55 +454,72 @@ fn duplicates_surface_as_repeated_sequence_numbers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The indexed bucket queue agrees with the reference binary heap on
-    /// arbitrary schedule/pop interleavings that straddle epoch boundaries
-    /// (offsets span within-bucket, within-ring, and spill-range jumps).
+    /// The event queue pops exactly what an obviously correct model pops:
+    /// a vector of `(time, lane, payload)` whose pop removes the minimum
+    /// `(time, lane)`, local lanes being `LOCAL_LANE | insertion index`.
+    /// Schedules at the current instant, near it and far ahead interleave
+    /// with pops, on content and local lanes; far events land on a coarse
+    /// grid, so same-instant FIFO ties build up across many pops.
     #[test]
-    fn prop_event_queue_matches_heap_reference(
+    fn prop_event_queue_matches_min_model(
         ops in proptest::collection::vec(
             // (schedule?, offset-class, offset, keyed?, lane)
             (any::<bool>(), 0u8..3, 0u64..1 << 30, any::<bool>(), 0u64..1 << 20),
             1..400,
         ),
     ) {
-        use probenet_sim::{BinaryHeapQueue, EventQueue};
-        let mut fast: EventQueue<u32> = EventQueue::new();
-        let mut reference: BinaryHeapQueue<u32> = BinaryHeapQueue::new();
+        use probenet_sim::event::LOCAL_LANE;
+        use probenet_sim::EventQueue;
+        let mut queue: EventQueue<u32> = EventQueue::new();
+        let mut model: Vec<(u64, u64, u32)> = Vec::new();
+        let (mut next_local, mut now, mut peak) = (0u64, 0u64, 0usize);
         let mut ticket = 0u32;
+        let model_min = |model: &[(u64, u64, u32)]| {
+            (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))
+        };
         for (do_schedule, class, offset, keyed, lane) in ops {
-            if do_schedule || fast.is_empty() {
-                // Class 0 stays inside one bucket (2^18 ns), class 1 inside
-                // the ring (2^30 ns), class 2 forces the spill vector — the
-                // epoch boundary is crossed both ways as the clock drains.
-                let scaled = match class {
-                    0 => offset & ((1 << 18) - 1),
-                    1 => offset,
-                    _ => offset << 7,
+            if do_schedule || model.is_empty() {
+                // Same instant, within a millisecond, or up to ~137 s out
+                // on a 2^30 ns (~1.07 s) grid.
+                let at = match class {
+                    0 => now,
+                    1 => now + (offset & ((1 << 20) - 1)),
+                    _ => (now + (offset << 7)).next_multiple_of(1 << 30),
                 };
-                let at = SimTime::from_nanos(fast.now().as_nanos().saturating_add(scaled));
-                if keyed {
+                let lane = if keyed {
                     // Unique per packet, like real packet-id lanes; ties
                     // between identical (time, lane) pairs would be
                     // legitimately ambiguous.
                     let lane = (lane << 32) | u64::from(ticket);
-                    fast.schedule_keyed(at, lane, ticket);
-                    reference.schedule_keyed(at, lane, ticket);
+                    queue.schedule_keyed(SimTime::from_nanos(at), lane, ticket);
+                    lane
                 } else {
-                    fast.schedule(at, ticket);
-                    reference.schedule(at, ticket);
-                }
+                    queue.schedule(SimTime::from_nanos(at), ticket);
+                    let lane = LOCAL_LANE | next_local;
+                    next_local += 1;
+                    lane
+                };
+                model.push((at, lane, ticket));
+                peak = peak.max(model.len());
                 ticket += 1;
             } else {
-                prop_assert_eq!(fast.peek_time(), reference.peek_time());
-                prop_assert_eq!(fast.pop(), reference.pop());
-                prop_assert_eq!(fast.now(), reference.now());
+                let i = model_min(&model).expect("model is non-empty");
+                prop_assert_eq!(queue.peek_time(), Some(SimTime::from_nanos(model[i].0)));
+                let (at, lane, payload) = model.swap_remove(i);
+                now = at;
+                prop_assert_eq!(queue.pop(), Some((SimTime::from_nanos(at), payload)));
+                prop_assert_eq!(queue.lane(), lane);
+                prop_assert_eq!(queue.now(), SimTime::from_nanos(now));
             }
-            prop_assert_eq!(fast.len(), reference.len());
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.peak_len(), peak);
         }
-        while let Some(got) = fast.pop() {
-            prop_assert_eq!(Some(got), reference.pop());
+        while let Some(i) = model_min(&model) {
+            let (at, lane, payload) = model.swap_remove(i);
+            prop_assert_eq!(queue.pop(), Some((SimTime::from_nanos(at), payload)));
+            prop_assert_eq!(queue.lane(), lane);
         }
-        prop_assert!(reference.is_empty());
+        prop_assert_eq!(queue.pop(), None);
     }
 }
 

@@ -57,10 +57,15 @@ fn main() {
     }
 
     // Loss-process analysis: the paper's ulp / clp / plg triple.
+    // clp and plg are undefined without a loss to condition on.
     let loss = analyze_losses(series);
+    let or_na = |v: Option<f64>| v.map_or_else(|| "n/a".to_owned(), |v| format!("{v:.3}"));
     println!(
-        "loss: ulp {:.3}, clp {:?}, loss gap {:?} (Palm: {:?})",
-        loss.ulp, loss.clp, loss.plg_measured, loss.plg_palm
+        "loss: ulp {:.3}, clp {}, loss gap {} (Palm: {})",
+        loss.ulp,
+        or_na(loss.clp),
+        or_na(loss.plg_measured),
+        or_na(loss.plg_palm)
     );
     println!(
         "losses look random (lag-1 chi^2, alpha = 0.01)? {}",

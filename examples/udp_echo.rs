@@ -73,12 +73,14 @@ fn main() {
         let max = rtts.iter().copied().fold(0.0f64, f64::max);
         println!("rtt: min {min:.3} ms | mean {mean:.3} ms | max {max:.3} ms");
     }
+    // clp and the gap are undefined when no probe is lost.
     let loss = analyze_loss_flags(&series.loss_flags());
+    let or_na = |v: Option<f64>| v.map_or_else(|| "n/a".to_owned(), |v| format!("{v:.3}"));
     println!(
-        "loss: ulp {:.3}, clp {:?}, gap {:?}, random? {}",
+        "loss: ulp {:.3}, clp {}, gap {}, random? {}",
         loss.ulp,
-        loss.clp,
-        loss.plg_measured,
+        or_na(loss.clp),
+        or_na(loss.plg_measured),
         loss.losses_look_random(0.01)
     );
     drop(server);
