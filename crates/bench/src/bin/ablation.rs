@@ -21,7 +21,9 @@
 //!   paper's (unresponsive) traffic mix: a negative result — RED presumes
 //!   congestion-responsive senders.
 
-use probenet_bench::flag_value;
+use std::io::StdoutLock;
+
+use probenet_bench::{flag_value, outln};
 use probenet_core::{analyze_losses, analyze_workload, PaperScenario, PhasePlot};
 use probenet_netdyn::{ExperimentConfig, SimExperiment};
 use probenet_sim::{BufferLimit, Direction, Path, SimDuration};
@@ -29,16 +31,29 @@ use probenet_traffic::{offered_bps, InternetMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn heading(s: &str) {
-    println!("\n=== ablation: {s} ===");
+/// The tool's locked stdout, which every study writes its lines to.
+type Out = StdoutLock<'static>;
+
+/// A study: it runs its experiments and writes its table to stdout.
+type Study = fn(&mut Out);
+
+fn heading(stdout: &mut Out, s: &str) {
+    outln!(stdout, "\n=== ablation: {s} ===");
 }
 
 /// Clock resolution vs. bottleneck-estimate accuracy (δ = 50 ms runs).
-fn clock_study() {
-    heading("measurement clock resolution vs mu estimate (truth 128 kb/s)");
-    println!(
+fn clock_study(stdout: &mut Out) {
+    heading(
+        stdout,
+        "measurement clock resolution vs mu estimate (truth 128 kb/s)",
+    );
+    outln!(
+        stdout,
         "{:>14} | {:>12} | {:>12} | {:>22}",
-        "clock (ms)", "intercept", "mu estimate", "bounds (kb/s)"
+        "clock (ms)",
+        "intercept",
+        "mu estimate",
+        "bounds (kb/s)"
     );
     for res_us in [0u64, 500, 1000, 3906, 10_000] {
         let sc = PaperScenario::inria_umd(1993);
@@ -48,7 +63,8 @@ fn clock_study() {
         let out = sc.run(&cfg);
         let plot = PhasePlot::from_series(&out.series);
         match plot.bottleneck_estimate(10) {
-            Some(e) => println!(
+            Some(e) => outln!(
+                stdout,
                 "{:>14.3} | {:>9.2} ms | {:>7.1} kb/s | [{:>8.1}, {:>8.1}]",
                 res_us as f64 / 1e3,
                 e.intercept_ms,
@@ -56,18 +72,25 @@ fn clock_study() {
                 e.mu_lo_bps / 1e3,
                 e.mu_hi_bps / 1e3
             ),
-            None => println!("{:>14.3} | no line", res_us as f64 / 1e3),
+            None => outln!(stdout, "{:>14.3} | no line", res_us as f64 / 1e3),
         }
     }
-    println!("reading: accuracy is clock-bound, not method-bound (0 ms is exact).");
+    outln!(
+        stdout,
+        "reading: accuracy is clock-bound, not method-bound (0 ms is exact)."
+    );
 }
 
 /// Buffer discipline vs. loss profile at small and large δ.
-fn buffer_study() {
-    heading("bottleneck buffer discipline vs probe loss profile");
-    println!(
+fn buffer_study(stdout: &mut Out) {
+    heading(stdout, "bottleneck buffer discipline vs probe loss profile");
+    outln!(
+        stdout,
         "{:>22} | {:>9} | {:>9} | {:>9}",
-        "buffer", "ulp@8ms", "ulp@100ms", "clp@8ms"
+        "buffer",
+        "ulp@8ms",
+        "ulp@100ms",
+        "clp@8ms"
     );
     // 22 slots vs the byte-equivalent when full of 512-B bulk packets.
     let disciplines: Vec<(&str, BufferLimit)> = vec![
@@ -96,12 +119,17 @@ fn buffer_study() {
             }
             results.push(loss.ulp);
         }
-        println!(
+        outln!(
+            stdout,
             "{:>22} | {:>9.3} | {:>9.3} | {:>9.3}",
-            name, results[0], results[1], clp8
+            name,
+            results[0],
+            results[1],
+            clp8
         );
     }
-    println!(
+    outln!(
+        stdout,
         "reading: byte-limited drop-tail admits small probes preferentially,\n\
          flattening the small-delta loss signature the paper measured;\n\
          slot-limited queues (the era's routers) reproduce it."
@@ -109,11 +137,19 @@ fn buffer_study() {
 }
 
 /// Cross-traffic batch size vs. clp and workload-peak visibility.
-fn batch_study() {
-    heading("cross-traffic bulk batch size vs loss burstiness and Fig-8 peaks");
-    println!(
+fn batch_study(stdout: &mut Out) {
+    heading(
+        stdout,
+        "cross-traffic bulk batch size vs loss burstiness and Fig-8 peaks",
+    );
+    outln!(
+        stdout,
         "{:>11} | {:>9} | {:>9} | {:>14} | {:>12}",
-        "mean batch", "ulp@20ms", "clp@20ms", "bulk peak?", "bulk bytes"
+        "mean batch",
+        "ulp@20ms",
+        "clp@20ms",
+        "bulk peak?",
+        "bulk bytes"
     );
     for mean_batch in [1.5f64, 3.0, 6.0, 12.0] {
         let sc = PaperScenario {
@@ -127,7 +163,8 @@ fn batch_study() {
         let loss = analyze_losses(&out.series);
         let wl = analyze_workload(&out.series, 128_000.0, 4096.0, 100.0);
         let bulk = wl.inferred_bulk_bytes();
-        println!(
+        outln!(
+            stdout,
             "{:>11.1} | {:>9.3} | {:>9.3} | {:>14} | {:>12}",
             mean_batch,
             loss.ulp,
@@ -141,7 +178,8 @@ fn batch_study() {
                 .unwrap_or_else(|| "-".into()),
         );
     }
-    println!(
+    outln!(
+        stdout,
         "reading: bigger batches lengthen overflow episodes (higher clp, as\n\
          the paper saw) but smear the single-FTP-packet peak; the calibrated\n\
          scenario sits at the crossover."
@@ -149,11 +187,18 @@ fn batch_study() {
 }
 
 /// Equation-(6) estimator bias vs δ.
-fn estimator_study() {
-    heading("eq.-(6) workload estimator vs ground truth across delta");
-    println!(
+fn estimator_study(stdout: &mut Out) {
+    heading(
+        stdout,
+        "eq.-(6) workload estimator vs ground truth across delta",
+    );
+    outln!(
+        stdout,
         "{:>10} | {:>16} | {:>16} | {:>8}",
-        "delta(ms)", "estimated (kb/s)", "offered (kb/s)", "ratio"
+        "delta(ms)",
+        "estimated (kb/s)",
+        "offered (kb/s)",
+        "ratio"
     );
     for delta_ms in [8u64, 20, 50, 100, 200, 500] {
         let sc = PaperScenario::inria_umd(1993);
@@ -173,7 +218,8 @@ fn estimator_study() {
         // Mean workload per interval -> implied offered rate.
         let mean_bytes = est.iter().sum::<f64>() / est.len().max(1) as f64;
         let est_bps = mean_bytes * 8.0 / (delta_ms as f64 / 1e3);
-        println!(
+        outln!(
+            stdout,
             "{:>10} | {:>16.1} | {:>16.1} | {:>8.2}",
             delta_ms,
             est_bps / 1e3,
@@ -181,7 +227,8 @@ fn estimator_study() {
             est_bps / offered
         );
     }
-    println!(
+    outln!(
+        stdout,
         "reading: eq. (6) is exact while the buffer stays busy; as delta\n\
          grows the buffer empties within intervals and the estimator's\n\
          (mu*delta - P) clamp inflates it — the paper's own caveat that the\n\
@@ -191,12 +238,21 @@ fn estimator_study() {
 
 /// Open-loop (the paper's Internet mix) vs closed-loop (window flows)
 /// background traffic at comparable bottleneck utilization.
-fn closedloop_study() {
+fn closedloop_study(stdout: &mut Out) {
     use probenet_sim::{Engine, FlowClass, SimTime, WindowFlow};
-    heading("open-loop mix vs closed-loop window transfers as background");
-    println!(
+    heading(
+        stdout,
+        "open-loop mix vs closed-loop window transfers as background",
+    );
+    outln!(
+        stdout,
         "{:>12} | {:>10} | {:>8} | {:>8} | {:>9} | {:>10}",
-        "background", "bneck util", "ulp", "clp", "mean rtt", "probe drops"
+        "background",
+        "bneck util",
+        "ulp",
+        "clp",
+        "mean rtt",
+        "probe drops"
     );
     let delta_ms = 20u64;
     let count = 6000usize;
@@ -213,7 +269,8 @@ fn closedloop_study() {
         let out = sc.run(&cfg);
         let loss = analyze_losses(&out.series);
         let rtts = out.series.delivered_rtts_ms();
-        println!(
+        outln!(
+            stdout,
             "{:>12} | {:>10.2} | {:>8.3} | {:>8.3} | {:>7.0}ms | {:>10}",
             "open-loop",
             out.bottleneck_utilization,
@@ -248,7 +305,8 @@ fn closedloop_study() {
             .iter()
             .filter(|d| d.class == FlowClass::Probe)
             .count();
-        println!(
+        outln!(
+            stdout,
             "{:>10}w{window:<2} | {:>10.2} | {:>8.3} | {:>8.3} | {:>7.0}ms | {:>10}",
             "closed",
             util,
@@ -259,7 +317,8 @@ fn closedloop_study() {
         );
         let _ = mu;
     }
-    println!(
+    outln!(
+        stdout,
         "reading: closed-loop sources self-limit — they fill the pipe yet\n\
          cannot overflow a buffer larger than their window, so probe losses\n\
          stay at the random-loss floor while delay rides high and steady.\n\
@@ -270,12 +329,18 @@ fn closedloop_study() {
 }
 
 /// Drop-tail vs RED at the bottleneck: loss burstiness across δ.
-fn red_study() {
+fn red_study(stdout: &mut Out) {
     use probenet_sim::QueuePolicy;
-    heading("drop-tail vs RED at the bottleneck");
-    println!(
+    heading(stdout, "drop-tail vs RED at the bottleneck");
+    outln!(
+        stdout,
         "{:>10} | {:>10} | {:>8} | {:>8} | {:>7} | {:>8}",
-        "delta(ms)", "policy", "ulp", "clp", "plg", "random?"
+        "delta(ms)",
+        "policy",
+        "ulp",
+        "clp",
+        "plg",
+        "random?"
     );
     for delta_ms in [8u64, 20, 50] {
         for red in [false, true] {
@@ -292,7 +357,8 @@ fn red_study() {
                 .with_count((120_000 / delta_ms) as usize);
             let out = sc.run(&cfg);
             let loss = analyze_losses(&out.series);
-            println!(
+            outln!(
+                stdout,
                 "{:>10} | {:>10} | {:>8.3} | {:>8.3} | {:>7.2} | {:>8}",
                 delta_ms,
                 if red { "RED" } else { "drop-tail" },
@@ -303,7 +369,8 @@ fn red_study() {
             );
         }
     }
-    println!(
+    outln!(
+        stdout,
         "reading: with UNRESPONSIVE (open-loop) traffic RED only drops more and\n\
          earlier - losses rise and stay bursty, because the sources never back\n\
          off and the average queue camps above the thresholds. The celebrated\n\
@@ -314,10 +381,17 @@ fn red_study() {
 
     // The responsive arm: an AIMD transfer as the background instead.
     use probenet_sim::{Engine, FlowClass, SimTime, WindowFlow};
-    println!("with an AIMD (congestion-responsive) background transfer instead:");
-    println!(
+    outln!(
+        stdout,
+        "with an AIMD (congestion-responsive) background transfer instead:"
+    );
+    outln!(
+        stdout,
         "{:>10} | {:>12} | {:>12} | {:>10}",
-        "policy", "probe rtt", "xfer done", "drops"
+        "policy",
+        "probe rtt",
+        "xfer done",
+        "drops"
     );
     for red in [false, true] {
         let mut path = Path::inria_umd_1992();
@@ -344,7 +418,8 @@ fn red_study() {
             .iter()
             .filter(|d| d.class == FlowClass::Window)
             .count();
-        println!(
+        outln!(
+            stdout,
             "{:>10} | {:>9.0} ms | {:>12} | {:>10}",
             if red { "RED" } else { "drop-tail" },
             rtts.iter().sum::<f64>() / rtts.len().max(1) as f64,
@@ -352,7 +427,8 @@ fn red_study() {
             engine.drops().len(),
         );
     }
-    println!(
+    outln!(
+        stdout,
         "reading: against a responsive sender RED keeps the standing queue\n\
          short - probe delay falls at comparable transfer throughput. Both\n\
          halves together: AQM is a contract with the sender."
@@ -360,7 +436,7 @@ fn red_study() {
 }
 
 /// Every study, in the order `--study all` runs them.
-const STUDIES: &[(&str, fn())] = &[
+const STUDIES: &[(&str, Study)] = &[
     ("clock", clock_study),
     ("buffer", buffer_study),
     ("batch", batch_study),
@@ -381,7 +457,7 @@ fn main() {
             }
         }
     }
-    let selected: Vec<fn()> = STUDIES
+    let selected: Vec<Study> = STUDIES
         .iter()
         .filter(|(name, _)| study == "all" || study == *name)
         .map(|&(_, run)| run)
@@ -391,7 +467,8 @@ fn main() {
         eprintln!("unknown study: {study} (one of {}, all)", names.join(", "));
         std::process::exit(2);
     }
+    let mut stdout = std::io::stdout().lock();
     for run in selected {
-        run();
+        run(&mut stdout);
     }
 }

@@ -14,9 +14,7 @@
 //! A closed stdout (`analyze … | head`) ends the output quietly with exit
 //! 0; any other write error exits 1.
 
-use std::io::{ErrorKind, Write};
-
-use probenet_bench::flag_value;
+use probenet_bench::{flag_value, write_out};
 use probenet_core::{full_report, render_report, PaperScenario};
 use probenet_netdyn::{from_csv, ExperimentConfig};
 use probenet_sim::SimDuration;
@@ -85,13 +83,5 @@ fn main() {
     } else {
         render_report(&report)
     };
-    let mut out = std::io::stdout().lock();
-    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        // A reader that closed the pipe early (`analyze … | head`) wants
-        // no more output; that is not a failure.
-        if e.kind() != ErrorKind::BrokenPipe {
-            eprintln!("cannot write the report: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_out(&mut std::io::stdout().lock(), &text);
 }

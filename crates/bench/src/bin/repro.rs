@@ -22,11 +22,14 @@
 //! lindley}` and covered by that crate's tests.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io::StdoutLock;
 use std::num::{NonZeroU64, NonZeroUsize};
 
 use probenet_bench::*;
 use probenet_core::impairment_scenarios;
+
+/// The tool's locked stdout, which every mode writes its output to.
+type Out = StdoutLock<'static>;
 
 /// What a golden-producing mode does with the bytes it rendered.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -67,7 +70,7 @@ impl Args {
     }
 }
 
-fn parse_args() -> Args {
+fn parse_args(stdout: &mut Out) -> Args {
     let mut args = Args {
         artifact: "all".to_string(),
         span_secs: DEFAULT_SPAN_SECS,
@@ -125,7 +128,8 @@ fn parse_args() -> Args {
             }
             "--emit-frames" => args.emit_frames = Some(flag_value(&mut it, &a, "a path prefix")),
             "--help" | "-h" => {
-                println!(
+                outln!(
+                    stdout,
                     "repro [--artifact all|table1|table2|table3|fig1|fig2|fig4|fig5|fig6|fig8|fig9|model|campaign] \
                      [--span-secs N] [--seed N] [--json] [--serial]\n\
                      repro --impair <scenario|list> [--span-secs N] [--seed N] [--json] [--serial]\n\
@@ -151,7 +155,7 @@ fn parse_args() -> Args {
 /// drop-accounting identity. Exits 1 if `produced != records + dropped`,
 /// 2 when the platform lacks the reactor (no epoll) or a session would
 /// send more probes than its shared lane can number.
-fn live_cmd(a: &Args) -> i32 {
+fn live_cmd(a: &Args, stdout: &mut Out) -> i32 {
     let limit = probenet_live::TAGGED_LANE_MAX_PROBES;
     let probes = a
         .live_duration_secs
@@ -176,20 +180,29 @@ fn live_cmd(a: &Args) -> i32 {
     };
     let balanced = run.accounting_balanced();
     if a.json {
-        println!(
+        outln!(
+            stdout,
             "{}",
             serde_json::to_string_pretty(&run).expect("serializable live report")
         );
     } else {
-        println!(
+        outln!(
+            stdout,
             "=== live reactor: {} sessions, δ = {} ms, {} probes/session ===",
-            run.sessions, run.delta_ms, run.probes_per_session
+            run.sessions,
+            run.delta_ms,
+            run.probes_per_session
         );
-        println!(
+        outln!(
+            stdout,
             "lanes {} | wall {:.0} ms | {:.0} probes/s aggregate | {} sessions/core",
-            run.lanes, run.wall_ms, run.aggregate_pps, run.sessions_per_core
+            run.lanes,
+            run.wall_ms,
+            run.aggregate_pps,
+            run.sessions_per_core
         );
-        println!(
+        outln!(
+            stdout,
             "timer lateness µs: p50 {} | p90 {} | p99 {} | max {} ({} fires)",
             run.lateness_p50_us,
             run.lateness_p90_us,
@@ -197,7 +210,8 @@ fn live_cmd(a: &Args) -> i32 {
             run.lateness_max_us,
             run.timers_fired
         );
-        println!(
+        outln!(
+            stdout,
             "io: {} probes sent, {} replies, batched syscalls {}, {} epoll waits",
             run.probes_sent,
             run.replies_received,
@@ -208,7 +222,8 @@ fn live_cmd(a: &Args) -> i32 {
             },
             run.poll_waits
         );
-        println!(
+        outln!(
+            stdout,
             "stream accounting: produced {} = records {} + dropped {} [{}]",
             run.produced,
             run.records,
@@ -217,7 +232,7 @@ fn live_cmd(a: &Args) -> i32 {
         );
     }
     if a.stream {
-        println!("{}", report.to_json());
+        outln!(stdout, "{}", report.to_json());
     }
     if !balanced {
         eprintln!(
@@ -232,11 +247,11 @@ fn live_cmd(a: &Args) -> i32 {
 /// `--impair <scenario>`: run a named fault-injection scenario at the two
 /// paper regimes and print its loss/ordering signature. `--impair list`
 /// enumerates the scenarios. Exit code doubles as the process status.
-fn impair(a: &Args, name: &str) -> i32 {
+fn impair(a: &Args, name: &str, stdout: &mut Out) -> i32 {
     if name == "list" {
-        println!("named impairment scenarios:");
+        outln!(stdout, "named impairment scenarios:");
         for sc in impairment_scenarios() {
-            println!("  {:<22} {}", sc.name, sc.summary);
+            outln!(stdout, "  {:<22} {}", sc.name, sc.summary);
         }
         return 0;
     }
@@ -249,7 +264,8 @@ fn impair(a: &Args, name: &str) -> i32 {
         return 2;
     };
     if a.json {
-        println!(
+        outln!(
+            stdout,
             "{}",
             serde_json::to_string_pretty(&report).expect("serializable impair report")
         );
@@ -260,11 +276,12 @@ fn impair(a: &Args, name: &str) -> i32 {
         .find(|s| s.name == name)
         .map(|s| s.summary)
         .unwrap_or("");
-    println!("=== impairment scenario: {name} ===");
-    println!("{summary}");
-    println!("seed {}", report.seed);
+    outln!(stdout, "=== impairment scenario: {name} ===");
+    outln!(stdout, "{summary}");
+    outln!(stdout, "seed {}", report.seed);
     for s in &report.slices {
-        println!(
+        outln!(
+            stdout,
             "delta {:>4} ms over {:>4} s: sent {}, delivered {}, ulp {:.4}, clp {}, plg {}",
             s.delta_ms,
             s.span_secs,
@@ -278,7 +295,8 @@ fn impair(a: &Args, name: &str) -> i32 {
                 .map(|g| format!("{g:.2}"))
                 .unwrap_or_else(|| "-".into()),
         );
-        println!(
+        outln!(
+            stdout,
             "  losses look random? {} | loss runs {:?} | reordering {} | impair drops {} | records fnv1a {}",
             s.losses_look_random, s.run_lengths, s.reordering, s.probe_impair_drops, s.records_fnv1a
         );
@@ -289,31 +307,32 @@ fn impair(a: &Args, name: &str) -> i32 {
 /// Apply `mode` to one rendered golden artifact: print `bytes`, diff them
 /// against the file at `path` (`--check`), or rewrite it (`--bless`).
 /// `false` on a mismatch or an unreadable golden.
-fn golden(label: &str, path: &str, bytes: &[u8], mode: GoldenMode) -> bool {
+fn golden(label: &str, path: &str, bytes: &[u8], mode: GoldenMode, stdout: &mut Out) -> bool {
     match mode {
         GoldenMode::Print => {
-            std::io::stdout().write_all(bytes).expect("write stdout");
+            write_out(stdout, bytes);
             true
         }
         GoldenMode::Bless => {
             std::fs::write(path, bytes).expect("write golden");
-            println!("{label}: blessed {path} ({} bytes)", bytes.len());
+            outln!(stdout, "{label}: blessed {path} ({} bytes)", bytes.len());
             true
         }
         GoldenMode::Check => match std::fs::read(path) {
             Ok(on_disk) if on_disk == bytes => {
-                println!("{label}: OK ({path})");
+                outln!(stdout, "{label}: OK ({path})");
                 true
             }
             Ok(_) => {
-                println!(
+                outln!(
+                    stdout,
                     "{label}: MISMATCH against {path} — behavior drifted; \
                      rerun with --bless if the change is intended"
                 );
                 false
             }
             Err(e) => {
-                println!("{label}: cannot read {path}: {e}");
+                outln!(stdout, "{label}: cannot read {path}: {e}");
                 false
             }
         },
@@ -332,14 +351,17 @@ fn golden(label: &str, path: &str, bytes: &[u8], mode: GoldenMode) -> bool {
 /// *on-disk* shards through `probenet-merged` and requires the folded
 /// report to be byte-identical to the single-process rendering;
 /// `--emit-frames <prefix>` writes the shards to `<prefix>-c<i>.bin`.
-fn stream_cmd(a: &Args) -> i32 {
+fn stream_cmd(a: &Args, stdout: &mut Out) -> i32 {
     let threads = a.threads();
     let report = stream_collector_report(1);
     let mut serial = report.to_json();
     serial.push('\n');
     let pooled = stream_report_threads(threads);
     if serial != pooled {
-        println!("stream: FAIL — pool({threads}) report differs from serial");
+        outln!(
+            stdout,
+            "stream: FAIL — pool({threads}) report differs from serial"
+        );
         return 1;
     }
     let shards = frame_shards(&report, GOLDEN_FRAME_SHARDS);
@@ -347,16 +369,22 @@ fn stream_cmd(a: &Args) -> i32 {
         for (i, shard) in shards.iter().enumerate() {
             let path = format!("{prefix}-c{i}.bin");
             std::fs::write(&path, shard).expect("write frame shard");
-            println!("stream: wrote {path} ({} bytes)", shard.len());
+            outln!(stdout, "stream: wrote {path} ({} bytes)", shard.len());
         }
     }
-    let mut ok = golden("stream", &stream_golden_path(), serial.as_bytes(), a.golden);
+    let mut ok = golden(
+        "stream",
+        &stream_golden_path(),
+        serial.as_bytes(),
+        a.golden,
+        stdout,
+    );
     if a.golden == GoldenMode::Print {
         return 0;
     }
     let shard_paths: Vec<String> = (0..GOLDEN_FRAME_SHARDS).map(stream_frames_path).collect();
     for (shard, shard_path) in shards.iter().zip(&shard_paths) {
-        ok &= golden("stream", shard_path, shard, a.golden);
+        ok &= golden("stream", shard_path, shard, a.golden, stdout);
     }
     if !ok {
         return 1;
@@ -367,20 +395,22 @@ fn stream_cmd(a: &Args) -> i32 {
         let merged = match probenet_merged::merge_files(&shard_paths) {
             Ok(r) => r,
             Err(e) => {
-                println!("stream: FAIL — merging golden frame shards: {e}");
+                outln!(stdout, "stream: FAIL — merging golden frame shards: {e}");
                 return 1;
             }
         };
         let mut merged_json = merged.to_json();
         merged_json.push('\n');
         if merged_json != serial {
-            println!(
+            outln!(
+                stdout,
                 "stream: FAIL — report merged from golden frame shards differs \
                  from the single-process report"
             );
             return 1;
         }
-        println!(
+        outln!(
+            stdout,
             "stream: OK (merged {} frame shards byte-identical to single-process report)",
             shard_paths.len()
         );
@@ -392,7 +422,7 @@ fn stream_cmd(a: &Args) -> i32 {
 /// pool, requiring byte-identical reports — and print the artifact,
 /// diff it against `tests/golden/mesh-report.json` (`--check`), or
 /// rewrite that golden (`--bless`).
-fn mesh_cmd(a: &Args) -> i32 {
+fn mesh_cmd(a: &Args, stdout: &mut Out) -> i32 {
     use probenet_mesh::{MeshReport, MeshSpec};
 
     let threads = a.threads();
@@ -400,36 +430,48 @@ fn mesh_cmd(a: &Args) -> i32 {
     let serial = match MeshReport::generate(&spec, 1) {
         Ok(r) => r.to_json(),
         Err(e) => {
-            println!("mesh: FAIL — serial campaign: {e}");
+            outln!(stdout, "mesh: FAIL — serial campaign: {e}");
             return 1;
         }
     };
     let pooled = match MeshReport::generate(&spec, threads) {
         Ok(r) => r.to_json(),
         Err(e) => {
-            println!("mesh: FAIL — pooled campaign: {e}");
+            outln!(stdout, "mesh: FAIL — pooled campaign: {e}");
             return 1;
         }
     };
     if serial != pooled {
-        println!("mesh: FAIL — pool({threads}) report differs from serial");
+        outln!(
+            stdout,
+            "mesh: FAIL — pool({threads}) report differs from serial"
+        );
         return 1;
     }
-    let ok = golden("mesh", &mesh_golden_path(), serial.as_bytes(), a.golden);
+    let ok = golden(
+        "mesh",
+        &mesh_golden_path(),
+        serial.as_bytes(),
+        a.golden,
+        stdout,
+    );
     i32::from(!ok)
 }
 
 /// `--check` / `--bless`: regenerate the golden reports for the pinned
 /// seeds — serially and on the pool — and diff them byte-for-byte against
 /// `tests/golden/` (or, under `--bless`, rewrite the checked-in files).
-fn check_goldens(mode: GoldenMode) -> i32 {
+fn check_goldens(mode: GoldenMode, stdout: &mut Out) -> i32 {
     let threads = probenet_core::sched::max_threads();
     let mut failed = false;
     for (scenario, seed) in golden_reports() {
         let label = format!("{scenario} seed {seed}");
         let serial = golden_report(scenario, seed);
         if serial != golden_report_threads(scenario, seed, threads) {
-            println!("{label}: FAIL — pool({threads}) rendering differs from serial");
+            outln!(
+                stdout,
+                "{label}: FAIL — pool({threads}) rendering differs from serial"
+            );
             failed = true;
             continue;
         }
@@ -438,27 +480,30 @@ fn check_goldens(mode: GoldenMode) -> i32 {
             &golden_path(scenario, seed),
             serial.as_bytes(),
             mode,
+            stdout,
         );
     }
     i32::from(failed)
 }
 
 fn main() {
-    let args = parse_args();
+    let mut stdout = std::io::stdout().lock();
+    let stdout = &mut stdout;
+    let args = parse_args(stdout);
     if args.mesh {
-        std::process::exit(mesh_cmd(&args));
+        std::process::exit(mesh_cmd(&args, stdout));
     }
     if args.live {
-        std::process::exit(live_cmd(&args));
+        std::process::exit(live_cmd(&args, stdout));
     }
     if args.stream {
-        std::process::exit(stream_cmd(&args));
+        std::process::exit(stream_cmd(&args, stdout));
     }
     if args.golden != GoldenMode::Print {
-        std::process::exit(check_goldens(args.golden));
+        std::process::exit(check_goldens(args.golden, stdout));
     }
     if let Some(name) = &args.impair {
-        std::process::exit(impair(&args, name));
+        std::process::exit(impair(&args, name, stdout));
     }
     let run_all = args.artifact == "all";
     let selected: Vec<Generator> = ARTIFACTS
@@ -471,9 +516,11 @@ fn main() {
         std::process::exit(2);
     }
 
-    println!(
+    outln!(
+        stdout,
         "probenet repro harness | span {} s per experiment | seed {}",
-        args.span_secs, args.seed
+        args.span_secs,
+        args.seed
     );
     // Results come back in `selected` order whatever the scheduling, so the
     // printed report is deterministic.
@@ -489,6 +536,6 @@ fn main() {
         text
     });
     for text in texts {
-        print!("{text}");
+        write_out(stdout, text);
     }
 }

@@ -53,6 +53,33 @@ pub fn flag_value<T: std::str::FromStr>(
     }
 }
 
+/// Write `text` to `out`, a tool's locked stdout, with `write_all`, then
+/// flush. A reader that stopped early (`repro … | head -1`) closed the
+/// pipe and wants no more output: the process exits 0 quietly. Any other
+/// write error exits 1 with a message.
+pub fn write_out(out: &mut impl std::io::Write, text: impl AsRef<[u8]>) {
+    if let Err(e) = out.write_all(text.as_ref()).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write the report: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`write_out`]: one line to `out`, a tool's locked
+/// stdout, that ends the process on a closed pipe or a failed write
+/// instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    ($out:expr) => {
+        $crate::write_out($out, "\n")
+    };
+    ($out:expr, $($arg:tt)*) => {
+        $crate::write_out($out, format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 // ---------------------------------------------------------------------------
 // Claims
 // ---------------------------------------------------------------------------

@@ -148,12 +148,7 @@ fn analyze_reads_what_to_csv_writes_and_rejects_a_seq_gap() {
 
 /// `analyze --demo --json` with stdout piped to `stdout`, stderr captured.
 fn analyze_demo_into(stdout: Stdio) -> std::process::Child {
-    Command::new(env!("CARGO_BIN_EXE_analyze"))
-        .args(["--demo", "--json"])
-        .stdout(stdout)
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn analyze")
+    spawn_into(env!("CARGO_BIN_EXE_analyze"), &["--demo", "--json"], stdout)
 }
 
 #[test]
@@ -177,6 +172,53 @@ fn analyze_fails_on_any_other_write_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("cannot write the report"), "{stderr}");
+}
+
+/// `bin args` with stdout piped to `stdout`, stderr captured.
+fn spawn_into(bin: &str, args: &[&str], stdout: Stdio) -> std::process::Child {
+    Command::new(bin)
+        .args(args)
+        .stdout(stdout)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn binary")
+}
+
+/// The two writers that print as they go, each on a short run.
+const PRINTERS: [(&str, &[&str]); 2] = [
+    (REPRO, &["--artifact", "table1"]),
+    (env!("CARGO_BIN_EXE_ablation"), &["--study", "clock"]),
+];
+
+/// `repro … | head -1` and `ablation … | head -1`: a reader that goes
+/// away early ends the output quietly with exit 0, not a panic (101).
+#[test]
+fn repro_and_ablation_exit_quietly_when_their_reader_goes_away() {
+    for (bin, args) in PRINTERS {
+        let mut child = spawn_into(bin, args, Stdio::piped());
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn repro_and_ablation_fail_on_any_other_write_error() {
+    for (bin, args) in PRINTERS {
+        let full = std::fs::File::create("/dev/full").expect("open /dev/full");
+        let out = spawn_into(bin, args, full.into())
+            .wait_with_output()
+            .expect("wait for binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("cannot write the report"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

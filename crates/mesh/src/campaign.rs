@@ -7,7 +7,8 @@
 //!
 //! 1. [`MeshSpec::pairs`] enumerates the O(N²) probe paths; each pair's
 //!    linear path is simulated independently
-//!    ([`probenet_netdyn::SimExperiment`]) with cross traffic whose
+//!    ([`probenet_netdyn::SimExperiment`]), on the engine its thread
+//!    recycled from the pair before, with cross traffic whose
 //!    streams are seeded **per global link** — every path crossing a
 //!    shared link sees the same load. Each link's streams are generated
 //!    once per campaign and copied into every pair that crosses it.
@@ -30,7 +31,7 @@ use std::io::Cursor;
 
 use probenet_core::sched::par_map_threads;
 use probenet_merged::{MergeError, MergeService};
-use probenet_netdyn::{collect_sessions, ExperimentConfig, RttSeries, SimExperiment};
+use probenet_netdyn::{collect_sessions, recycle_run, ExperimentConfig, RttSeries, SimExperiment};
 use probenet_sim::{Direction, FlowClass, SimDuration};
 use probenet_stream::{fnv1a_hex, CollectorConfig, CollectorReport, SessionKey};
 use probenet_traffic::{Arrival, InternetMix};
@@ -151,6 +152,8 @@ fn run_pair(
         };
         hop_probe_drops[local] += 1;
     }
+    // The next pair on this thread resets this engine onto its own path.
+    recycle_run(run);
     PathOutcome {
         src,
         dst,

@@ -51,3 +51,35 @@ fn fleet_fold_buffer_is_bounded_by_the_largest_frame() {
         run.max_frame_bytes
     );
 }
+
+/// Each thread keeps one engine and resets it onto every pair's path, so
+/// a campaign's first pair runs on the engine the previous campaign's
+/// last pair left on that thread. A campaign run right after a different
+/// one on the same thread must render exactly what it renders on a fresh
+/// thread, whose engine is new.
+#[test]
+fn a_warm_engine_cache_changes_nothing() {
+    let spec = MeshSpec::golden();
+    let fresh = std::thread::spawn(move || {
+        MeshReport::generate(&spec, 1)
+            .expect("fresh-thread campaign")
+            .to_json()
+    })
+    .join()
+    .expect("fresh-thread campaign");
+    // More hosts, so longer paths, and another seed, so other streams.
+    let other = MeshSpec {
+        hosts: 8,
+        seed: 11,
+        delta_ms: 50,
+        span_secs: 20,
+    };
+    MeshReport::generate(&other, 1).expect("warm-up campaign");
+    let warm = MeshReport::generate(&spec, 1)
+        .expect("warm campaign")
+        .to_json();
+    assert!(
+        warm == fresh,
+        "a campaign after another on the same thread differs from a fresh thread's"
+    );
+}

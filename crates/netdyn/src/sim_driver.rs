@@ -22,11 +22,12 @@ thread_local! {
 }
 
 /// Offer `engine` for reuse by the next [`SimExperiment::run`] on this
-/// thread. If that run probes the same path, the engine is
-/// [`Engine::reset`] instead of rebuilt, so its queues, buffers and maps
-/// keep their allocations across runs — the sweep/campaign hot path. A
-/// reset engine replays bit-identically to a fresh one, so results never
-/// depend on whether a run recycled.
+/// thread, whatever path that run probes: the engine is
+/// [`Engine::reset`] onto it instead of rebuilt, so its queues, logs and
+/// per-hop cross-traffic logs keep their allocations across runs — the
+/// sweep, campaign and mesh hot path. A reset engine replays
+/// bit-identically to a fresh one, so results never depend on whether a
+/// run recycled.
 pub fn recycle_engine(engine: Engine) {
     ENGINE_CACHE.with(|cache| *cache.borrow_mut() = Some(engine));
 }
@@ -71,15 +72,16 @@ pub fn recycle_run(run: SimRun) {
     }
 }
 
-/// A cached engine for `path` (reset to `seed`), or a fresh one.
+/// This thread's cached engine reset onto `path` and `seed` (see
+/// [`recycle_engine`]), or a fresh one if none is cached.
 fn checkout_engine(path: &Path, seed: u64) -> Engine {
     let cached = ENGINE_CACHE.with(|cache| cache.borrow_mut().take());
     match cached {
-        Some(mut engine) if engine.path() == path => {
-            engine.reset(seed);
+        Some(mut engine) => {
+            engine.reset(path, seed);
             engine
         }
-        _ => Engine::new(path.clone(), seed),
+        None => Engine::new(path.clone(), seed),
     }
 }
 

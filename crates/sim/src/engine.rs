@@ -311,6 +311,13 @@ impl Fold {
 
 /// A port's cross-traffic records: deliveries in service order, drops in
 /// drop order (arrival order on a port that folds).
+///
+/// [`Engine::cross`] keeps them by hop, not by port: the log of link `l`
+/// outbound is `cross[2·l]` and inbound `cross[2·l + 1]`
+/// ([`Engine::cross_slot`]). Port numbers put the inbound half after all
+/// `L` outbound ports, so they shift with the link count; hop slots do
+/// not, and a log reserved for every packet attached to a hop keeps that
+/// capacity for the same hop after a reset onto a path of another length.
 #[derive(Debug, Default)]
 struct CrossLog {
     deliveries: Vec<Delivery>,
@@ -562,7 +569,8 @@ pub struct Engine {
     deliveries: Vec<Delivery>,
     drops: Vec<DropRecord>,
     ttl_replies: Vec<TtlExceeded>,
-    /// Per port, its cross-traffic records.
+    /// Per port, its cross-traffic records, stored by hop (see
+    /// [`CrossLog`]).
     cross: Vec<CrossLog>,
     /// Closed-loop window flows; `Packet::flow` is an index + 1 here.
     flows: Vec<FlowState>,
@@ -709,46 +717,32 @@ impl Engine {
     }
 
     fn with_owned(path: Path, seed: u64, owned: Range<usize>) -> Self {
-        let links = path.links.len();
-        let nodes = path.nodes.len();
-        let mut ports = Vec::with_capacity(links * 2);
-        for spec in &path.links {
-            ports.push(Port::new(spec.clone()));
-        }
-        for spec in &path.links {
-            ports.push(Port::new(spec.clone()));
-        }
-        let impair = (0..links * 2)
-            .map(|i| ImpairmentState::new(port_stream_seed(seed, i)))
-            .collect();
-        // Admission streams sit after the 2L impairment streams.
-        let port_rng = (0..links * 2)
-            .map(|i| StdRng::seed_from_u64(port_stream_seed(seed, links * 2 + i)))
-            .collect();
+        // No ports yet: `rewind` fits every per-port, per-link and per-node
+        // buffer to `path`, for a new engine as for a reset one.
         let mut engine = Engine {
             path,
             owned,
-            ports,
-            impair,
-            port_rng,
+            ports: Vec::new(),
+            impair: Vec::new(),
+            port_rng: Vec::new(),
             events: EventQueue::new(),
             arena: PacketArena::new(),
             sources: Vec::new(),
             next_id: 0,
-            dup_seq: vec![0; links * 2],
-            reply_seq: vec![0; nodes],
+            dup_seq: Vec::new(),
+            reply_seq: Vec::new(),
             deliveries: Vec::new(),
             drops: Vec::new(),
             ttl_replies: Vec::new(),
-            cross: (0..links * 2).map(|_| CrossLog::default()).collect(),
+            cross: Vec::new(),
             flows: Vec::new(),
             outbox_west: Vec::new(),
             outbox_east: Vec::new(),
             trace: None,
             events_processed: 0,
             run_wall: std::time::Duration::ZERO,
-            sched: vec![PortSched::default(); links * 2],
-            shifts_pending: vec![0; links],
+            sched: Vec::new(),
+            shifts_pending: Vec::new(),
             clock: (SimTime::ZERO, 0),
             key: (SimTime::ZERO, 0),
             ahead: false,
@@ -758,13 +752,13 @@ impl Engine {
             horizon: SimTime::MAX,
             inline_ok: false,
             ttl_limited: false,
-            folds: (0..links * 2).map(|_| Fold::default()).collect(),
+            folds: Vec::new(),
             folded: Vec::new(),
             fold_planned: false,
             fold_runs: Vec::new(),
             zero_shift: false,
         };
-        engine.arm_route_shifts();
+        engine.rewind(seed);
         engine
     }
 
@@ -787,38 +781,49 @@ impl Engine {
         }
     }
 
-    /// Return the engine to the state [`Engine::new`] would produce for the
-    /// same path and the given `seed`, **reusing** every buffer allocation:
-    /// ports, event queue, arena, delivery/drop/trace vectors are cleared
-    /// in place rather than reallocated. A reset engine produces
-    /// bit-identical traces to a freshly constructed one.
-    ///
-    /// Scheduled propagation changes mutate the path during a run; the
-    /// original link parameters are restored here from the (immutable) port
-    /// specs.
-    pub fn reset(&mut self, seed: u64) {
+    /// Return the engine to the state [`Engine::new`] would produce for
+    /// `path` and `seed`, whatever path it ran before, **reusing** every
+    /// buffer's allocation: the event queue, the arena, the delivery, drop
+    /// and trace logs, the fold buffers and each hop's cross-traffic log
+    /// are cleared in place, and the per-port state is resized to the new
+    /// path's ports. A reset engine produces bit-identical records and
+    /// traces to a fresh one, so a caller may keep one engine for runs on
+    /// any number of paths. Tracing, if enabled, stays enabled.
+    pub fn reset(&mut self, path: &Path, seed: u64) {
+        self.path.clone_from(path);
+        self.owned = 0..path.nodes.len();
+        self.rewind(seed);
+    }
+
+    /// Fit the per-port, per-link and per-node state to `self.path`, seed
+    /// every stream from `seed`, and empty everything else, keeping
+    /// allocations: the one place an engine is set up, new or reset.
+    fn rewind(&mut self, seed: u64) {
         let links = self.path.links.len();
-        for (i, spec) in self.path.links.iter_mut().enumerate() {
-            *spec = self.ports[i].spec.clone();
-        }
-        for p in &mut self.ports {
-            p.reset();
-        }
-        for (i, st) in self.impair.iter_mut().enumerate() {
-            st.reset(port_stream_seed(seed, i));
-        }
-        for (i, rng) in self.port_rng.iter_mut().enumerate() {
-            *rng = StdRng::seed_from_u64(port_stream_seed(seed, links * 2 + i));
-        }
+        let ports = 2 * links;
+        self.ports.clear();
+        // Outbound ports, then inbound, both in link order.
+        let specs = self.path.links.iter().chain(&self.path.links);
+        self.ports.extend(specs.map(|spec| Port::new(spec.clone())));
+        self.impair.clear();
+        self.impair
+            .extend((0..ports).map(|i| ImpairmentState::new(port_stream_seed(seed, i))));
+        // Admission streams sit after the 2L impairment streams.
+        self.port_rng.clear();
+        self.port_rng
+            .extend((0..ports).map(|i| StdRng::seed_from_u64(port_stream_seed(seed, ports + i))));
         self.events.clear();
         self.arena.clear();
         self.sources.clear();
         self.next_id = 0;
-        self.dup_seq.fill(0);
-        self.reply_seq.fill(0);
+        self.dup_seq.clear();
+        self.dup_seq.resize(ports, 0);
+        self.reply_seq.clear();
+        self.reply_seq.resize(self.path.nodes.len(), 0);
         self.deliveries.clear();
         self.drops.clear();
         self.ttl_replies.clear();
+        self.cross.resize_with(ports, CrossLog::default);
         for log in &mut self.cross {
             log.deliveries.clear();
             log.drops.clear();
@@ -832,8 +837,10 @@ impl Engine {
         }
         self.events_processed = 0;
         self.run_wall = std::time::Duration::ZERO;
-        self.sched.fill(PortSched::default());
-        self.shifts_pending.fill(0);
+        self.sched.clear();
+        self.sched.resize(ports, PortSched::default());
+        self.shifts_pending.clear();
+        self.shifts_pending.resize(links, 0);
         self.clock = (SimTime::ZERO, 0);
         self.key = (SimTime::ZERO, 0);
         self.ahead = false;
@@ -842,6 +849,7 @@ impl Engine {
         self.inline_now = SimTime::ZERO;
         self.horizon = SimTime::MAX;
         self.ttl_limited = false;
+        self.folds.resize_with(ports, Fold::default);
         self.folds.iter_mut().for_each(Fold::reset);
         self.folded.clear();
         self.fold_planned = false;
@@ -968,7 +976,8 @@ impl Engine {
     /// clock.
     fn push_drop(&mut self, drop: DropRecord) {
         if drop.class == FlowClass::Cross {
-            self.cross[drop.port].drops.push(drop);
+            let slot = self.cross_slot(drop.port);
+            self.cross[slot].drops.push(drop);
         } else if self.ahead {
             self.hold(self.key, Held::Drop(drop));
         } else {
@@ -1141,7 +1150,8 @@ impl Engine {
         if class == FlowClass::Cross {
             // Every cross packet leaves a record at its port; most leave a
             // delivery, so room for all of them saves regrowing mid-run.
-            let log = &mut self.cross[port];
+            let slot = self.cross_slot(port);
+            let log = &mut self.cross[slot];
             log.attached += usize::try_from(len).expect("a source fits in memory");
             log.deliveries
                 .reserve(log.attached.saturating_sub(log.deliveries.len()));
@@ -1646,6 +1656,13 @@ impl Engine {
         }
     }
 
+    /// Where `port`'s cross log sits in [`Engine::cross`]: `2·link` for an
+    /// outbound port, `2·link + 1` for an inbound one (see [`CrossLog`]).
+    fn cross_slot(&self, port: usize) -> usize {
+        let (link, _) = self.hop(port);
+        2 * link + usize::from(port >= self.path.links.len())
+    }
+
     /// Decide, at the first run, which ports fold their cross traffic: the
     /// ports on links without route shifts, or none. A serial, untraced
     /// engine without window flows folds when no link reorders or
@@ -1711,6 +1728,7 @@ impl Engine {
     /// Run folded `port` up to `bound` (see [`FoldStep::advance`]).
     fn advance_fold(&mut self, port: usize, bound: (SimTime, u64)) {
         let propagation = self.path.links[self.hop(port).0].propagation;
+        let slot = self.cross_slot(port);
         let Engine {
             folds,
             ports,
@@ -1725,7 +1743,7 @@ impl Engine {
             port,
             fold: &mut folds[port],
             queue: &mut ports[port],
-            log: &mut cross[port],
+            log: &mut cross[slot],
             propagation,
             impair: &mut impair[port],
             rng: &mut port_rng[port],
@@ -1898,7 +1916,8 @@ impl Engine {
             let (link, _) = self.hop(port);
             let delivered_at = at + self.path.links[link].propagation;
             let packet = self.arena.take(r);
-            self.cross[port].deliveries.push(Delivery {
+            let slot = self.cross_slot(port);
+            self.cross[slot].deliveries.push(Delivery {
                 id: packet.id,
                 class: packet.class,
                 flow: 0,
@@ -2145,14 +2164,14 @@ impl Engine {
     /// The cross-traffic departures of the port serving (`link`,
     /// `direction`), in service order.
     pub fn cross_deliveries(&self, link: usize, direction: Direction) -> &[Delivery] {
-        &self.cross[self.port_index(link, direction)].deliveries
+        &self.cross[self.cross_slot(self.port_index(link, direction))].deliveries
     }
 
     /// The cross-traffic drops of the port serving (`link`, `direction`),
     /// in drop order (arrival order on a port that folds). A port that
     /// duplicates packets adds a record for each copy it delivers or drops.
     pub fn cross_drops(&self, link: usize, direction: Direction) -> &[DropRecord] {
-        &self.cross[self.port_index(link, direction)].drops
+        &self.cross[self.cross_slot(self.port_index(link, direction))].drops
     }
 
     /// Move the cross-traffic records of the port serving (`link`,
@@ -2162,8 +2181,8 @@ impl Engine {
         link: usize,
         direction: Direction,
     ) -> (Vec<Delivery>, Vec<DropRecord>) {
-        let port = self.port_index(link, direction);
-        let log = &mut self.cross[port];
+        let slot = self.cross_slot(self.port_index(link, direction));
+        let log = &mut self.cross[slot];
         (
             std::mem::take(&mut log.deliveries),
             std::mem::take(&mut log.drops),
@@ -2444,9 +2463,38 @@ mod tests {
         e.attach_cross_traffic(0, Direction::Outbound, arrivals(300));
         e.attach_cross_traffic(0, Direction::Outbound, arrivals(200));
         assert!(e.cross[0].deliveries.capacity() >= 500);
-        e.reset(1);
+        e.reset(&simple_path(128_000, 10), 1);
         e.attach_cross_traffic(0, Direction::Outbound, arrivals(10));
         assert_eq!(e.cross[0].attached, 10);
+    }
+
+    /// A reset onto a longer path leaves each hop's cross log where it was,
+    /// with its capacity: the inbound port of link 0 is port 1 on one link
+    /// and port 3 on two, but its log stays in slot 1.
+    #[test]
+    fn a_cross_log_keeps_its_capacity_across_a_reset_onto_a_longer_path() {
+        // 100 B take 6.25 ms at 128 kb/s: ten apart, none waits or drops.
+        let arrivals = (0..500u64).map(|i| (SimTime::from_millis(10 * i), 100u32));
+        let mut e = Engine::new(simple_path(128_000, 10), 1);
+        e.attach_cross_traffic(0, Direction::Inbound, arrivals.clone());
+        e.run();
+        assert_eq!(e.cross_deliveries(0, Direction::Inbound).len(), 500);
+        let capacity = e.cross[1].deliveries.capacity();
+        let longer = Path::new(
+            vec!["src".into(), "hop".into(), "echo".into()],
+            vec![
+                LinkSpec::new(128_000, SimDuration::from_millis(10)),
+                LinkSpec::new(128_000, SimDuration::from_millis(10)),
+            ],
+        );
+        e.reset(&longer, 1);
+        assert_eq!(e.cross_slot(e.port_index(0, Direction::Inbound)), 1);
+        assert!(e.cross_deliveries(0, Direction::Inbound).is_empty());
+        assert_eq!(e.cross[1].deliveries.capacity(), capacity);
+        e.attach_cross_traffic(0, Direction::Inbound, arrivals);
+        e.run();
+        assert_eq!(e.cross_deliveries(0, Direction::Inbound).len(), 500);
+        assert_eq!(e.cross[1].deliveries.capacity(), capacity);
     }
 
     #[test]
@@ -2466,9 +2514,9 @@ mod tests {
 
         // Drive a *different* seed in between, then reset back to 11: the
         // replay must match the fresh run exactly.
-        let mut reused = Engine::new(path, 99);
+        let mut reused = Engine::new(path.clone(), 99);
         drive(&mut reused);
-        reused.reset(11);
+        reused.reset(&path, 11);
         assert_eq!(drive(&mut reused), first);
     }
 
@@ -2482,7 +2530,7 @@ mod tests {
         assert!(slow > SimDuration::from_millis(100), "rtt {slow:?}");
 
         // After reset the link is back to its configured 10 ms.
-        e.reset(1);
+        e.reset(&simple_path(128_000, 10), 1);
         e.inject_probe(SimTime::from_millis(2), 32, 0);
         e.run();
         assert_eq!(

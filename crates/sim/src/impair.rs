@@ -301,14 +301,6 @@ impl ImpairmentState {
         }
     }
 
-    /// Return to the state [`ImpairmentState::new`] produces.
-    pub fn reset(&mut self, stream_seed: u64) {
-        self.rng = StdRng::seed_from_u64(stream_seed);
-        self.bad = false;
-        self.sojourn_ends = SimTime::ZERO;
-        self.primed = false;
-    }
-
     /// An exponential sojourn with the given mean, floored at 1 ns so the
     /// chain always advances.
     fn exp_sojourn(&mut self, mean: SimDuration) -> SimDuration {

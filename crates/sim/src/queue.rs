@@ -124,21 +124,6 @@ impl Port {
         }
     }
 
-    /// Return the port to its freshly constructed state — idle server,
-    /// empty queue, zeroed statistics — while keeping the queue's buffer
-    /// allocation for reuse.
-    pub fn reset(&mut self) {
-        self.queue.clear();
-        self.queued_bytes = 0;
-        self.in_service = None;
-        self.service_started = SimTime::ZERO;
-        self.drain_at = SimTime::ZERO;
-        self.last_change = SimTime::ZERO;
-        self.avg_queue = 0.0;
-        self.since_drop = 0;
-        self.stats = PortStats::default();
-    }
-
     /// Packets in the system (queued + in service).
     pub fn occupancy(&self) -> usize {
         self.queue.len() + usize::from(self.in_service.is_some())

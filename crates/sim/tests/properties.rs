@@ -353,7 +353,7 @@ proptest! {
         let mut fresh = Engine::new(impaired_path(spec.clone()), seed);
         let a = outcome(&mut fresh);
         // Reset must restore the impairment state streams too.
-        fresh.reset(seed);
+        fresh.reset(&impaired_path(spec.clone()), seed);
         let b = outcome(&mut fresh);
         let mut other = Engine::new(impaired_path(spec), seed);
         let c = outcome(&mut other);
@@ -987,9 +987,115 @@ proptest! {
         let mut reused = Engine::new(path(), seed ^ 1);
         load(&mut reused);
         reused.run_until(SimTime::from_micros(pause_us));
-        reused.reset(seed);
+        reused.reset(&path(), seed);
         load(&mut reused);
         reused.run();
+        prop_assert_eq!(
+            reused.stats().peak_queue_depth,
+            fresh.stats().peak_queue_depth
+        );
+        prop_assert_eq!(replay(&mut reused), replay(&mut fresh));
+    }
+}
+
+/// A path of `links` links for [`prop_reset_onto_another_path_equals_a_fresh_engine`]:
+/// speeds, delays and buffers vary by link and `salt`, the middle link
+/// loses 2 % at random, and with `impaired` the first link carries every
+/// kind of impairment and the last a route shift. Without impairments
+/// every port folds its cross traffic; with them none does.
+fn varied_path(links: usize, impaired: bool, salt: usize) -> Path {
+    let ms = SimDuration::from_millis;
+    let nodes = (0..=links).map(|i| format!("n{i}")).collect();
+    let links = (0..links)
+        .map(|i| {
+            let k = i + salt;
+            let bandwidth = [10_000_000, 512_000, 128_000, 2_000_000][k % 4];
+            let mut link = LinkSpec::new(
+                bandwidth,
+                SimDuration::from_micros(300 + 1700 * (k % 5) as u64),
+            )
+            .with_buffer(BufferLimit::Packets(4 + k % 3));
+            if i == links / 2 {
+                link = link.with_random_loss(0.02);
+            }
+            let mut impair = ImpairmentSpec::none();
+            if impaired && i == 0 {
+                impair = impair
+                    .with_burst_loss(GilbertElliott::bursty(ms(300), ms(30), 0.4))
+                    .with_duplicate(0.05, ms(2))
+                    .with_reorder(0.05, ms(3))
+                    .with_corruption(0.02)
+                    .with_flap(SimTime::from_millis(300), SimTime::from_millis(340));
+            }
+            if impaired && i == links - 1 {
+                impair = impair.with_route_shift(SimTime::from_millis(600), ms(6));
+            }
+            link.with_impairments(impair)
+        })
+        .collect();
+    Path::new(nodes, links)
+}
+
+/// Attach each `(µs, big, link, inbound)` arrival to its port of `e`'s
+/// path (`link` taken modulo its link count), in one call per port, then
+/// a train of `probes` probes `interval_us` apart.
+fn load_varied(e: &mut Engine, cross: &[(u64, bool, usize, bool)], probes: u64, interval_us: u64) {
+    let links = e.path().links.len();
+    for link in 0..links {
+        for (inbound, direction) in [(false, Direction::Outbound), (true, Direction::Inbound)] {
+            let arrivals: Vec<(SimTime, u32)> = cross
+                .iter()
+                .filter(|c| c.2 % links == link && c.3 == inbound)
+                .map(|&(us, big, _, _)| (SimTime::from_micros(us), if big { 576 } else { 72 }))
+                .collect();
+            if !arrivals.is_empty() {
+                e.attach_cross_traffic(link, direction, arrivals);
+            }
+        }
+    }
+    let interval = SimDuration::from_micros(interval_us);
+    e.inject_probe_train(SimTime::ZERO, interval, 72, probes);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One engine serves any path: run on path A (to the end or paused at
+    /// a horizon, mid-transmission), then reset onto a path B with another
+    /// number of links, it leaves every record, every port's statistics
+    /// and every port's cross log exactly as `Engine::new(B)` does. The
+    /// port numbering's inbound half shifts with the link count, while the
+    /// cross logs stay by hop, so a log left at the wrong index or a
+    /// per-port buffer sized for A shows here.
+    #[test]
+    fn prop_reset_onto_another_path_equals_a_fresh_engine(
+        links in (1usize..7, 1usize..6),
+        cross_a in proptest::collection::vec((0u64..1_500_000, any::<bool>(), 0usize..6, any::<bool>()), 0..150),
+        cross_b in proptest::collection::vec((0u64..1_500_000, any::<bool>(), 0usize..6, any::<bool>()), 1..150),
+        train in (1u64..100, 1000u64..15_000),
+        pause_us in proptest::option::of(0u64..1_500_000),
+        modes in (any::<bool>(), any::<bool>(), 0usize..4),
+        seed in 0u64..1000,
+    ) {
+        // B has 1 to 6 links, never as many as A.
+        let (a_links, b_links) = (links.0, 1 + (links.0 - 1 + links.1) % 6);
+        let ((probes, interval_us), (impaired_a, impaired_b, salt)) = (train, modes);
+        let path_b = varied_path(b_links, impaired_b, salt);
+        let mut fresh = Engine::new(path_b.clone(), seed);
+        load_varied(&mut fresh, &cross_b, probes, interval_us);
+        fresh.run();
+
+        let mut reused = Engine::new(varied_path(a_links, impaired_a, salt + 1), seed ^ 1);
+        load_varied(&mut reused, &cross_a, probes, interval_us);
+        match pause_us {
+            Some(us) => reused.run_until(SimTime::from_micros(us)),
+            None => reused.run(),
+        }
+        reused.reset(&path_b, seed);
+        prop_assert_eq!(reused.path(), &path_b);
+        load_varied(&mut reused, &cross_b, probes, interval_us);
+        reused.run();
+        prop_assert!(ports_conserve(&reused));
         prop_assert_eq!(
             reused.stats().peak_queue_depth,
             fresh.stats().peak_queue_depth
