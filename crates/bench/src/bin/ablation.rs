@@ -1,7 +1,7 @@
 //! `ablation` — quantify the design choices DESIGN.md calls out.
 //!
 //! ```text
-//! ablation [--study clock|buffer|batch|estimator|closedloop|red|all]
+//! ablation [--study clock|buffer|batch|estimator|all]
 //! ```
 //!
 //! Studies:
@@ -15,11 +15,6 @@
 //!   mean batch.
 //! * `estimator` — the paper's eq.-(6) workload estimator vs. ground truth
 //!   as δ grows (why eq. 6 needs small δ).
-//! * `closedloop` — open-loop vs closed-loop (window flow) background
-//!   traffic at the bottleneck.
-//! * `red` — drop-tail vs RED queue management at the bottleneck under the
-//!   paper's (unresponsive) traffic mix: a negative result — RED presumes
-//!   congestion-responsive senders.
 
 use std::io::StdoutLock;
 
@@ -236,213 +231,12 @@ fn estimator_study(stdout: &mut Out) {
     );
 }
 
-/// Open-loop (the paper's Internet mix) vs closed-loop (window flows)
-/// background traffic at comparable bottleneck utilization.
-fn closedloop_study(stdout: &mut Out) {
-    use probenet_sim::{Engine, FlowClass, SimTime, WindowFlow};
-    heading(
-        stdout,
-        "open-loop mix vs closed-loop window transfers as background",
-    );
-    outln!(
-        stdout,
-        "{:>12} | {:>10} | {:>8} | {:>8} | {:>9} | {:>10}",
-        "background",
-        "bneck util",
-        "ulp",
-        "clp",
-        "mean rtt",
-        "probe drops"
-    );
-    let delta_ms = 20u64;
-    let count = 6000usize;
-    let path = Path::inria_umd_1992();
-    let (bidx, spec) = path.bottleneck();
-    let mu = spec.bandwidth_bps;
-
-    // Open loop: the calibrated mix.
-    {
-        let sc = PaperScenario::inria_umd(1993);
-        let cfg = ExperimentConfig::paper(SimDuration::from_millis(delta_ms))
-            .with_count(count)
-            .with_clock(SimDuration::ZERO);
-        let out = sc.run(&cfg);
-        let loss = analyze_losses(&out.series);
-        let rtts = out.series.delivered_rtts_ms();
-        outln!(
-            stdout,
-            "{:>12} | {:>10.2} | {:>8.3} | {:>8.3} | {:>7.0}ms | {:>10}",
-            "open-loop",
-            out.bottleneck_utilization,
-            loss.ulp,
-            loss.clp.unwrap_or(0.0),
-            rtts.iter().sum::<f64>() / rtts.len() as f64,
-            out.probe_overflow_drops + out.probe_random_drops,
-        );
-    }
-    // Closed loop: window transfers in both directions.
-    for window in [4usize, 8, 16] {
-        let mut engine = Engine::new(path.clone(), 1993);
-        engine.add_window_flow(WindowFlow::fixed(512, 40, window, false), SimTime::ZERO);
-        engine.add_window_flow(WindowFlow::fixed(512, 40, window / 2, true), SimTime::ZERO);
-        for n in 0..count as u64 {
-            engine.inject_probe(SimTime::from_millis(delta_ms * n), 72, n);
-        }
-        engine.run_until(SimTime::from_secs(delta_ms * count as u64 / 1000 + 10));
-        let mut flags = vec![true; count];
-        let mut rtts = Vec::new();
-        for d in engine.probe_deliveries() {
-            flags[d.seq as usize] = false;
-            rtts.push(d.rtt().as_millis_f64());
-        }
-        let loss = probenet_core::analyze_loss_flags(&flags);
-        let util = engine
-            .port(bidx, Direction::Outbound)
-            .stats
-            .utilization(engine.now());
-        let drops = engine
-            .drops()
-            .iter()
-            .filter(|d| d.class == FlowClass::Probe)
-            .count();
-        outln!(
-            stdout,
-            "{:>10}w{window:<2} | {:>10.2} | {:>8.3} | {:>8.3} | {:>7.0}ms | {:>10}",
-            "closed",
-            util,
-            loss.ulp,
-            loss.clp.unwrap_or(0.0),
-            rtts.iter().sum::<f64>() / rtts.len().max(1) as f64,
-            drops,
-        );
-        let _ = mu;
-    }
-    outln!(
-        stdout,
-        "reading: closed-loop sources self-limit — they fill the pipe yet\n\
-         cannot overflow a buffer larger than their window, so probe losses\n\
-         stay at the random-loss floor while delay rides high and steady.\n\
-         The open-loop mix produces the paper's loss regime; the 1992\n\
-         transatlantic link carried far more flows than buffer slots, making\n\
-         the aggregate effectively open-loop."
-    );
-}
-
-/// Drop-tail vs RED at the bottleneck: loss burstiness across δ.
-fn red_study(stdout: &mut Out) {
-    use probenet_sim::QueuePolicy;
-    heading(stdout, "drop-tail vs RED at the bottleneck");
-    outln!(
-        stdout,
-        "{:>10} | {:>10} | {:>8} | {:>8} | {:>7} | {:>8}",
-        "delta(ms)",
-        "policy",
-        "ulp",
-        "clp",
-        "plg",
-        "random?"
-    );
-    for delta_ms in [8u64, 20, 50] {
-        for red in [false, true] {
-            let mut path = Path::inria_umd_1992();
-            let (b, _) = path.bottleneck();
-            if red {
-                path.links[b].policy = QueuePolicy::red_for_capacity(22);
-            }
-            let sc = PaperScenario {
-                path,
-                ..PaperScenario::inria_umd(1993)
-            };
-            let cfg = ExperimentConfig::paper(SimDuration::from_millis(delta_ms))
-                .with_count((120_000 / delta_ms) as usize);
-            let out = sc.run(&cfg);
-            let loss = analyze_losses(&out.series);
-            outln!(
-                stdout,
-                "{:>10} | {:>10} | {:>8.3} | {:>8.3} | {:>7.2} | {:>8}",
-                delta_ms,
-                if red { "RED" } else { "drop-tail" },
-                loss.ulp,
-                loss.clp.unwrap_or(0.0),
-                loss.plg_measured.unwrap_or(1.0),
-                loss.losses_look_random(0.01),
-            );
-        }
-    }
-    outln!(
-        stdout,
-        "reading: with UNRESPONSIVE (open-loop) traffic RED only drops more and\n\
-         earlier - losses rise and stay bursty, because the sources never back\n\
-         off and the average queue camps above the thresholds. The celebrated\n\
-         RED benefits presume congestion-responsive senders; the paper's 1992\n\
-         bottleneck, carrying a largely open-loop aggregate, behaves like the\n\
-         drop-tail rows.\n"
-    );
-
-    // The responsive arm: an AIMD transfer as the background instead.
-    use probenet_sim::{Engine, FlowClass, SimTime, WindowFlow};
-    outln!(
-        stdout,
-        "with an AIMD (congestion-responsive) background transfer instead:"
-    );
-    outln!(
-        stdout,
-        "{:>10} | {:>12} | {:>12} | {:>10}",
-        "policy",
-        "probe rtt",
-        "xfer done",
-        "drops"
-    );
-    for red in [false, true] {
-        let mut path = Path::inria_umd_1992();
-        let (b, _) = path.bottleneck();
-        // Remove random loss to isolate queue-management effects.
-        for l in &mut path.links {
-            l.random_loss = 0.0;
-        }
-        if red {
-            path.links[b].policy = probenet_sim::QueuePolicy::red_for_capacity(22);
-        }
-        let mut engine = Engine::new(path, 1993);
-        engine.add_window_flow(WindowFlow::aimd(512, 40, 64, false), SimTime::ZERO);
-        for n in 0..4000u64 {
-            engine.inject_probe(SimTime::from_millis(20 * n), 72, n);
-        }
-        engine.run_until(SimTime::from_secs(90));
-        let rtts: Vec<f64> = engine
-            .probe_deliveries()
-            .map(|d| d.rtt().as_millis_f64())
-            .collect();
-        let done = engine
-            .deliveries()
-            .iter()
-            .filter(|d| d.class == FlowClass::Window)
-            .count();
-        outln!(
-            stdout,
-            "{:>10} | {:>9.0} ms | {:>12} | {:>10}",
-            if red { "RED" } else { "drop-tail" },
-            rtts.iter().sum::<f64>() / rtts.len().max(1) as f64,
-            done,
-            engine.drops().len(),
-        );
-    }
-    outln!(
-        stdout,
-        "reading: against a responsive sender RED keeps the standing queue\n\
-         short - probe delay falls at comparable transfer throughput. Both\n\
-         halves together: AQM is a contract with the sender."
-    );
-}
-
 /// Every study, in the order `--study all` runs them.
 const STUDIES: &[(&str, Study)] = &[
     ("clock", clock_study),
     ("buffer", buffer_study),
     ("batch", batch_study),
     ("estimator", estimator_study),
-    ("closedloop", closedloop_study),
-    ("red", red_study),
 ];
 
 fn main() {

@@ -104,7 +104,7 @@ impl PaperScenario {
         for d in &run.drops {
             if d.class == FlowClass::Probe {
                 match d.reason {
-                    DropReason::BufferOverflow | DropReason::EarlyDrop => probe_overflow += 1,
+                    DropReason::BufferOverflow => probe_overflow += 1,
                     DropReason::RandomLoss => probe_random += 1,
                     DropReason::BurstLoss | DropReason::LinkDown | DropReason::Corrupted => {
                         probe_impair += 1

@@ -14,7 +14,7 @@
 
 use probenet_netdyn::RttSeries;
 use probenet_stats::{find_relative_peaks, Histogram};
-use probenet_stream::{workload_layout, StreamingWorkload};
+use probenet_stream::{workload_bytes, workload_layout, StreamingWorkload};
 use serde::{Deserialize, Serialize};
 
 /// What a peak of the interarrival distribution means.
@@ -74,13 +74,13 @@ pub fn interarrival_series(series: &RttSeries) -> Vec<f64> {
         .collect()
 }
 
-/// Equation (6) per interval: `b̂_n = μ·g_n − P`, in **bytes**, clamped at
-/// zero (negative estimates mean the buffer emptied).
+/// Equation (6) per interval ([`workload_bytes`]): `b̂_n = μ·g_n − P`, in
+/// **bytes**, clamped at zero (negative estimates mean the buffer emptied).
 pub fn workload_estimates(series: &RttSeries, mu_bps: f64) -> Vec<f64> {
     let p_bits = series.wire_bytes as f64 * 8.0;
     interarrival_series(series)
         .into_iter()
-        .map(|g_ms| ((mu_bps * g_ms / 1e3 - p_bits) / 8.0).max(0.0))
+        .map(|g_ms| workload_bytes(mu_bps, g_ms, p_bits))
         .collect()
 }
 
@@ -155,7 +155,7 @@ pub fn analyze_workload(
                 position_ms,
                 height: p.height,
                 label,
-                implied_workload_bytes: ((mu_bps * position_ms / 1e3 - p_bits) / 8.0).max(0.0),
+                implied_workload_bytes: workload_bytes(mu_bps, position_ms, p_bits),
             }
         })
         .collect();

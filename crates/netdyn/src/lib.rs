@@ -43,6 +43,4 @@ pub use series::{
     collect_sessions, measured_rtt, quantize, quantized_rtt, skew, RttRecord, RttSeries,
 };
 pub use sim_driver::{recycle_engine, recycle_run, CrossTrafficBinding, SimExperiment, SimRun};
-pub use udp::{
-    run_probes, send_probes_via, DestinationCollector, EchoServer, EchoServerStats, ProbeRunStats,
-};
+pub use udp::{run_probes, EchoServer, EchoServerStats, ProbeRunStats};

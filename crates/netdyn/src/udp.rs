@@ -142,18 +142,6 @@ impl EchoServer {
         Self::spawn_with_loss(addr, 0.0, 0)
     }
 
-    /// Bind and **forward** stamped probes to a fixed destination instead
-    /// of reflecting them to the sender — the paper's actual three-host
-    /// topology (§2): "sends UDP packets at regular intervals from a source
-    /// host to a destination host via an intermediate host". Use
-    /// [`DestinationCollector`] on the destination side.
-    pub fn spawn_forwarding<A: ToSocketAddrs>(
-        addr: A,
-        destination: SocketAddr,
-    ) -> io::Result<EchoServer> {
-        Self::spawn_inner(addr, 0.0, 0, Some(destination))
-    }
-
     /// As [`EchoServer::spawn`], dropping each probe independently with
     /// probability `drop_probability` (deterministic per `seed`) — fault
     /// injection for testing loss behaviour on a lossless loopback.
@@ -164,15 +152,6 @@ impl EchoServer {
         addr: A,
         drop_probability: f64,
         seed: u64,
-    ) -> io::Result<EchoServer> {
-        Self::spawn_inner(addr, drop_probability, seed, None)
-    }
-
-    fn spawn_inner<A: ToSocketAddrs>(
-        addr: A,
-        drop_probability: f64,
-        seed: u64,
-        forward_to: Option<SocketAddr>,
     ) -> io::Result<EchoServer> {
         assert!(
             (0.0..=1.0).contains(&drop_probability),
@@ -188,15 +167,7 @@ impl EchoServer {
             let shutdown = Arc::clone(&shutdown);
             let stats = Arc::clone(&stats);
             std::thread::spawn(move || {
-                echo_loop(
-                    socket,
-                    waiter,
-                    shutdown,
-                    stats,
-                    drop_probability,
-                    seed,
-                    forward_to,
-                );
+                echo_loop(socket, waiter, shutdown, stats, drop_probability, seed);
             })
         };
         Ok(EchoServer {
@@ -244,7 +215,6 @@ fn echo_loop(
     stats: Arc<Mutex<EchoServerStats>>,
     drop_probability: f64,
     seed: u64,
-    forward_to: Option<SocketAddr>,
 ) {
     let epoch = Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) real probe epoch for echo timestamps
     let mut rng = StdRng::seed_from_u64(seed);
@@ -269,11 +239,10 @@ fn echo_loop(
                 }
                 probe.echo_ts = monotonic_micros(epoch);
                 let out = probe.to_bytes();
-                let target = forward_to.unwrap_or(peer);
                 // Count first, so the reply never reaches the peer before
                 // its count does; a failed send takes the count back.
                 stats.lock().expect("lock poisoned").echoed += 1;
-                if socket.send_to(&out, target).is_err() {
+                if socket.send_to(&out, peer).is_err() {
                     stats.lock().expect("lock poisoned").echoed -= 1;
                 }
             }
@@ -282,119 +251,6 @@ fn echo_loop(
             }
         }
     }
-}
-
-/// The destination host of the paper's three-host topology: listens for
-/// probes forwarded by an [`EchoServer`] in forwarding mode, stamps
-/// `dest_ts` on arrival, and collects the packets for retrieval.
-///
-/// Note the paper's caveat (§2): with three *distinct* hosts the timestamps
-/// mix clocks, so only same-clock differences are meaningful — which is why
-/// the paper (and [`run_probes`]) collapse source and destination onto one
-/// host. The collector exists to realize the full topology and to measure
-/// echo→destination one-way delays on hosts that *are* synchronized.
-#[derive(Debug)]
-pub struct DestinationCollector {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    wake: Option<WakeHandle>,
-    received: Arc<Mutex<Vec<ProbePacket>>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl DestinationCollector {
-    /// Bind to `addr` and start collecting.
-    pub fn spawn<A: ToSocketAddrs>(addr: A) -> io::Result<DestinationCollector> {
-        let socket = UdpSocket::bind(addr)?;
-        let waiter = ServerWaiter::install(&socket)?;
-        let wake = waiter.wake_handle();
-        let local_addr = socket.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let received = Arc::new(Mutex::new(Vec::new()));
-        let handle = {
-            let shutdown = Arc::clone(&shutdown);
-            let received = Arc::clone(&received);
-            std::thread::spawn(move || {
-                let epoch = Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) real probe epoch for dest timestamps
-                let mut buf = [0u8; 2048];
-                let mut events = Events::with_capacity(4);
-                while !shutdown.load(Ordering::SeqCst) {
-                    let len = match socket.recv(&mut buf) {
-                        Ok(l) => l,
-                        Err(e) if ServerWaiter::is_idle(&e) => {
-                            if waiter.park(&mut events) {
-                                continue;
-                            }
-                            break;
-                        }
-                        Err(_) => break,
-                    };
-                    if let Ok(mut probe) = ProbePacket::decode(&buf[..len]) {
-                        probe.dest_ts = monotonic_micros(epoch);
-                        received.lock().expect("lock poisoned").push(probe);
-                    }
-                }
-            })
-        };
-        Ok(DestinationCollector {
-            local_addr,
-            shutdown,
-            wake,
-            received,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound address to hand to [`EchoServer::spawn_forwarding`].
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Probes collected so far (stamped with the destination clock).
-    pub fn received(&self) -> Vec<ProbePacket> {
-        self.received.lock().expect("lock poisoned").clone()
-    }
-
-    /// Stop the collector and return everything it received.
-    pub fn shutdown(mut self) -> Vec<ProbePacket> {
-        signal_shutdown(&self.shutdown, self.wake.as_ref());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        std::mem::take(&mut *self.received.lock().expect("lock poisoned"))
-    }
-}
-
-impl Drop for DestinationCollector {
-    fn drop(&mut self) {
-        signal_shutdown(&self.shutdown, self.wake.as_ref());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Fire-and-forget sender for the three-host topology: sends `count`
-/// probes at `interval` toward the echo host and returns the number sent
-/// (delivery is observed at the [`DestinationCollector`]).
-pub fn send_probes_via(echo: SocketAddr, count: usize, interval: Duration) -> io::Result<usize> {
-    let socket = UdpSocket::bind(("0.0.0.0", 0))?;
-    socket.connect(echo)?;
-    let epoch = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real probe epoch for send timestamps
-    let start = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real pacing clock
-    let mut sent = 0;
-    for n in 0..count {
-        let target = start + interval * n as u32;
-        let now = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real pacing clock
-        if target > now {
-            std::thread::sleep(target - now);
-        }
-        let probe = ProbePacket::outgoing(n as u32, monotonic_micros(epoch));
-        if socket.send(&probe.to_bytes()).is_ok() {
-            sent += 1;
-        }
-    }
-    Ok(sent)
 }
 
 /// Outcome of a real probing run beyond the series itself.
@@ -541,48 +397,6 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.decode_errors, 2);
         assert_eq!(stats.echoed, 0);
-    }
-
-    #[test]
-    fn three_host_topology_forwards_to_the_destination() {
-        // source --(probes)--> echo --(stamped)--> destination, all on
-        // loopback: the paper's §2 arrangement with distinct sockets.
-        let destination = DestinationCollector::spawn("127.0.0.1:0").expect("bind destination");
-        let echo = EchoServer::spawn_forwarding("127.0.0.1:0", destination.local_addr())
-            .expect("bind echo");
-        let sent =
-            send_probes_via(echo.local_addr(), 25, Duration::from_millis(2)).expect("send probes");
-        assert_eq!(sent, 25);
-        std::thread::sleep(Duration::from_millis(200));
-        let got = destination.shutdown();
-        assert!(got.len() >= 23, "destination got only {} probes", got.len());
-        // Every probe carries all three stamps; on one machine the clocks
-        // are per-process epochs, so only ordering is asserted.
-        for p in &got {
-            assert!(p.echo_ts.as_micros() > 0, "echo stamp missing");
-            assert!(p.dest_ts.as_micros() > 0, "dest stamp missing");
-        }
-        // Sequence numbers arrive without duplication.
-        let mut seqs: Vec<u32> = got.iter().map(|p| p.seq).collect();
-        seqs.sort_unstable();
-        seqs.dedup();
-        assert_eq!(seqs.len(), got.len(), "duplicated probes at destination");
-        assert!(echo.stats().echoed >= 23);
-        echo.shutdown();
-    }
-
-    #[test]
-    fn forwarding_server_does_not_reflect_to_the_sender() {
-        let destination = DestinationCollector::spawn("127.0.0.1:0").expect("bind destination");
-        let echo = EchoServer::spawn_forwarding("127.0.0.1:0", destination.local_addr())
-            .expect("bind echo");
-        // A probing client pointed at a forwarding echo gets nothing back.
-        let cfg = ExperimentConfig::quick(SimDuration::from_millis(2), 10);
-        let (series, _) =
-            run_probes(echo.local_addr(), &cfg, Duration::from_millis(150)).expect("probe run");
-        assert_eq!(series.received(), 0, "forwarding server must not reflect");
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(destination.received().len() >= 9);
     }
 
     #[test]

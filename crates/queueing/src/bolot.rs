@@ -1,4 +1,4 @@
-//! The paper's probing model (its Figure 3) and workload estimator (eq. 6).
+//! The paper's probing model (its Figure 3).
 //!
 //! A constant delay `D` models the fixed round-trip component; one FIFO
 //! server of rate μ models the bottleneck. Two streams feed the queue:
@@ -22,7 +22,8 @@
 //! ```
 //!
 //! — the estimator that turns probe delays into a measurement of the
-//! Internet workload.
+//! Internet workload. It is written once, as `probenet_stream::workload_bytes`;
+//! `tests/model_vs_sim.rs` checks it against this model's waits.
 
 /// One interval's Internet contribution: `bits` arriving `offset` seconds
 /// after the probe of that interval.
@@ -117,36 +118,6 @@ impl BolotModel {
     pub fn rtts(&self, waits: &[f64]) -> Vec<f64> {
         waits.iter().map(|&w| self.rtt(w)).collect()
     }
-
-    /// The paper's equation (6): estimate each interval's Internet workload
-    /// (bits) from consecutive waiting times. Values are exact whenever the
-    /// buffer did not empty during the interval, and an **upper bound**
-    /// otherwise (each `(·)⁺` in the recurrence only ever raises `w_{n+1}`,
-    /// so the inversion can only overestimate; this is why the paper trusts
-    /// eq. 6 only "if δ is sufficiently small").
-    pub fn estimate_workload(&self, waits: &[f64]) -> Vec<f64> {
-        waits
-            .windows(2)
-            .map(|w| self.mu_bps * (w[1] - w[0] + self.delta) - self.probe_bits)
-            .collect()
-    }
-
-    /// Equation (6) applied to round-trip delays directly: since
-    /// `rtt = D + w + P/μ`, the difference `rtt_{n+1} − rtt_n` equals
-    /// `w_{n+1} − w_n` and the same inversion applies.
-    pub fn estimate_workload_from_rtts(&self, rtts: &[f64]) -> Vec<f64> {
-        rtts.windows(2)
-            .map(|r| self.mu_bps * (r[1] - r[0] + self.delta) - self.probe_bits)
-            .collect()
-    }
-
-    /// The probe-compression signature: consecutive probes draining
-    /// back-to-back return `P/μ − δ` apart, i.e.
-    /// `rtt_{n+1} − rtt_n = P/μ − δ` (the paper's eq. 3). Returns that
-    /// constant.
-    pub fn compression_slope_offset(&self) -> f64 {
-        self.probe_service() - self.delta
-    }
 }
 
 #[cfg(test)]
@@ -192,64 +163,6 @@ mod tests {
         // Next probe arrives 15 ms after the batch; 32 ms of work remain
         // minus those 15 ms: w1 = 17 ms.
         assert!((w1 - 0.017).abs() < 1e-12, "w1 {w1}");
-    }
-
-    #[test]
-    fn equation6_is_exact_while_buffer_busy() {
-        let m = paper_model();
-        // Offered Internet load just above μδ − P keeps the buffer busy.
-        let bits = [3000.0, 2600.0, 2700.0, 3100.0, 2900.0, 2800.0];
-        let batches: Vec<Batch> = bits
-            .iter()
-            .map(|&b| Batch {
-                bits: b,
-                offset: 0.004,
-            })
-            .collect();
-        // Warm the queue up first so it never empties during the window.
-        let mut all = vec![
-            Batch {
-                bits: 8000.0,
-                offset: 0.004
-            };
-            3
-        ];
-        all.extend_from_slice(&batches);
-        let w = m.waiting_times(&all);
-        assert!(
-            w[3..].iter().all(|&x| x > 0.0),
-            "buffer must stay busy: {w:?}"
-        );
-        let est = m.estimate_workload(&w[3..]);
-        for (e, b) in est.iter().zip(&bits) {
-            assert!((e - b).abs() < 1e-9, "estimated {e} true {b}");
-        }
-    }
-
-    #[test]
-    fn equation6_from_rtts_matches_from_waits() {
-        let m = paper_model();
-        let batches: Vec<Batch> = (0..50)
-            .map(|i| Batch {
-                bits: (i % 5) as f64 * 1500.0,
-                offset: 0.003,
-            })
-            .collect();
-        let w = m.waiting_times(&batches);
-        let rtts = m.rtts(&w);
-        let a = m.estimate_workload(&w);
-        let b = m.estimate_workload_from_rtts(&rtts);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn compression_slope_matches_paper_figure2() {
-        // δ = 50 ms, P = 32 bytes at 128 kb/s: the phase-plot line
-        // intersects the x-axis at δ − P/μ = 48 ms (the paper's reading).
-        let m = BolotModel::new(128_000.0, 32.0 * 8.0, 0.050, 0.140);
-        assert!((m.compression_slope_offset() + 0.048).abs() < 1e-12);
     }
 
     #[test]
@@ -310,7 +223,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_waits_nonnegative_and_eq6_lower_bounds(
+        fn prop_waits_are_nonnegative(
             bits in proptest::collection::vec(0.0f64..20_000.0, 1..100),
             offs in proptest::collection::vec(0.0f64..1.0, 1..100),
         ) {
@@ -321,12 +234,6 @@ mod tests {
                 .collect();
             let w = m.waiting_times(&batches);
             prop_assert!(w.iter().all(|&x| x >= 0.0));
-            // eq. (6) never underestimates: b̂_n ≥ b_n always (exact when
-            // the buffer stays busy; each (·)⁺ only raises w_{n+1}).
-            let est = m.estimate_workload(&w);
-            for (e, b) in est.iter().zip(batches.iter().map(|b| b.bits)) {
-                prop_assert!(*e >= b - 1e-6, "estimate {e} below true {b}");
-            }
         }
 
         #[test]

@@ -7,7 +7,8 @@
 //!   finite-buffer variant.
 //! * [`bolot`] — the paper's Figure-3 model: a fixed delay plus one FIFO
 //!   bottleneck fed by periodic probes and batch-deterministic Internet
-//!   traffic, with the equation-(6) workload estimator.
+//!   traffic, the truth the equation-(6) workload estimator is checked
+//!   against.
 //! * [`analytic`] — closed-form M/M/1, M/G/1 (Pollaczek–Khinchine) and
 //!   M/M/1/K results used as oracles in tests across the workspace.
 //!

@@ -28,7 +28,7 @@
 //! scheduling every packet up front would have. Cross traffic usually
 //! costs no event at all: its port folds it (below). All
 //! randomness that affects admission is drawn from **per-port** RNG streams
-//! (disjoint from the impairment streams), so a port's random-loss/RED
+//! (disjoint from the impairment streams), so a port's random-loss
 //! decisions depend only on its own arrival sequence — the property that
 //! lets a partitioned run reproduce the serial one exactly.
 //!
@@ -47,7 +47,7 @@
 //! passes them. Packets crossing a link with a pending route shift or no
 //! propagation delay, a partition boundary, or the `run_until` horizon
 //! keep the queued path, and no arrival runs inline in a partition or in
-//! a run with window flows, TTL-limited probes or a trace.
+//! a run with TTL-limited probes or a trace.
 //! `events_processed` still counts each logical event once. See
 //! DESIGN.md §9, "Inline hops".
 //!
@@ -67,10 +67,10 @@
 //! port ([`Engine::cross_deliveries`], [`Engine::cross_drops`]) on either
 //! path, so no record waits for another port's. The first run decides
 //! which ports fold: all ports on links without route shifts, in a
-//! serial, untraced engine without window flows whose links neither
-//! reorder, duplicate nor have (or get) a zero delay, and only if every
-//! port with cross traffic is among them. Otherwise every port keeps the
-//! queued path. See DESIGN.md §9, "Cross traffic folded into its port".
+//! serial, untraced engine whose links neither reorder, duplicate nor
+//! have (or get) a zero delay, and only if every port with cross traffic
+//! is among them. Otherwise every port keeps the queued path. See
+//! DESIGN.md §9, "Cross traffic folded into its port".
 //!
 //! ## Partitioned operation
 //!
@@ -433,18 +433,13 @@ impl FoldStep<'_> {
             self.drop_packet(packet, DropReason::RandomLoss);
             return;
         }
-        let rng = &mut *self.rng;
-        match self
-            .queue
-            .offer(at, PacketRef::DETACHED, size, || rng.gen())
-        {
+        match self.queue.offer(at, PacketRef::DETACHED, size) {
             Admission::StartService(d) => {
                 self.fold.occupants.push_back(Some(packet));
                 self.fold.start(at + d, self.runs.len());
             }
             Admission::Queued => self.fold.occupants.push_back(Some(packet)),
             Admission::Overflow => self.drop_packet(packet, DropReason::BufferOverflow),
-            Admission::EarlyDrop => self.drop_packet(packet, DropReason::EarlyDrop),
         }
     }
 
@@ -478,7 +473,6 @@ impl FoldStep<'_> {
             self.log.deliveries.push(Delivery {
                 id: PacketId(source.base_id + u64::from(packet.index)),
                 class: source.class,
-                flow: 0,
                 seq: u64::from(packet.index),
                 injected_at: packet.at,
                 echoed_at: None,
@@ -552,7 +546,7 @@ pub struct Engine {
     /// Fault-injector state, one per port, each with its own RNG stream
     /// derived from the master seed (see [`crate::impair`]).
     impair: Vec<ImpairmentState>,
-    /// Admission randomness (random loss, RED), one independent stream per
+    /// Admission randomness (random loss), one independent stream per
     /// port, seeded after the impairment streams. Per-port streams make a
     /// port's decisions a function of its own arrival sequence alone.
     port_rng: Vec<StdRng>,
@@ -572,8 +566,6 @@ pub struct Engine {
     /// Per port, its cross-traffic records, stored by hop (see
     /// [`CrossLog`]).
     cross: Vec<CrossLog>,
-    /// Closed-loop window flows; `Packet::flow` is an index + 1 here.
-    flows: Vec<FlowState>,
     /// Boundary crossings toward lower-numbered nodes, in send order.
     outbox_west: Vec<RemoteArrival>,
     /// Boundary crossings toward higher-numbered nodes, in send order.
@@ -608,7 +600,7 @@ pub struct Engine {
     /// queue after it.
     horizon: SimTime,
     /// Whether node arrivals may run inline in the current run: a serial
-    /// engine, no window flows, no packet whose TTL can run out.
+    /// engine, no packet whose TTL can run out.
     inline_ok: bool,
     /// Set once a probe whose TTL can run out on this path is injected.
     ttl_limited: bool,
@@ -625,69 +617,6 @@ pub struct Engine {
     fold_runs: Vec<u64>,
     /// Set once a route shift to a zero delay is scheduled.
     zero_shift: bool,
-}
-
-/// A closed-loop, ack-clocked window flow — a fixed-window TCP-like
-/// transfer: `window` data packets outstanding; each acknowledgement
-/// arriving back at the sender clocks out the next data packet. This is
-/// the mechanism behind the two-way-traffic dynamics (data/ACK
-/// interaction, ACK compression) of the paper's refs [28, 29], which the
-/// paper's probe compression mirrors.
-#[derive(Debug, Clone)]
-pub struct WindowFlow {
-    /// Data packet size on the wire, bytes.
-    pub data_bytes: u32,
-    /// Acknowledgement size on the wire, bytes (40 for a bare TCP ACK).
-    pub ack_bytes: u32,
-    /// Window of data packets kept outstanding. For adaptive flows this is
-    /// the **maximum** window (e.g. the receiver's advertised window); the
-    /// congestion window moves below it.
-    pub window: usize,
-    /// `false`: the sender sits at node 0 (data travels outbound, ACKs
-    /// inbound). `true`: the sender sits at the far end, so its **data**
-    /// shares the inbound queues with returning probe/ACK traffic — the
-    /// configuration that produces ACK compression.
-    pub reverse: bool,
-    /// `false`: fixed window (unresponsive, go-back-N retransmission).
-    /// `true`: AIMD congestion control — additive increase (+1/cwnd per
-    /// ACK) up to `window`, multiplicative decrease (halving, floor 1) on
-    /// every loss — the congestion-avoidance behaviour of the paper's
-    /// ref \[12\] (Jacobson), idealized with instant loss detection.
-    pub adaptive: bool,
-}
-
-impl WindowFlow {
-    /// A fixed-window (unresponsive) flow.
-    pub fn fixed(data_bytes: u32, ack_bytes: u32, window: usize, reverse: bool) -> Self {
-        WindowFlow {
-            data_bytes,
-            ack_bytes,
-            window,
-            reverse,
-            adaptive: false,
-        }
-    }
-
-    /// An AIMD (congestion-responsive) flow capped at `max_window`.
-    pub fn aimd(data_bytes: u32, ack_bytes: u32, max_window: usize, reverse: bool) -> Self {
-        WindowFlow {
-            data_bytes,
-            ack_bytes,
-            window: max_window,
-            reverse,
-            adaptive: true,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct FlowState {
-    spec: WindowFlow,
-    next_seq: u64,
-    /// Congestion window (== `spec.window` for fixed flows).
-    cwnd: f64,
-    /// Data packets currently in the network.
-    in_flight: u64,
 }
 
 impl Engine {
@@ -735,7 +664,6 @@ impl Engine {
             drops: Vec::new(),
             ttl_replies: Vec::new(),
             cross: Vec::new(),
-            flows: Vec::new(),
             outbox_west: Vec::new(),
             outbox_east: Vec::new(),
             trace: None,
@@ -829,7 +757,6 @@ impl Engine {
             log.drops.clear();
             log.attached = 0;
         }
-        self.flows.clear();
         self.outbox_west.clear();
         self.outbox_east.clear();
         if let Some(t) = &mut self.trace {
@@ -1216,112 +1143,6 @@ impl Engine {
         self.on_arrive(at, port, r);
     }
 
-    /// Register a closed-loop window flow and launch its initial window at
-    /// instant `start`. Returns the flow id found in
-    /// [`Delivery::flow`](crate::packet::Delivery) records.
-    ///
-    /// # Panics
-    /// Panics if the window is zero.
-    pub fn add_window_flow(&mut self, spec: WindowFlow, start: SimTime) -> u32 {
-        assert!(spec.window > 0, "window must be positive");
-        self.assert_not_folding("add_window_flow");
-        let id = (self.flows.len() + 1) as u32;
-        let cwnd = if spec.adaptive {
-            2.0_f64.min(spec.window as f64)
-        } else {
-            spec.window as f64
-        };
-        self.flows.push(FlowState {
-            spec,
-            next_seq: 0,
-            cwnd,
-            in_flight: 0,
-        });
-        self.flow_fill_window(id, start);
-        id
-    }
-
-    /// Current congestion window of a flow (for tests and instrumentation).
-    pub fn flow_cwnd(&self, flow: u32) -> f64 {
-        self.flows[flow as usize - 1].cwnd
-    }
-
-    /// Send new data packets while the (congestion) window allows.
-    fn flow_fill_window(&mut self, flow: u32, at: SimTime) {
-        loop {
-            let state = &self.flows[flow as usize - 1];
-            let allowed = (state.cwnd.floor() as u64).clamp(1, state.spec.window as u64);
-            if state.in_flight >= allowed {
-                return;
-            }
-            self.inject_window_packet(flow, at);
-        }
-    }
-
-    /// A delivered ACK: free a window slot and grow the adaptive window
-    /// (additive increase: +1/cwnd per ACK ≈ +1 per round trip).
-    fn on_window_ack(&mut self, flow: u32, at: SimTime) {
-        let state = &mut self.flows[flow as usize - 1];
-        state.in_flight = state.in_flight.saturating_sub(1);
-        if state.spec.adaptive {
-            state.cwnd = (state.cwnd + 1.0 / state.cwnd).min(state.spec.window as f64);
-        }
-        self.flow_fill_window(flow, at);
-    }
-
-    /// A lost packet (anywhere in the loop): free the slot; adaptive flows
-    /// halve the window (multiplicative decrease, floor 1). The lost data
-    /// is retransmitted as a fresh packet when the window re-opens.
-    fn on_window_loss(&mut self, flow: u32, at: SimTime) {
-        let state = &mut self.flows[flow as usize - 1];
-        state.in_flight = state.in_flight.saturating_sub(1);
-        if state.spec.adaptive {
-            state.cwnd = (state.cwnd / 2.0).max(1.0);
-        }
-        self.flow_fill_window(flow, at);
-    }
-
-    fn inject_window_packet(&mut self, flow: u32, at: SimTime) {
-        let id = self.fresh_id();
-        let state = &mut self.flows[flow as usize - 1];
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.in_flight += 1;
-        let reverse = state.spec.reverse;
-        let size = state.spec.data_bytes;
-        let packet = Packet {
-            id,
-            class: FlowClass::Window,
-            flow,
-            size,
-            seq,
-            injected_at: at,
-            ttl: DEFAULT_TTL,
-            direction: if reverse {
-                Direction::Inbound
-            } else {
-                Direction::Outbound
-            },
-            corrupted: false,
-            echoed_at: None,
-        };
-        let port = if reverse {
-            // Sender at the far end: first hop is the last link, inbound.
-            self.port_index(self.path.links.len() - 1, Direction::Inbound)
-        } else {
-            0
-        };
-        let at = at.max(self.events.now());
-        let r = self.arena.alloc(packet);
-        self.schedule(
-            at,
-            Ev::Arrive {
-                port: port as u32,
-                r,
-            },
-        );
-    }
-
     /// Attach a pre-generated cross-traffic arrival sequence to the queue of
     /// (`link`, `direction`). Each `(time, size)` becomes one Internet
     /// packet that competes with the probes for that port's server and then
@@ -1456,15 +1277,13 @@ impl Engine {
             let first_lane = self.events.reserve_lanes(0);
             self.fold_runs.push(first_lane);
         }
-        // A TTL reply enters a port no pending count names, and a window
-        // flow turns packets around at node 0; a partition hands its
-        // boundary arrivals to a neighbour. None of those can wait for the
-        // counts to be right. A traced run keeps every hop on the clock:
+        // A TTL reply enters a port no pending count names, and a partition
+        // hands its boundary arrivals to a neighbour. Neither can wait for
+        // the counts to be right. A traced run keeps every hop on the clock:
         // an inline hop takes its `TxDone` lane before events the clock
         // has yet to reach, which reorders trace records that share an
         // instant at different ports (nothing else; see DESIGN.md §9).
         self.inline_ok = self.owned == (0..self.path.nodes.len())
-            && self.flows.is_empty()
             && !self.ttl_limited
             && usize::from(DEFAULT_TTL) > 2 * self.path.nodes.len()
             && self.trace.is_none();
@@ -1665,9 +1484,9 @@ impl Engine {
 
     /// Decide, at the first run, which ports fold their cross traffic: the
     /// ports on links without route shifts, or none. A serial, untraced
-    /// engine without window flows folds when no link reorders or
-    /// duplicates ([`Ev::Admit`]), no link has or gets a zero delay, and
-    /// every port with cross traffic can fold.
+    /// engine folds when no link reorders or duplicates ([`Ev::Admit`]),
+    /// no link has or gets a zero delay, and every port with cross traffic
+    /// can fold.
     fn plan_fold(&mut self) {
         self.fold_planned = true;
         let admits = |link: &LinkSpec| {
@@ -1683,7 +1502,6 @@ impl Engine {
             .map(|port| self.shifts_pending[self.hop(port).0] == 0)
             .collect();
         let foldable = self.owned == (0..self.path.nodes.len())
-            && self.flows.is_empty()
             && self.trace.is_none()
             && !self.zero_shift
             && self
@@ -1775,9 +1593,8 @@ impl Engine {
             self.advance_fold(port, self.key);
         }
         if !self.ports[port].impair_inert {
-            // Window data and control replies stay single-copy: their
-            // accounting (ack clocking, reply bookkeeping) assumes exactly
-            // one instance of each packet in the network.
+            // Control replies stay single-copy: their bookkeeping assumes
+            // exactly one instance of each reply in the network.
             let dup_eligible =
                 matches!(self.arena.get(r).class, FlowClass::Probe | FlowClass::Cross);
             // `ports` and `impair` are distinct fields, so the spec borrow
@@ -1855,8 +1672,7 @@ impl Engine {
             return;
         }
         let size = self.arena.get(r).size;
-        let rng = &mut self.port_rng[port];
-        match self.ports[port].offer(at, r, size, || rng.gen()) {
+        match self.ports[port].offer(at, r, size) {
             Admission::StartService(d) => {
                 self.record(at, Some(port), r, TraceKind::Enqueue);
                 self.record(at, Some(port), r, TraceKind::TxStart);
@@ -1882,10 +1698,6 @@ impl Engine {
             Admission::Overflow => {
                 self.record(at, Some(port), r, TraceKind::OverflowDrop);
                 self.note_drop(at, port, r, DropReason::BufferOverflow);
-            }
-            Admission::EarlyDrop => {
-                self.record(at, Some(port), r, TraceKind::EarlyDrop);
-                self.note_drop(at, port, r, DropReason::EarlyDrop);
             }
         }
     }
@@ -1920,7 +1732,6 @@ impl Engine {
             self.cross[slot].deliveries.push(Delivery {
                 id: packet.id,
                 class: packet.class,
-                flow: 0,
                 seq: packet.seq,
                 injected_at: packet.injected_at,
                 echoed_at: None,
@@ -1958,9 +1769,9 @@ impl Engine {
 
     fn on_node_arrival(&mut self, at: SimTime, node: usize, r: PacketRef) {
         let last = self.path.nodes.len() - 1;
-        let (corrupted, direction, class, flow) = {
+        let (corrupted, direction) = {
             let p = self.arena.get(r);
-            (p.corrupted, p.direction, p.class, p.flow)
+            (p.corrupted, p.direction)
         };
         // Routers forward corrupted packets (they only checksum the IP
         // header); the first endpoint that decodes the payload sees the bad
@@ -1976,31 +1787,16 @@ impl Engine {
                 return;
             }
         }
-        let reverse_flow = class == FlowClass::Window && self.flows[flow as usize - 1].spec.reverse;
         match direction {
             Direction::Outbound => {
                 if node == last {
-                    if reverse_flow {
-                        // The far end is this flow's home: ACK received.
-                        self.deliver(at, r);
-                        return;
-                    }
                     // Echo host: turn the packet around immediately (§2),
-                    // stamping the echo instant into the packet. Window
-                    // data is acknowledged with an ACK-sized packet.
+                    // stamping the echo instant into the packet.
                     self.record(at, None, r, TraceKind::Echoed);
-                    let ack_bytes = if class == FlowClass::Window {
-                        Some(self.flows[flow as usize - 1].spec.ack_bytes)
-                    } else {
-                        None
-                    };
                     {
                         let p = self.arena.get_mut(r);
                         p.echoed_at = Some(at);
                         p.direction = Direction::Inbound;
-                        if let Some(size) = ack_bytes {
-                            p.size = size;
-                        }
                     }
                     let port = self.port_index(node - 1, Direction::Inbound);
                     self.dispatch_arrive(at, port, r);
@@ -2021,20 +1817,6 @@ impl Engine {
             }
             Direction::Inbound => {
                 if node == 0 {
-                    if reverse_flow {
-                        // Node 0 echoes the reverse flow's data as an ACK.
-                        self.record(at, None, r, TraceKind::Echoed);
-                        let ack_bytes = self.flows[flow as usize - 1].spec.ack_bytes;
-                        {
-                            let p = self.arena.get_mut(r);
-                            p.echoed_at = Some(at);
-                            p.direction = Direction::Outbound;
-                            p.size = ack_bytes;
-                        }
-                        let port = self.port_index(0, Direction::Outbound);
-                        self.dispatch_arrive(at, port, r);
-                        return;
-                    }
                     self.deliver(at, r);
                     return;
                 }
@@ -2066,10 +1848,6 @@ impl Engine {
             port: usize::MAX,
             reason: DropReason::TtlExpired,
         });
-        if packet.class == FlowClass::Window {
-            self.on_window_loss(packet.flow, at);
-            return;
-        }
         if packet.class != FlowClass::Probe {
             return;
         }
@@ -2114,17 +1892,11 @@ impl Engine {
                 self.deliveries.push(Delivery {
                     id: packet.id,
                     class: packet.class,
-                    flow: packet.flow,
                     seq: packet.seq,
                     injected_at: packet.injected_at,
                     echoed_at: packet.echoed_at,
                     delivered_at: at,
                 });
-                // Ack-clocking: a delivered acknowledgement opens the
-                // window for the next data packet, immediately.
-                if packet.class == FlowClass::Window {
-                    self.on_window_ack(packet.flow, at);
-                }
             }
         }
     }
@@ -2139,17 +1911,9 @@ impl Engine {
             port,
             reason,
         });
-        // A reliable window flow retransmits what the network loses — the
-        // loss is recorded above, the window slot freed (and halved for
-        // AIMD flows), and fresh data sent when the window allows; the
-        // loss-detection timeout is idealized to zero.
-        if packet.class == FlowClass::Window {
-            self.on_window_loss(packet.flow, at);
-        }
     }
 
-    /// All completed round trips (probes, window-flow packets), in
-    /// completion order. Cross traffic's departures are kept per port
+    /// All completed round trips, in completion order. Cross traffic's departures are kept per port
     /// ([`Engine::cross_deliveries`]).
     pub fn deliveries(&self) -> &[Delivery] {
         &self.deliveries
@@ -2194,8 +1958,7 @@ impl Engine {
         &self.ttl_replies
     }
 
-    /// Round-trip deliveries of probe packets only: [`Engine::deliveries`]
-    /// without window flows.
+    /// Round-trip deliveries of probe packets only.
     pub fn probe_deliveries(&self) -> impl Iterator<Item = &Delivery> {
         self.deliveries
             .iter()

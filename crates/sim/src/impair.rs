@@ -330,8 +330,8 @@ impl ImpairmentState {
     }
 
     /// Run the pipeline for one packet arriving at the hop at instant `at`.
-    /// `dup_eligible` gates duplication (the engine excludes closed-loop
-    /// window data and control replies, whose accounting assumes one copy).
+    /// `dup_eligible` gates duplication (the engine excludes control
+    /// replies, whose bookkeeping assumes one copy).
     ///
     /// Decision order is fixed — flap, burst loss, corruption, duplication,
     /// reorder — so the RNG stream is consumed identically on every replay.

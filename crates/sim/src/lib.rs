@@ -70,7 +70,7 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{PacketArena, PacketRef};
-pub use engine::{discover_route, Engine, EngineStats, RemoteArrival, WindowFlow, TTL_REPLY_SIZE};
+pub use engine::{discover_route, Engine, EngineStats, RemoteArrival, TTL_REPLY_SIZE};
 pub use event::EventQueue;
 pub use impair::{
     DuplicateSpec, FlapWindow, GilbertElliott, ImpairmentSpec, ReorderSpec, RouteShift,
@@ -82,7 +82,7 @@ pub use packet::{
 pub use parallel::{
     run_partitioned, CrossAttachment, InjectionPlan, ParallelOutcome, ProbeInjection,
 };
-pub use path::{figure3_model, BufferLimit, LinkSpec, Path, PathBuilder, QueuePolicy};
+pub use path::{figure3_model, BufferLimit, LinkSpec, Path, PathBuilder};
 pub use queue::{Admission, Port, PortStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceKind};

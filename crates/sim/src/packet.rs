@@ -20,10 +20,6 @@ pub enum FlowClass {
     Cross,
     /// Simulator control traffic, e.g. TTL-exceeded replies.
     Control,
-    /// A packet of a closed-loop window flow (TCP-like: `window` data
-    /// packets outstanding, each acknowledgement clocking out the next) —
-    /// the "two-way traffic" dynamics of the paper's refs [28, 29].
-    Window,
 }
 
 /// Travel direction along a linear path.
@@ -55,8 +51,9 @@ pub struct Packet {
     pub id: PacketId,
     /// Traffic class.
     pub class: FlowClass,
-    /// Owning flow for [`FlowClass::Window`] packets (index + 1 into the
-    /// engine's window sources); 0 for every other class.
+    /// For a TTL-exceeded reply ([`FlowClass::Control`]), the index of the
+    /// node that sent it, so the reply needs no lookup when it is
+    /// delivered; 0 for every other class.
     pub flow: u32,
     /// Size on the wire, in bytes (headers included).
     pub size: u32,
@@ -89,8 +86,6 @@ pub struct Delivery {
     pub id: PacketId,
     /// Traffic class.
     pub class: FlowClass,
-    /// Owning flow for window-flow packets; 0 otherwise.
-    pub flow: u32,
     /// Per-flow sequence number.
     pub seq: u64,
     /// Injection instant.
@@ -131,8 +126,6 @@ pub enum DropReason {
     RandomLoss,
     /// TTL reached zero at an intermediate node.
     TtlExpired,
-    /// Dropped early by RED queue management before the buffer filled.
-    EarlyDrop,
     /// Destroyed by a Gilbert–Elliott burst-loss channel while the link
     /// was in (usually) its Bad state (see [`crate::impair`]).
     BurstLoss,
@@ -189,7 +182,6 @@ mod tests {
         let d = Delivery {
             id: PacketId(1),
             class: FlowClass::Probe,
-            flow: 0,
             seq: 0,
             injected_at: SimTime::from_millis(10),
             echoed_at: Some(SimTime::from_millis(80)),

@@ -20,9 +20,8 @@
 //!
 //! The eastward bound may ignore the east neighbor's clock because
 //! westbound traffic can never *cause* an eastbound send (probes turn
-//! around only at the echo host, the last node; TTL replies travel west;
-//! window flows, which can turn traffic around at node 0, are not used in
-//! partitioned runs). That directional acyclicity lets the guarantee chain
+//! around only at the echo host, the last node, and TTL replies travel
+//! west). That directional acyclicity lets the guarantee chain
 //! resolve west-to-east and then east-to-west without a cycle, and the
 //! nonzero-propagation invariant (checked at partition time — a zero-
 //! lookahead boundary forces a serial run) gives the classical CMB progress

@@ -31,45 +31,8 @@ impl BufferLimit {
     }
 }
 
-/// Active queue management for a port: plain drop-tail, or Random Early
-/// Detection (Floyd & Jacobson; the paper cites their phase-effects work as
-/// ref \[10\]). RED drops arrivals probabilistically as the EWMA queue length
-/// grows. Its benefits presume congestion-responsive senders: the `red`
-/// ablation study shows it only amplifies loss for the paper's open-loop
-/// aggregate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QueuePolicy {
-    /// Drop only on buffer overflow (the early-90s default).
-    DropTail,
-    /// Classic RED on the packet count.
-    Red {
-        /// Average queue length (packets) where early drops begin.
-        min_threshold: f64,
-        /// Average queue length where the drop probability reaches
-        /// `max_probability` (all arrivals drop above it).
-        max_threshold: f64,
-        /// Drop probability at `max_threshold`.
-        max_probability: f64,
-        /// EWMA weight for the average queue length (typical: 0.002–0.05).
-        weight: f64,
-    },
-}
-
-impl QueuePolicy {
-    /// A RED configuration with the classic rule-of-thumb thresholds for a
-    /// buffer of `capacity` packets: min = capacity/4, max = capacity/2,
-    /// max_p = 0.1, weight = 0.02.
-    pub fn red_for_capacity(capacity: usize) -> QueuePolicy {
-        QueuePolicy::Red {
-            min_threshold: capacity as f64 / 4.0,
-            max_threshold: capacity as f64 / 2.0,
-            max_probability: 0.1,
-            weight: 0.02,
-        }
-    }
-}
-
-/// Static description of one point-to-point link.
+/// Static description of one point-to-point link. Each direction is served
+/// by its own drop-tail FIFO port (the paper's Figure 3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     /// Transmission rate in bits per second (the μ of the paper when this is
@@ -84,8 +47,6 @@ pub struct LinkSpec {
     /// (faulty-interface model; applied independently per packet and per
     /// direction).
     pub random_loss: f64,
-    /// Queue management discipline of this link's ports.
-    pub policy: QueuePolicy,
     /// Fault-injection pipeline of this link (bursty loss, reordering,
     /// duplication, corruption, flaps, route shifts). Inert by default;
     /// applies to both directions, each with its own RNG stream.
@@ -101,15 +62,8 @@ impl LinkSpec {
             propagation,
             buffer: BufferLimit::Packets(64),
             random_loss: 0.0,
-            policy: QueuePolicy::DropTail,
             impair: ImpairmentSpec::none(),
         }
-    }
-
-    /// Replace the queue-management policy.
-    pub fn with_policy(mut self, policy: QueuePolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Replace the buffer limit.

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use crate::arena::PacketRef;
 #[cfg(test)]
 use crate::path::BufferLimit;
-use crate::path::{LinkSpec, QueuePolicy};
+use crate::path::LinkSpec;
 use crate::time::{SimDuration, SimTime};
 
 /// Aggregate statistics for one port.
@@ -29,8 +29,6 @@ pub struct PortStats {
     pub bytes_served: u64,
     /// Packets dropped because the buffer was full.
     pub overflow_drops: u64,
-    /// Packets dropped early by RED.
-    pub early_drops: u64,
     /// Packets dropped by link random loss.
     pub random_drops: u64,
     /// Packets destroyed by the link's fault injectors (burst loss or an
@@ -83,11 +81,6 @@ pub struct Port {
     /// while the port is busy).
     drain_at: SimTime,
     last_change: SimTime,
-    /// RED state: EWMA of the queue length (packets), updated per arrival.
-    avg_queue: f64,
-    /// RED state: arrivals since the last early drop (the count correction
-    /// that spaces early drops roughly uniformly).
-    since_drop: u64,
     /// Running statistics.
     pub stats: PortStats,
 }
@@ -102,8 +95,6 @@ pub enum Admission {
     StartService(SimDuration),
     /// Buffer full; packet dropped (drop-tail).
     Overflow,
-    /// Dropped early by RED before the buffer filled.
-    EarlyDrop,
 }
 
 impl Port {
@@ -118,8 +109,6 @@ impl Port {
             service_started: SimTime::ZERO,
             drain_at: SimTime::ZERO,
             last_change: SimTime::ZERO,
-            avg_queue: 0.0,
-            since_drop: 0,
             stats: PortStats::default(),
         }
     }
@@ -152,11 +141,11 @@ impl Port {
     }
 
     /// Whether every packet that reached the port is accounted for:
-    /// `arrivals == served + overflow_drops + early_drops + random_drops +
-    /// impair_drops + occupancy`.
+    /// `arrivals == served + overflow_drops + random_drops + impair_drops +
+    /// occupancy`.
     pub fn conserves_packets(&self) -> bool {
         let s = &self.stats;
-        let out = s.served + s.overflow_drops + s.early_drops + s.random_drops + s.impair_drops;
+        let out = s.served + s.overflow_drops + s.random_drops + s.impair_drops;
         s.arrivals == out + self.occupancy() as u64
     }
 
@@ -167,50 +156,12 @@ impl Port {
     }
 
     /// Offer the packet behind `r` (of wire size `size`) to the queue at
-    /// instant `now`. `red_uniform` supplies one uniform(0,1) sample *only
-    /// if* RED's probabilistic branch needs it — drop-tail ports never
-    /// invoke it, so their admission consumes no randomness at all.
+    /// instant `now`: drop-tail admission, which draws no randomness.
     ///
     /// Random-loss is **not** applied here — the engine decides that before
     /// calling, so the port stays a pure FIFO queue.
-    pub fn offer(
-        &mut self,
-        now: SimTime,
-        r: PacketRef,
-        size: u32,
-        red_uniform: impl FnOnce() -> f64,
-    ) -> Admission {
+    pub fn offer(&mut self, now: SimTime, r: PacketRef, size: u32) -> Admission {
         self.stats.arrivals += 1;
-        if let QueuePolicy::Red {
-            min_threshold,
-            max_threshold,
-            max_probability,
-            weight,
-        } = self.spec.policy
-        {
-            // Per-arrival EWMA of the instantaneous queue length. (The
-            // classic idle-time decay refinement is omitted; at the arrival
-            // rates probed here the difference is negligible and the
-            // simplification is documented.)
-            self.avg_queue = (1.0 - weight) * self.avg_queue + weight * self.occupancy() as f64;
-            self.since_drop += 1;
-            if self.avg_queue >= max_threshold {
-                self.stats.early_drops += 1;
-                self.since_drop = 0;
-                return Admission::EarlyDrop;
-            }
-            if self.avg_queue > min_threshold {
-                let pb = max_probability * (self.avg_queue - min_threshold)
-                    / (max_threshold - min_threshold);
-                // Count correction spaces early drops ~uniformly.
-                let pa = pb / (1.0 - (self.since_drop as f64 * pb).min(0.999));
-                if red_uniform() < pa {
-                    self.stats.early_drops += 1;
-                    self.since_drop = 0;
-                    return Admission::EarlyDrop;
-                }
-            }
-        }
         let admitted = self
             .spec
             .buffer
@@ -320,10 +271,10 @@ mod tests {
         }
     }
 
-    /// Allocate a test packet and offer it with a drop-tail uniform.
+    /// Allocate a test packet and offer it.
     fn offer(a: &mut PacketArena, p: &mut Port, at: SimTime, id: u64, size: u32) -> Admission {
         let r = a.alloc(pkt(id, size));
-        p.offer(at, r, size, || 1.0)
+        p.offer(at, r, size)
     }
 
     fn port(buffer: BufferLimit) -> Port {
@@ -446,76 +397,5 @@ mod tests {
         assert_eq!(offer(&mut a, &mut p, t, 2, 32), Admission::Overflow);
         assert_eq!(p.occupancy(), occ_before);
         assert_eq!(p.queued_bytes(), 32);
-    }
-
-    fn red_port(capacity: usize) -> Port {
-        Port::new(
-            LinkSpec::new(128_000, SimDuration::ZERO)
-                .with_buffer(BufferLimit::Packets(capacity))
-                .with_policy(QueuePolicy::red_for_capacity(capacity)),
-        )
-    }
-
-    #[test]
-    fn red_admits_everything_while_queue_is_short() {
-        let mut a = PacketArena::new();
-        let mut p = red_port(40);
-        // Never let the EWMA reach min_threshold (10): short bursts.
-        for i in 0..5 {
-            let r = a.alloc(pkt(i, 32));
-            let adm = p.offer(SimTime::ZERO, r, 32, || 0.0);
-            assert_ne!(adm, Admission::EarlyDrop, "packet {i}: {adm:?}");
-        }
-        assert_eq!(p.stats.early_drops, 0);
-    }
-
-    #[test]
-    fn red_drops_early_under_sustained_backlog() {
-        // A fast EWMA (weight 0.3) tracks the backlog closely: arrivals
-        // with no service completions push the average past min_threshold
-        // and, with an unlucky uniform, drop early while the 40-slot
-        // buffer still has plenty of room.
-        let mut a = PacketArena::new();
-        let mut p = Port::new(
-            LinkSpec::new(128_000, SimDuration::ZERO)
-                .with_buffer(BufferLimit::Packets(40))
-                .with_policy(QueuePolicy::Red {
-                    min_threshold: 10.0,
-                    max_threshold: 20.0,
-                    max_probability: 0.1,
-                    weight: 0.3,
-                }),
-        );
-        let mut early = 0;
-        for i in 0..35 {
-            let r = a.alloc(pkt(i, 32));
-            if p.offer(SimTime::ZERO, r, 32, || 0.0) == Admission::EarlyDrop {
-                early += 1;
-            }
-        }
-        assert!(early > 0, "RED never early-dropped");
-        assert!(
-            p.occupancy() < 40,
-            "early drops must precede buffer exhaustion"
-        );
-        assert_eq!(p.stats.early_drops, early);
-        assert_eq!(p.stats.overflow_drops, 0);
-    }
-
-    #[test]
-    fn red_with_lucky_uniform_never_drops_below_max_threshold() {
-        let mut a = PacketArena::new();
-        let mut p = red_port(40);
-        // uniform = 1.0 defeats the probabilistic branch; only the hard
-        // max_threshold (EWMA >= 20) cutoff can drop.
-        let mut admitted = 0;
-        for i in 0..40 {
-            let r = a.alloc(pkt(i, 32));
-            match p.offer(SimTime::ZERO, r, 32, || 1.0) {
-                Admission::EarlyDrop => break,
-                _ => admitted += 1,
-            }
-        }
-        assert!(admitted >= 20, "admitted only {admitted}");
     }
 }

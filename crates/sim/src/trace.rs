@@ -19,8 +19,6 @@ pub enum TraceKind {
     TxDone,
     /// Dropped: buffer full.
     OverflowDrop,
-    /// Dropped: RED early drop.
-    EarlyDrop,
     /// Dropped: random link loss.
     RandomDrop,
     /// Dropped: TTL expired.

@@ -63,7 +63,9 @@ pub use collector::{
     SessionProducer, SessionReport,
 };
 pub use fnv::{fnv1a_hex, fnv1a_u64s};
-pub use lindley::{workload_layout, StreamingWorkload, WorkloadSnapshot, WorkloadWireState};
+pub use lindley::{
+    workload_bytes, workload_layout, StreamingWorkload, WorkloadSnapshot, WorkloadWireState,
+};
 pub use loss::{Chi2Snapshot, LossSnapshot, LossWireState, RunsTestSnapshot, StreamingLoss};
 pub use phase::{PhaseDensity, PhaseSnapshot, PhaseWireState};
 pub use quantile::LogQuantileSketch;

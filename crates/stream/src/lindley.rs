@@ -95,6 +95,15 @@ pub fn workload_layout(max_ms: f64, clock_resolution_ns: u64) -> (f64, usize) {
     (bin_ms, ((max_ms / bin_ms).ceil() as usize).max(10))
 }
 
+/// The paper's equation (6), the workspace's one definition: the workload
+/// `b̂ = μ·g − P` in bytes that a return interarrival of `g_ms` implies at a
+/// bottleneck of `mu_bps` for probes of `p_bits`, clamped at zero (a
+/// negative estimate means the buffer emptied during the interval).
+#[inline]
+pub fn workload_bytes(mu_bps: f64, g_ms: f64, p_bits: f64) -> f64 {
+    ((mu_bps * g_ms / 1e3 - p_bits) / 8.0).max(0.0)
+}
+
 impl StreamingWorkload {
     /// A new estimator over the [`workload_layout`] histogram.
     ///
@@ -136,7 +145,7 @@ impl StreamingWorkload {
         if let (Some(a), Some(b)) = (prev, cur) {
             let g_ms = (b as f64 - a as f64) / 1e6 + self.delta_ms;
             self.hist.add(g_ms);
-            self.b_sum += ((self.mu_bps * g_ms / 1e3 - self.p_bits) / 8.0).max(0.0);
+            self.b_sum += workload_bytes(self.mu_bps, g_ms, self.p_bits);
             self.pairs += 1;
         }
     }

@@ -7,7 +7,7 @@ use probenet::core::{
     delta_sweep, delta_sweep_serial, run_campaign, run_campaign_serial, PaperScenario,
 };
 use probenet::netdyn::{to_csv, ExperimentConfig};
-use probenet::sim::{Direction, Engine, Path, SimDuration, SimTime, WindowFlow};
+use probenet::sim::{Direction, Engine, Path, SimDuration, SimTime};
 
 fn run_scenario(seed: u64) -> probenet::netdyn::RttSeries {
     let sc = PaperScenario::inria_umd(seed);
@@ -89,26 +89,6 @@ fn pooled_campaign_and_sweep_match_serial_byte_for_byte() {
 }
 
 #[test]
-fn window_flows_are_deterministic() {
-    let run = || {
-        let mut e = Engine::new(Path::inria_umd_1992(), 3);
-        e.add_window_flow(WindowFlow::aimd(512, 40, 32, false), SimTime::ZERO);
-        e.add_window_flow(WindowFlow::fixed(512, 40, 4, true), SimTime::ZERO);
-        for n in 0..500u64 {
-            e.inject_probe(SimTime::from_millis(40 * n), 72, n);
-        }
-        e.run_until(SimTime::from_secs(25));
-        let deliveries: Vec<(u32, u64, u64)> = e
-            .deliveries()
-            .iter()
-            .map(|d| (d.flow, d.seq, d.delivered_at.as_nanos()))
-            .collect();
-        (deliveries, e.drops().len())
-    };
-    assert_eq!(run(), run());
-}
-
-#[test]
 fn run_until_then_continue_equals_run_straight_through() {
     // Pausing the engine at horizons must not change physics.
     let build = || {
@@ -133,7 +113,7 @@ fn run_until_then_continue_equals_run_straight_through() {
     let key = |e: &Engine| {
         e.deliveries()
             .iter()
-            .map(|d| (d.flow, d.seq, d.delivered_at.as_nanos()))
+            .map(|d| (d.id.0, d.seq, d.delivered_at.as_nanos()))
             .collect::<Vec<_>>()
     };
     assert_eq!(key(&straight), key(&stepped));

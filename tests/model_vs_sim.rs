@@ -3,13 +3,18 @@
 //!
 //! These tests degenerate the simulator to configurations with exact or
 //! closed-form expectations — the paper's Figure-3 model, Lindley's
-//! recurrence, Pollaczek–Khinchine — and require agreement.
+//! recurrence, Pollaczek–Khinchine — and require agreement. The
+//! equation-(6) workload estimator is checked against the Figure-3 model's
+//! known batches the same way.
 
+use probenet::core::workload_estimates;
+use probenet::netdyn::{RttRecord, RttSeries};
 use probenet::queueing::{finite_queue, md1_mean_wait, Batch, BolotModel, Outcome};
 use probenet::sim::{
     figure3_model, BufferLimit, Direction, Engine, FlowClass, LinkSpec, Path, SimDuration, SimTime,
 };
 use probenet::traffic::PoissonStream;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,6 +101,95 @@ fn engine_reproduces_bolot_model_exactly() {
             (rtt - want).abs() < 1e-6,
             "probe {n}: sim {rtt:.6} s vs model {want:.6} s"
         );
+    }
+}
+
+/// Probe size on the wire of the paper's eq. (6) arithmetic, bytes.
+const EQ6_PROBE_BYTES: u32 = 72;
+
+/// The paper's setting for eq. (6): 128 kb/s bottleneck, 72-byte probes,
+/// δ = 20 ms.
+fn paper_model() -> BolotModel {
+    BolotModel::new(128_000.0, f64::from(EQ6_PROBE_BYTES) * 8.0, 0.020, 0.140)
+}
+
+/// The series a probe tool would record for the model's probes with waits
+/// `waits`: RTTs from [`BolotModel::rtts`], rounded to the nanosecond.
+fn model_series(model: &BolotModel, waits: &[f64]) -> RttSeries {
+    let delta = SimDuration::from_secs_f64(model.delta);
+    let records = model
+        .rtts(waits)
+        .into_iter()
+        .zip(0u64..)
+        .map(|(rtt, n)| RttRecord {
+            seq: n,
+            sent_at: (delta * n).as_nanos(),
+            echoed_at: None,
+            rtt: Some(SimDuration::from_secs_f64(rtt).as_nanos()),
+        })
+        .collect();
+    RttSeries::new(delta, EQ6_PROBE_BYTES, SimDuration::ZERO, records)
+}
+
+/// Eq. (6)'s estimates in bits for the model's probes with waits `waits`.
+fn estimated_bits(model: &BolotModel, waits: &[f64]) -> Vec<f64> {
+    workload_estimates(&model_series(model, waits), model.mu_bps)
+        .into_iter()
+        .map(|bytes| bytes * 8.0)
+        .collect()
+}
+
+#[test]
+fn equation6_is_exact_while_the_buffer_stays_busy() {
+    let m = paper_model();
+    // Offered Internet load just above μδ − P keeps the buffer busy.
+    let bits = [3000.0, 2600.0, 2700.0, 3100.0, 2900.0, 2800.0];
+    // Warm the queue up first so it never empties during the window.
+    let mut batches = vec![
+        Batch {
+            bits: 8000.0,
+            offset: 0.004
+        };
+        3
+    ];
+    batches.extend(bits.iter().map(|&b| Batch {
+        bits: b,
+        offset: 0.004,
+    }));
+    let w = m.waiting_times(&batches);
+    assert!(
+        w[3..].iter().all(|&x| x > 0.0),
+        "buffer must stay busy: {w:?}"
+    );
+    let est = estimated_bits(&m, &w[3..]);
+    assert_eq!(est.len(), bits.len());
+    // Nanosecond RTTs leave at most μ·1 ns ≈ 1.3e-4 bits of error.
+    for (e, b) in est.iter().zip(&bits) {
+        assert!((e - b).abs() < 1e-3, "estimated {e} true {b}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Eq. (6) never underestimates: b̂_n ≥ b_n always (exact while the
+    /// buffer stays busy; each (·)⁺ of the recurrence only raises
+    /// w_{n+1}, and the clamp at zero only raises b̂_n).
+    #[test]
+    fn equation6_never_underestimates(
+        bits in proptest::collection::vec(0.0f64..20_000.0, 1..100),
+        offs in proptest::collection::vec(0.0f64..1.0, 1..100),
+    ) {
+        let m = paper_model();
+        let n = bits.len().min(offs.len());
+        let batches: Vec<Batch> = (0..n)
+            .map(|i| Batch { bits: bits[i], offset: offs[i] * m.delta })
+            .collect();
+        let est = estimated_bits(&m, &m.waiting_times(&batches));
+        prop_assert_eq!(est.len(), n);
+        for (e, b) in est.iter().zip(batches.iter().map(|b| b.bits)) {
+            prop_assert!(*e >= b - 1e-3, "estimate {} below true {}", e, b);
+        }
     }
 }
 
