@@ -14,7 +14,7 @@
 
 use probenet_netdyn::RttSeries;
 use probenet_stats::{find_relative_peaks, Histogram};
-use probenet_stream::{workload_bytes, workload_layout, StreamingWorkload};
+use probenet_stream::{interarrival_ms, workload_bytes, workload_layout, StreamingWorkload};
 use serde::{Deserialize, Serialize};
 
 /// What a peak of the interarrival distribution means.
@@ -61,14 +61,14 @@ pub struct WorkloadAnalysis {
 }
 
 /// The return interarrival series `g_n = rtt_{n+1} − rtt_n + δ` in ms, for
-/// consecutive delivered probe pairs.
+/// consecutive delivered probe pairs ([`interarrival_ms`]).
 pub fn interarrival_series(series: &RttSeries) -> Vec<f64> {
     let delta = series.interval().as_millis_f64();
     series
         .records
         .windows(2)
         .filter_map(|w| match (w[0].rtt, w[1].rtt) {
-            (Some(a), Some(b)) => Some((b as f64 - a as f64) / 1e6 + delta),
+            (Some(a), Some(b)) => Some(interarrival_ms(a, b, delta)),
             _ => None,
         })
         .collect()

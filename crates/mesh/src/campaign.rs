@@ -11,7 +11,8 @@
 //!    recycled from the pair before, with cross traffic whose
 //!    streams are seeded **per global link** — every path crossing a
 //!    shared link sees the same load. Each link's streams are generated
-//!    once per campaign and copied into every pair that crosses it.
+//!    once per campaign, and every pair that crosses it shares them by
+//!    reference: its engine reads them in place.
 //! 2. One [`Collector`](probenet_stream::Collector) per vantage host folds
 //!    that host's sessions ([`collect_sessions`]);
 //!    shard keys carry `(src, dst, δ, seed)` via
@@ -28,6 +29,7 @@
 //!    [`TOLERANCE_RATE`].
 
 use std::io::Cursor;
+use std::sync::Arc;
 
 use probenet_core::sched::par_map_threads;
 use probenet_merged::{MergeError, MergeService};
@@ -93,7 +95,7 @@ pub struct PathOutcome {
 
 /// Cross traffic of every global link, by id: the outbound and inbound
 /// streams of each backbone link, `None` for access links.
-type LinkStreams = Vec<Option<[Vec<Arrival>; 2]>>;
+type LinkStreams = Vec<Option<[Arc<[Arrival]>; 2]>>;
 
 /// Generate each backbone link's two streams once for the campaign. They
 /// are seeded by the *global* link id: every path crossing a shared link
@@ -109,7 +111,7 @@ fn link_streams(spec: &MeshSpec, topo: &MeshTopology, threads: usize) -> LinkStr
         Some([0u64, 1].map(|salt| {
             let stream_seed =
                 splitmix64(spec.seed ^ 0xc055_0000 ^ (u64::from(link.id) << 8) ^ salt);
-            mix.generate(&mut StdRng::seed_from_u64(stream_seed), horizon)
+            Arc::from(mix.generate(&mut StdRng::seed_from_u64(stream_seed), horizon))
         }))
     })
 }
@@ -134,8 +136,8 @@ fn run_pair(
             continue;
         };
         experiment = experiment
-            .with_cross_traffic(local, Direction::Outbound, outbound.clone())
-            .with_cross_traffic(local, Direction::Inbound, inbound.clone());
+            .with_cross_traffic(local, Direction::Outbound, Arc::clone(outbound))
+            .with_cross_traffic(local, Direction::Inbound, Arc::clone(inbound));
     }
     let (series, run) = experiment.run();
     let mut hop_probe_drops = vec![0u64; link_ids.len()];

@@ -18,7 +18,7 @@
 //! Everything is derived from the mesh seed via splitmix64 — same spec,
 //! same topology, byte-for-byte.
 
-use probenet_sim::{BufferLimit, LinkSpec, Path, SimDuration};
+use probenet_sim::{BufferLimit, LinkSpec, Path, SimDuration, DEFAULT_TTL};
 
 /// A full mesh campaign specification: the topology and the probing
 /// session every host pair runs over it.
@@ -147,6 +147,11 @@ impl MeshTopology {
     /// segment — identical design-matrix columns, and no end-to-end
     /// measurement can split loss between them (the solver would
     /// silently dump everything on whichever is swept first).
+    ///
+    /// Also panics if a probe's round trip between the two outermost
+    /// hosts would pass [`DEFAULT_TTL`] routers (64 hosts and more): every
+    /// router decrements the TTL on the way out and on the way back, so
+    /// those probes would expire in the mesh instead of measuring it.
     pub fn generate(spec: &MeshSpec) -> Self {
         assert!(spec.hosts >= 2, "a mesh needs at least two hosts");
         assert!(
@@ -155,6 +160,13 @@ impl MeshTopology {
              every link identifiable from end-to-end loss"
         );
         let routers = spec.hosts.div_ceil(2);
+        assert!(
+            2 * routers < usize::from(DEFAULT_TTL),
+            "mesh of {} hosts: the longest round trip passes {} routers, \
+             which exhausts the probes' TTL of {DEFAULT_TTL}",
+            spec.hosts,
+            2 * routers
+        );
         let mut links = Vec::with_capacity(spec.hosts + routers.saturating_sub(1));
         for host in 0..spec.hosts {
             let id = u32::try_from(host).expect("host count fits u32");
@@ -282,6 +294,31 @@ mod tests {
         assert_eq!(ids, vec![0, 6, 7, 4]);
         assert_eq!(path.nodes.first().map(String::as_str), Some("h00"));
         assert_eq!(path.nodes.last().map(String::as_str), Some("h04"));
+    }
+
+    #[test]
+    fn sixty_two_hosts_fit_the_ttl() {
+        let t = MeshSpec {
+            hosts: 62,
+            seed: 1,
+            delta_ms: 20,
+            span_secs: 10,
+        }
+        .topology();
+        let (path, _) = t.path_between(0, 61);
+        assert_eq!(2 * (path.hop_count() - 1), 62);
+    }
+
+    #[test]
+    #[should_panic(expected = "TTL of 64")]
+    fn a_mesh_whose_round_trip_exhausts_the_ttl_is_rejected() {
+        MeshSpec {
+            hosts: 64,
+            seed: 1,
+            delta_ms: 20,
+            span_secs: 10,
+        }
+        .topology();
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! are assembled into an [`RttSeries`].
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use probenet_sim::{
-    run_partitioned, CrossAttachment, Delivery, Direction, Engine, EngineStats, FlowClass,
+    run_partitioned, Arrival, CrossAttachment, Delivery, Direction, Engine, EngineStats,
     InjectionPlan, Path, PortStats, ProbeInjection, SimTime,
 };
-use probenet_traffic::Arrival;
 
 use crate::config::ExperimentConfig;
 use crate::series::{measured_rtt, skew, RttRecord, RttSeries};
@@ -27,8 +27,10 @@ thread_local! {
 /// per-hop cross-traffic logs keep their allocations across runs — the
 /// sweep, campaign and mesh hot path. A reset engine replays
 /// bit-identically to a fresh one, so results never depend on whether a
-/// run recycled.
-pub fn recycle_engine(engine: Engine) {
+/// run recycled. The cached engine lets go of the streams its run was
+/// given ([`Engine::release_streams`]), so it keeps none of them alive.
+pub fn recycle_engine(mut engine: Engine) {
+    engine.release_streams();
     ENGINE_CACHE.with(|cache| *cache.borrow_mut() = Some(engine));
 }
 
@@ -92,8 +94,8 @@ pub struct CrossTrafficBinding {
     pub link: usize,
     /// Queue direction on that link.
     pub direction: Direction,
-    /// The arrival stream.
-    pub arrivals: Vec<Arrival>,
+    /// The arrival stream, shared with every other experiment given it.
+    pub arrivals: Arc<[Arrival]>,
 }
 
 /// A fully specified simulated experiment.
@@ -132,17 +134,19 @@ impl SimExperiment {
         self
     }
 
-    /// Attach a cross-traffic stream to one queue.
+    /// Attach a cross-traffic stream to one queue. A `Vec` is moved into
+    /// a shared slice; an `Arc<[Arrival]>` is shared as it is, so one
+    /// stream can load any number of experiments without a copy.
     pub fn with_cross_traffic(
         mut self,
         link: usize,
         direction: Direction,
-        arrivals: Vec<Arrival>,
+        arrivals: impl Into<Arc<[Arrival]>>,
     ) -> Self {
         self.cross_traffic.push(CrossTrafficBinding {
             link,
             direction,
-            arrivals,
+            arrivals: arrivals.into(),
         });
         self
     }
@@ -196,7 +200,7 @@ impl SimExperiment {
                 engine.attach_cross_traffic(
                     binding.link,
                     binding.direction,
-                    binding.arrivals.iter().map(|a| a.into_pair()),
+                    Arc::clone(&binding.arrivals),
                 );
             }
             engine.inject_probe_train(
@@ -206,7 +210,7 @@ impl SimExperiment {
                 self.config.count as u64,
             );
             engine.run();
-            for d in engine.probe_deliveries() {
+            for d in engine.deliveries() {
                 fill(&mut records, d);
             }
             let links = self.path.links.len();
@@ -234,7 +238,7 @@ impl SimExperiment {
                     .map(|b| CrossAttachment {
                         link: b.link,
                         direction: b.direction,
-                        arrivals: b.arrivals.iter().map(|a| a.into_pair()).collect(),
+                        arrivals: Arc::clone(&b.arrivals),
                         base_id: 0,
                     })
                     .collect(),
@@ -250,11 +254,7 @@ impl SimExperiment {
             }
             .with_serial_ids();
             let out = run_partitioned(&self.path, self.seed, &plan, self.partitions);
-            for d in out
-                .deliveries
-                .iter()
-                .filter(|d| d.class == FlowClass::Probe)
-            {
+            for d in &out.deliveries {
                 fill(&mut records, d);
             }
             SimRun {

@@ -84,8 +84,8 @@
 //! from a global counter), so the merged execution is independent of the
 //! partition count; see DESIGN.md §13.
 
-use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,11 +94,11 @@ use crate::arena::{PacketArena, PacketRef};
 use crate::event::{EventQueue, LOCAL_LANE};
 use crate::impair::{port_stream_seed, Fate, ImpairmentState};
 use crate::packet::{
-    Delivery, Direction, DropReason, DropRecord, FlowClass, Packet, PacketId, TtlExceeded,
+    Arrival, Delivery, Direction, DropReason, DropRecord, FlowClass, Packet, PacketId, TtlExceeded,
     DEFAULT_TTL,
 };
 use crate::path::{LinkSpec, Path};
-use crate::queue::{Admission, Port};
+use crate::queue::{Admission, Occupant, Port};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceKind};
 
@@ -158,9 +158,8 @@ struct Source {
 
 #[derive(Debug)]
 enum Feed {
-    /// `(at, size, index)` sorted **descending** by `(at, index)`, so the
-    /// next packet is the last. Callers need not pass sorted input.
-    Arrivals(Vec<(SimTime, u32, u32)>),
+    /// A caller's arrival stream, shared and never copied.
+    Stream(Stream),
     /// Packet `n < count` of `size` bytes at `start + n·interval`; `next`
     /// is the first one not yet fed.
     Train {
@@ -172,25 +171,54 @@ enum Feed {
     },
 }
 
-impl Feed {
-    fn arrivals<I: IntoIterator<Item = (SimTime, u32)>>(arrivals: I) -> Feed {
-        let mut packets: Vec<(SimTime, u32, u32)> = arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(i, (at, size))| {
-                let index = u32::try_from(i).expect("fewer than 2^32 packets per source");
-                (at, size, index)
-            })
-            .collect();
-        // Generated streams arrive sorted, which this sort detects in O(n).
-        packets.sort_unstable_by_key(|&(at, _, index)| std::cmp::Reverse((at, index)));
-        Feed::Arrivals(packets)
+/// A cursor over a shared arrival stream, read in `(at, index)` order.
+#[derive(Debug)]
+struct Stream {
+    arrivals: Arc<[Arrival]>,
+    /// For input that is not sorted by time, the indices of `arrivals` in
+    /// `(at, index)` order; empty for sorted input, which is read in
+    /// place. Callers need not pass sorted input.
+    order: Vec<u32>,
+    /// Position in that order of the next packet to feed.
+    next: u32,
+}
+
+impl Stream {
+    fn new(arrivals: Arc<[Arrival]>) -> Stream {
+        let len = u32::try_from(arrivals.len()).expect("fewer than 2^32 packets per source");
+        let mut order = Vec::new();
+        // Generated streams arrive sorted, which this check confirms in
+        // one read.
+        if !arrivals.is_sorted_by_key(|a| a.at) {
+            order = (0..len).collect();
+            // Stable: packets of one instant keep their index order.
+            order.sort_by_key(|&i| arrivals[i as usize].at);
+        }
+        Stream {
+            arrivals,
+            order,
+            next: 0,
+        }
     }
 
+    /// The next packet to feed: `(at, size, index)`.
+    #[inline]
+    fn head(&self) -> Option<(SimTime, u32, u32)> {
+        let index = if self.order.is_empty() {
+            self.next
+        } else {
+            *self.order.get(self.next as usize)?
+        };
+        let a = self.arrivals.get(index as usize)?;
+        Some((a.at, a.size, index))
+    }
+}
+
+impl Feed {
     /// Packets in the source, fed or not.
     fn len(&self) -> u64 {
         match self {
-            Feed::Arrivals(packets) => packets.len() as u64,
+            Feed::Stream(stream) => stream.arrivals.len() as u64,
             Feed::Train { count, .. } => *count,
         }
     }
@@ -198,9 +226,9 @@ impl Feed {
     /// The next packet to feed: `(at, size, index)`.
     fn head(&self) -> Option<(SimTime, u32, u64)> {
         match *self {
-            Feed::Arrivals(ref packets) => packets
-                .last()
-                .map(|&(at, size, index)| (at, size, u64::from(index))),
+            Feed::Stream(ref stream) => stream
+                .head()
+                .map(|(at, size, index)| (at, size, u64::from(index))),
             Feed::Train {
                 start,
                 interval,
@@ -213,14 +241,25 @@ impl Feed {
 
     fn advance(&mut self) {
         match self {
-            Feed::Arrivals(packets) => {
-                packets.pop();
-                if packets.is_empty() {
-                    // Release the buffer now rather than at the next reset.
-                    *packets = Vec::new();
-                }
-            }
+            Feed::Stream(stream) => stream.next += 1,
             Feed::Train { next, .. } => *next += 1,
+        }
+    }
+
+    /// The stream of a cross-traffic source.
+    #[inline]
+    fn stream(&self) -> &Stream {
+        match self {
+            Feed::Stream(stream) => stream,
+            Feed::Train { .. } => unreachable!("cross traffic comes from streams"),
+        }
+    }
+
+    #[inline]
+    fn stream_mut(&mut self) -> &mut Stream {
+        match self {
+            Feed::Stream(stream) => stream,
+            Feed::Train { .. } => unreachable!("cross traffic comes from streams"),
         }
     }
 }
@@ -247,29 +286,17 @@ struct PortSched {
     tx_scheduled: bool,
 }
 
-/// A folded cross-traffic packet in a port's queue: its source, its index
-/// there, and its arrival instant.
-#[derive(Debug, Clone, Copy)]
-struct CrossPacket {
-    source: u32,
-    index: u32,
-    at: SimTime,
-}
-
 /// A port's fold state (see "Cross traffic folded into its port" in the
-/// module docs); `active` while the port folds.
+/// module docs); `active` while the port folds. The packets it holds are
+/// its port's queue entries ([`Occupant`]).
 #[derive(Debug, Default)]
 struct Fold {
     active: bool,
     /// Indices into [`Engine::sources`] of its cross sources with packets
     /// left.
     sources: Vec<u32>,
-    /// The next of their packets: `(at, lane, i)` with `i` its source's
-    /// position in `sources`.
-    next: Option<(SimTime, u64, usize)>,
-    /// The packets the port holds, in service order: a folded cross packet,
-    /// or `None` for one forwarded when it was admitted.
-    occupants: VecDeque<Option<CrossPacket>>,
+    /// The next of their packets.
+    next: Option<Next>,
     /// `TxDone` instant of the packet in service, and the run (counted in
     /// [`Engine::fold_runs`]) that started its service.
     done: SimTime,
@@ -282,24 +309,57 @@ impl Fold {
         self.active = false;
         self.sources.clear();
         self.next = None;
-        self.occupants.clear();
         self.done = SimTime::ZERO;
         self.run = 0;
     }
 
     /// Find the next packet of its sources.
     fn find_next(&mut self, sources: &[Source]) {
-        let mut next: Option<(SimTime, u64, usize)> = None;
+        let mut next: Option<Next> = None;
         for (i, &s) in self.sources.iter().enumerate() {
             let source = &sources[s as usize];
-            if let Some((at, _, index)) = source.feed.head() {
-                let lane = source.base_lane + index;
-                if next.is_none_or(|(t, l, _)| (at, lane) < (t, l)) {
-                    next = Some((at, lane, i));
+            if let Some((at, size, index)) = source.feed.stream().head() {
+                let lane = source.base_lane + u64::from(index);
+                if next.is_none_or(|n| (at, lane) < (n.at, n.lane)) {
+                    next = Some(Next {
+                        at,
+                        lane,
+                        i,
+                        source: s,
+                        size,
+                        index,
+                    });
                 }
             }
         }
         self.next = next;
+    }
+
+    /// Take the next packet and find the one after it.
+    #[inline]
+    fn take(&mut self, sources: &mut [Source]) -> Next {
+        let taken = self.next.expect("a packet left");
+        let source = &mut sources[taken.source as usize];
+        let stream = source.feed.stream_mut();
+        stream.next += 1;
+        match stream.head() {
+            Some((at, size, index)) if self.sources.len() == 1 => {
+                let lane = source.base_lane + u64::from(index);
+                self.next = Some(Next {
+                    at,
+                    lane,
+                    size,
+                    index,
+                    ..taken
+                });
+            }
+            Some(_) => self.find_next(sources),
+            None => {
+                self.sources.swap_remove(taken.i);
+                self.find_next(sources);
+            }
+        }
+        taken
     }
 
     /// A service that run `run` starts ends at `done`.
@@ -308,6 +368,33 @@ impl Fold {
         self.run = run;
     }
 }
+
+/// The next packet a fold takes: its arrival key `(at, lane)`, its
+/// source's position `i` in [`Fold::sources`] and index `source` in the
+/// engine, and its size and index in that source's stream.
+#[derive(Debug, Clone, Copy)]
+struct Next {
+    at: SimTime,
+    lane: u64,
+    i: usize,
+    source: u32,
+    size: u32,
+    index: u32,
+}
+
+/// A cross packet's delivery as its port logs it: only what the engine
+/// cannot recompute. Its id is kept because a duplicate's is a runtime id;
+/// class, sequence number and injection instant follow from its source
+/// and index ([`Engine::cross_deliveries`]).
+#[derive(Debug, Clone, Copy)]
+struct CrossDelivery {
+    id: PacketId,
+    delivered_at: SimTime,
+    source: u32,
+    index: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<CrossDelivery>() <= 24);
 
 /// A port's cross-traffic records: deliveries in service order, drops in
 /// drop order (arrival order on a port that folds).
@@ -320,10 +407,18 @@ impl Fold {
 /// capacity for the same hop after a reset onto a path of another length.
 #[derive(Debug, Default)]
 struct CrossLog {
-    deliveries: Vec<Delivery>,
+    deliveries: Vec<CrossDelivery>,
     drops: Vec<DropRecord>,
     /// Cross packets attached to the port since the last reset.
     attached: usize,
+}
+
+impl CrossLog {
+    fn clear(&mut self) {
+        self.deliveries.clear();
+        self.drops.clear();
+        self.attached = 0;
+    }
 }
 
 /// Whether a transmission whose service run `run` started completes
@@ -342,147 +437,134 @@ fn completes_first(runs: &[u64], run: usize, lane: u64) -> bool {
     lane >= first_lane && run <= runs.partition_point(|&l| l <= lane)
 }
 
-/// One folded port and what its fold uses of the engine, borrowed apart so
-/// the loop runs on them directly; the logical events it handles and the
-/// latest instant it reached are added to the engine's afterwards.
-struct FoldStep<'a> {
+/// What a fold reads or draws besides its port's queue, its fold state,
+/// its log and the sources.
+struct FoldCtx<'a> {
     port: usize,
-    fold: &'a mut Fold,
-    queue: &'a mut Port,
-    log: &'a mut CrossLog,
     /// The link's delay, which no route shift changes while the port folds.
     propagation: SimDuration,
     impair: &'a mut ImpairmentState,
     rng: &'a mut StdRng,
-    sources: &'a mut [Source],
+    /// The lane counter at the start of each run ([`completes_first`]).
     runs: &'a [u64],
-    events: u64,
-    now: SimTime,
 }
 
-impl FoldStep<'_> {
-    /// Take the port's source arrivals and its completions keyed before
-    /// `bound`, in key order. At one instant every arrival precedes the
-    /// completion ([`completes_first`]).
-    fn advance(&mut self, bound: (SimTime, u64)) {
-        loop {
-            let busy = self.queue.busy();
-            let (done, run) = (self.fold.done, self.fold.run);
-            let completes_before = |key: (SimTime, u64)| {
-                done < key.0 || (done == key.0 && completes_first(self.runs, run, key.1))
-            };
-            match self.fold.next {
-                Some((at, lane, i)) if !busy || !completes_before((at, lane)) => {
-                    if (at, lane) >= bound {
-                        return;
-                    }
-                    self.arrive(at, i);
+/// Run folded port `ctx.port` up to `bound`: take its source arrivals and
+/// its completions keyed before `bound`, in key order, each arrival as the
+/// `Feed` it stands for (fault injectors, random loss, admission) and each
+/// completion as its `TxDone`. At one instant every arrival precedes the
+/// completion ([`completes_first`]). Returns the logical events handled
+/// and the latest instant reached, which the engine adds to its own.
+///
+/// The port's state comes in as separate borrows, not as fields of one
+/// struct, so the compiler knows they do not overlap and keeps the loop's
+/// state in registers.
+fn fold_port(
+    fold: &mut Fold,
+    queue: &mut Port,
+    log: &mut CrossLog,
+    sources: &mut [Source],
+    mut ctx: FoldCtx<'_>,
+    bound: (SimTime, u64),
+) -> (u64, SimTime) {
+    let mut events = 0;
+    let mut now = SimTime::ZERO;
+    loop {
+        let arrival = fold.next.filter(|n| (n.at, n.lane) < bound);
+        if queue.busy() {
+            // Whether the port completes before a key is monotone in the
+            // key, so it completes first if it completes before the
+            // earlier of the next arrival and the bound.
+            let (t, lane) = arrival.map_or(bound, |n| (n.at, n.lane));
+            let done = fold.done;
+            if done < t || (done == t && completes_first(ctx.runs, fold.run, lane)) {
+                events += 1;
+                now = now.max(done);
+                let (what, next) = queue.complete(done);
+                // A cross packet leaves with a delivery; anything else was
+                // forwarded when it was admitted.
+                if let Occupant::Folded { source, index } = what {
+                    log.deliveries.push(CrossDelivery {
+                        id: PacketId(sources[source as usize].base_id + u64::from(index)),
+                        delivered_at: done + ctx.propagation,
+                        source,
+                        index,
+                    });
                 }
-                _ if busy && completes_before(bound) => self.complete(),
-                _ => return,
+                if let Some(d) = next {
+                    fold.start(done + d, ctx.runs.len());
+                }
+                continue;
             }
         }
-    }
-
-    /// A folded cross packet reaches the port: the `Feed` it stands for,
-    /// run through the fault injectors, random loss and admission.
-    fn arrive(&mut self, at: SimTime, i: usize) {
-        let s = self.fold.sources[i];
-        let source = &mut self.sources[s as usize];
-        let (_, size, index) = source.feed.head().expect("a packet left");
-        source.feed.advance();
-        match source.feed.head() {
-            Some((next, _, next_index)) if self.fold.sources.len() == 1 => {
-                self.fold.next = Some((next, source.base_lane + next_index, i));
-            }
-            Some(_) => self.fold.find_next(self.sources),
-            None => {
-                self.fold.sources.swap_remove(i);
-                self.fold.find_next(self.sources);
-            }
+        if arrival.is_none() {
+            return (events, now);
         }
-        self.events += 1;
-        self.now = self.now.max(at);
-        let packet = CrossPacket {
-            source: s,
-            index: u32::try_from(index).expect("fewer than 2^32 packets per source"),
+        let Next {
             at,
-        };
-        if !self.queue.impair_inert {
-            let fate = self.impair.evaluate(&self.queue.spec.impair, at, true);
-            if let Fate::Dropped(reason) = fate {
-                self.queue.note_impair_drop();
-                self.drop_packet(packet, reason);
-                return;
-            }
-            debug_assert!(
-                matches!(
-                    fate,
-                    Fate::Forward {
-                        duplicate: None,
-                        defer: None,
-                        ..
-                    }
-                ),
-                "a folded port cannot duplicate or defer"
-            );
-        }
-        let p = self.queue.spec.random_loss;
-        if p > 0.0 && self.rng.gen::<f64>() < p {
-            self.queue.note_random_drop();
-            self.drop_packet(packet, DropReason::RandomLoss);
-            return;
-        }
-        match self.queue.offer(at, PacketRef::DETACHED, size) {
-            Admission::StartService(d) => {
-                self.fold.occupants.push_back(Some(packet));
-                self.fold.start(at + d, self.runs.len());
-            }
-            Admission::Queued => self.fold.occupants.push_back(Some(packet)),
-            Admission::Overflow => self.drop_packet(packet, DropReason::BufferOverflow),
-        }
-    }
-
-    fn drop_packet(&mut self, packet: CrossPacket, reason: DropReason) {
-        let source = &self.sources[packet.source as usize];
-        self.log.drops.push(DropRecord {
-            id: PacketId(source.base_id + u64::from(packet.index)),
-            class: source.class,
-            seq: u64::from(packet.index),
-            at: packet.at,
-            port: self.port,
-            reason,
-        });
-    }
-
-    /// The port completes its transmission: the `TxDone` it stands for. A
-    /// cross packet leaves with a delivery; anything else was forwarded
-    /// when it was admitted.
-    fn complete(&mut self) {
-        let done = self.fold.done;
-        let occupant = self
-            .fold
-            .occupants
-            .pop_front()
-            .expect("a packet in service");
-        self.events += 1;
-        self.now = self.now.max(done);
-        let (_, next) = self.queue.complete(done);
-        if let Some(packet) = occupant {
-            let source = &self.sources[packet.source as usize];
-            self.log.deliveries.push(Delivery {
-                id: PacketId(source.base_id + u64::from(packet.index)),
+            source,
+            size,
+            index,
+            ..
+        } = fold.take(sources);
+        events += 1;
+        now = now.max(at);
+        let what = Occupant::Folded { source, index };
+        if let Some(reason) = admit_folded(fold, queue, &mut ctx, at, what, size) {
+            let source = &sources[source as usize];
+            log.drops.push(DropRecord {
+                id: PacketId(source.base_id + u64::from(index)),
                 class: source.class,
-                seq: u64::from(packet.index),
-                injected_at: packet.at,
-                echoed_at: None,
-                delivered_at: done + self.propagation,
+                seq: u64::from(index),
+                at,
+                port: ctx.port,
+                reason,
             });
         }
-        if let Some(d) = next {
-            self.fold.start(done + d, self.runs.len());
-        }
     }
+}
+
+/// A folded cross packet of `size` bytes reaches its port at `at`: run it
+/// through the fault injectors, random loss and admission, and return why
+/// it was dropped, if it was.
+#[inline(always)]
+fn admit_folded(
+    fold: &mut Fold,
+    queue: &mut Port,
+    ctx: &mut FoldCtx<'_>,
+    at: SimTime,
+    what: Occupant,
+    size: u32,
+) -> Option<DropReason> {
+    if !queue.impair_inert {
+        let fate = ctx.impair.evaluate(&queue.spec.impair, at, true);
+        if let Fate::Dropped(reason) = fate {
+            queue.note_impair_drop();
+            return Some(reason);
+        }
+        debug_assert!(
+            matches!(
+                fate,
+                Fate::Forward {
+                    duplicate: None,
+                    defer: None,
+                    ..
+                }
+            ),
+            "a folded port cannot duplicate or defer"
+        );
+    }
+    let p = queue.spec.random_loss;
+    if p > 0.0 && ctx.rng.gen::<f64>() < p {
+        queue.note_random_drop();
+        return Some(DropReason::RandomLoss);
+    }
+    match queue.offer(at, what, size) {
+        Admission::StartService(d) => fold.start(at + d, ctx.runs.len()),
+        Admission::Queued => {}
+        Admission::Overflow => return Some(DropReason::BufferOverflow),
+    }
+    None
 }
 
 /// A trace or drop record made ahead of the clock, held until the run
@@ -752,11 +834,7 @@ impl Engine {
         self.drops.clear();
         self.ttl_replies.clear();
         self.cross.resize_with(ports, CrossLog::default);
-        for log in &mut self.cross {
-            log.deliveries.clear();
-            log.drops.clear();
-            log.attached = 0;
-        }
+        self.cross.iter_mut().for_each(CrossLog::clear);
         self.outbox_west.clear();
         self.outbox_east.clear();
         if let Some(t) = &mut self.trace {
@@ -1129,7 +1207,11 @@ impl Engine {
         let packet = Packet {
             id: PacketId(src.base_id + index),
             class: src.class,
-            flow: 0,
+            flow: if src.class == FlowClass::Cross {
+                source
+            } else {
+                0
+            },
             size,
             seq: index,
             injected_at: at,
@@ -1143,41 +1225,41 @@ impl Engine {
         self.on_arrive(at, port, r);
     }
 
-    /// Attach a pre-generated cross-traffic arrival sequence to the queue of
-    /// (`link`, `direction`). Each `(time, size)` becomes one Internet
-    /// packet that competes with the probes for that port's server and then
-    /// leaves the system. The `i`-th pair has sequence number `i`; the
-    /// pairs need not be sorted by time.
+    /// Attach a pre-generated cross-traffic arrival stream to the queue of
+    /// (`link`, `direction`). Each [`Arrival`] becomes one Internet packet
+    /// that competes with the probes for that port's server and then leaves
+    /// the system. The `i`-th arrival has sequence number `i`; the stream
+    /// need not be sorted by time.
     ///
-    /// The sequence is kept as a source that feeds the queue one packet
-    /// at a time: only its next packet is pending, and a packet exists in
-    /// the arena only from its arrival on. Ids, tie order and every record
-    /// are those of scheduling all the packets here and now.
-    pub fn attach_cross_traffic<I>(&mut self, link: usize, direction: Direction, arrivals: I)
-    where
-        I: IntoIterator<Item = (SimTime, u32)>,
-    {
+    /// The engine reads the stream in place, through a cursor, and never
+    /// copies it: an `Arc<[Arrival]>` may be attached to any number of
+    /// ports and engines. Only its next packet is pending, and a packet
+    /// exists in the arena only from its arrival on. Ids, tie order and
+    /// every record are those of scheduling all the packets here and now.
+    pub fn attach_cross_traffic(
+        &mut self,
+        link: usize,
+        direction: Direction,
+        arrivals: impl Into<Arc<[Arrival]>>,
+    ) {
+        let arrivals = arrivals.into();
         let base_id = self.next_id;
-        let feed = Feed::arrivals(arrivals);
-        self.next_id += feed.len();
-        let port = self.port_index(link, direction);
-        self.add_source(port, FlowClass::Cross, direction, base_id, feed);
+        self.next_id += arrivals.len() as u64;
+        self.attach_cross_traffic_with_base_id(link, direction, arrivals, base_id);
     }
 
     /// As [`Engine::attach_cross_traffic`] but with explicit packet ids
     /// `base_id, base_id + 1, …`, bypassing the injection counter — the
     /// partitioned-run counterpart that reproduces serial id assignment.
-    pub fn attach_cross_traffic_with_base_id<I>(
+    pub fn attach_cross_traffic_with_base_id(
         &mut self,
         link: usize,
         direction: Direction,
-        arrivals: I,
+        arrivals: impl Into<Arc<[Arrival]>>,
         base_id: u64,
-    ) where
-        I: IntoIterator<Item = (SimTime, u32)>,
-    {
+    ) {
         let port = self.port_index(link, direction);
-        let feed = Feed::arrivals(arrivals);
+        let feed = Feed::Stream(Stream::new(arrivals.into()));
         self.add_source(port, FlowClass::Cross, direction, base_id, feed);
     }
 
@@ -1537,13 +1619,11 @@ impl Engine {
     /// `r` was just admitted to folded `port`: FIFO service has fixed its
     /// departure, so it is forwarded now and the fold completes it.
     fn admit_forwarded(&mut self, port: usize, r: PacketRef) {
-        let fold = &mut self.folds[port];
-        fold.occupants.push_back(None);
         let done = self.ports[port].drain_at();
         self.forward(port, done, r);
     }
 
-    /// Run folded `port` up to `bound` (see [`FoldStep::advance`]).
+    /// Run folded `port` up to `bound` (see [`fold_port`]).
     fn advance_fold(&mut self, port: usize, bound: (SimTime, u64)) {
         let propagation = self.path.links[self.hop(port).0].propagation;
         let slot = self.cross_slot(port);
@@ -1557,21 +1637,21 @@ impl Engine {
             fold_runs,
             ..
         } = self;
-        let mut step = FoldStep {
+        let ctx = FoldCtx {
             port,
-            fold: &mut folds[port],
-            queue: &mut ports[port],
-            log: &mut cross[slot],
             propagation,
             impair: &mut impair[port],
             rng: &mut port_rng[port],
-            sources,
             runs: fold_runs,
-            events: 0,
-            now: SimTime::ZERO,
         };
-        step.advance(bound);
-        let (events, now) = (step.events, step.now);
+        let (events, now) = fold_port(
+            &mut folds[port],
+            &mut ports[port],
+            &mut cross[slot],
+            sources,
+            ctx,
+            bound,
+        );
         self.events_processed += events;
         self.inline_now = self.inline_now.max(now);
     }
@@ -1672,7 +1752,7 @@ impl Engine {
             return;
         }
         let size = self.arena.get(r).size;
-        match self.ports[port].offer(at, r, size) {
+        match self.ports[port].offer(at, Occupant::Packet(r), size) {
             Admission::StartService(d) => {
                 self.record(at, Some(port), r, TraceKind::Enqueue);
                 self.record(at, Some(port), r, TraceKind::TxStart);
@@ -1707,14 +1787,15 @@ impl Engine {
         // its node arrival already.
         let forwarded = self.sched[port].departure.take().is_some();
         self.sched[port].tx_scheduled = false;
-        let (r, next) = self.ports[port].complete(at);
+        let (done, next) = self.ports[port].complete(at);
         if !forwarded {
+            let r = network_packet(done);
             self.record(at, Some(port), r, TraceKind::TxDone);
             self.depart(at, port, r);
         }
         if let Some(d) = next {
             let next = self.ports[port].in_service().expect("service started");
-            self.start_service(at, port, next, d);
+            self.start_service(at, port, network_packet(next), d);
         }
     }
 
@@ -1729,13 +1810,11 @@ impl Engine {
             let delivered_at = at + self.path.links[link].propagation;
             let packet = self.arena.take(r);
             let slot = self.cross_slot(port);
-            self.cross[slot].deliveries.push(Delivery {
+            self.cross[slot].deliveries.push(CrossDelivery {
                 id: packet.id,
-                class: packet.class,
-                seq: packet.seq,
-                injected_at: packet.injected_at,
-                echoed_at: None,
                 delivered_at,
+                source: packet.flow,
+                index: u32::try_from(packet.seq).expect("a source's index"),
             });
             return;
         }
@@ -1913,8 +1992,10 @@ impl Engine {
         });
     }
 
-    /// All completed round trips, in completion order. Cross traffic's departures are kept per port
-    /// ([`Engine::cross_deliveries`]).
+    /// All completed round trips, in completion order: every probe
+    /// delivery. Cross traffic's departures are kept per port
+    /// ([`Engine::cross_deliveries`]) and TTL replies apart
+    /// ([`Engine::ttl_replies`]).
     pub fn deliveries(&self) -> &[Delivery] {
         &self.deliveries
     }
@@ -1926,9 +2007,26 @@ impl Engine {
     }
 
     /// The cross-traffic departures of the port serving (`link`,
-    /// `direction`), in service order.
-    pub fn cross_deliveries(&self, link: usize, direction: Direction) -> &[Delivery] {
-        &self.cross[self.cross_slot(self.port_index(link, direction))].deliveries
+    /// `direction`), in service order. The port logs only what the engine
+    /// cannot recompute; this builds the records from it.
+    pub fn cross_deliveries(&self, link: usize, direction: Direction) -> Vec<Delivery> {
+        let log = &self.cross[self.cross_slot(self.port_index(link, direction))];
+        log.deliveries
+            .iter()
+            .map(|d| self.cross_delivery(d))
+            .collect()
+    }
+
+    fn cross_delivery(&self, d: &CrossDelivery) -> Delivery {
+        let source = &self.sources[d.source as usize];
+        Delivery {
+            id: d.id,
+            class: source.class,
+            seq: u64::from(d.index),
+            injected_at: source.feed.stream().arrivals[d.index as usize].at,
+            echoed_at: None,
+            delivered_at: d.delivered_at,
+        }
     }
 
     /// The cross-traffic drops of the port serving (`link`, `direction`),
@@ -1945,12 +2043,11 @@ impl Engine {
         link: usize,
         direction: Direction,
     ) -> (Vec<Delivery>, Vec<DropRecord>) {
+        let deliveries = self.cross_deliveries(link, direction);
         let slot = self.cross_slot(self.port_index(link, direction));
         let log = &mut self.cross[slot];
-        (
-            std::mem::take(&mut log.deliveries),
-            std::mem::take(&mut log.drops),
-        )
+        log.deliveries.clear();
+        (deliveries, std::mem::take(&mut log.drops))
     }
 
     /// TTL-exceeded notifications received back at the source.
@@ -1958,11 +2055,27 @@ impl Engine {
         &self.ttl_replies
     }
 
-    /// Round-trip deliveries of probe packets only.
-    pub fn probe_deliveries(&self) -> impl Iterator<Item = &Delivery> {
-        self.deliveries
-            .iter()
-            .filter(|d| d.class == FlowClass::Probe)
+    /// Let go of every stream attached since the last reset: the traffic
+    /// sources go, with the pending events and the cross-traffic records
+    /// that refer to them, and every buffer keeps its allocation. The
+    /// probe records, port statistics and work counters stay readable. An
+    /// engine kept for a later run calls this once its run has been read,
+    /// so that it holds no caller's stream in between; it runs again only
+    /// after [`Engine::reset`].
+    pub fn release_streams(&mut self) {
+        self.sources.clear();
+        self.events.clear();
+        self.folds.iter_mut().for_each(Fold::reset);
+        self.folded.clear();
+        self.cross.iter_mut().for_each(CrossLog::clear);
+    }
+}
+
+/// The network packet behind an occupant of a port that does not fold.
+fn network_packet(what: Occupant) -> PacketRef {
+    match what {
+        Occupant::Packet(r) => r,
+        Occupant::Folded { .. } => unreachable!("only a folding port holds folded packets"),
     }
 }
 
@@ -2005,7 +2118,7 @@ pub fn discover_route(path: &Path, probe_spacing: SimDuration) -> Vec<String> {
         }
     }
     // Full-TTL probes reach the echo host and return as regular echoes.
-    for d in engine.probe_deliveries() {
+    for d in engine.deliveries() {
         let k = hop_of(d.seq);
         if by_hop[k].is_none() {
             by_hop[k] = Some(path.nodes[hops as usize].clone());
@@ -2017,6 +2130,7 @@ pub fn discover_route(path: &Path, probe_spacing: SimDuration) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::impair::ImpairmentSpec;
     use crate::path::{BufferLimit, LinkSpec};
 
     fn simple_path(bw: u64, prop_ms: u64) -> Path {
@@ -2026,6 +2140,14 @@ mod tests {
         )
     }
 
+    /// A stream of `(at, size)` arrivals.
+    fn stream(pairs: impl IntoIterator<Item = (SimTime, u32)>) -> Vec<Arrival> {
+        pairs
+            .into_iter()
+            .map(|(at, size)| Arrival { at, size })
+            .collect()
+    }
+
     #[test]
     fn single_probe_rtt_is_exact() {
         // 32 B at 128 kb/s = 2 ms tx per direction; 10 ms propagation each
@@ -2033,7 +2155,7 @@ mod tests {
         let mut e = Engine::new(simple_path(128_000, 10), 1);
         e.inject_probe(SimTime::ZERO, 32, 0);
         e.run();
-        let d: Vec<_> = e.probe_deliveries().collect();
+        let d: Vec<_> = e.deliveries().iter().collect();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rtt(), SimDuration::from_millis(24));
     }
@@ -2045,7 +2167,7 @@ mod tests {
             e.inject_probe(SimTime::from_millis(50 * n), 32, n);
         }
         e.run();
-        let rtts: Vec<_> = e.probe_deliveries().map(|d| d.rtt()).collect();
+        let rtts: Vec<_> = e.deliveries().iter().map(|d| d.rtt()).collect();
         assert_eq!(rtts.len(), 100);
         assert!(rtts.iter().all(|&r| r == SimDuration::from_millis(24)));
     }
@@ -2059,7 +2181,7 @@ mod tests {
             e.inject_probe(SimTime::from_millis(n), 32, n);
         }
         e.run();
-        let mut recv: Vec<_> = e.probe_deliveries().map(|d| d.delivered_at).collect();
+        let mut recv: Vec<_> = e.deliveries().iter().map(|d| d.delivered_at).collect();
         recv.sort();
         assert_eq!(recv.len(), 10);
         for w in recv.windows(2) {
@@ -2080,7 +2202,7 @@ mod tests {
             e.inject_probe(SimTime::ZERO, 32, n);
         }
         e.run();
-        assert_eq!(e.probe_deliveries().count(), 3);
+        assert_eq!(e.deliveries().iter().count(), 3);
         assert_eq!(
             e.drops()
                 .iter()
@@ -2098,11 +2220,11 @@ mod tests {
         e.attach_cross_traffic(
             0,
             Direction::Outbound,
-            vec![(SimTime::from_millis(5), 512u32)],
+            stream([(SimTime::from_millis(5), 512)]),
         );
         e.inject_probe(SimTime::from_millis(5), 32, 0);
         e.run();
-        let d: Vec<_> = e.probe_deliveries().collect();
+        let d: Vec<_> = e.deliveries().iter().collect();
         assert_eq!(d.len(), 1);
         // Base 24 ms + 32 ms behind the FTP-sized packet.
         assert_eq!(d[0].rtt(), SimDuration::from_millis(56));
@@ -2119,7 +2241,7 @@ mod tests {
             e.inject_probe(SimTime::from_millis(n), 32, n);
         }
         e.run();
-        let delivered = e.probe_deliveries().count();
+        let delivered = e.deliveries().iter().count();
         let dropped = e
             .drops()
             .iter()
@@ -2146,7 +2268,7 @@ mod tests {
             }
             e.run();
             let t = e.take_trace();
-            (t.len(), e.probe_deliveries().count(), e.drops().len())
+            (t.len(), e.deliveries().iter().count(), e.drops().len())
         };
         assert_eq!(run(7), run(7));
     }
@@ -2163,7 +2285,7 @@ mod tests {
                 e.inject_probe(SimTime::from_millis(n), 32, n);
             }
             e.run();
-            e.probe_deliveries().map(|d| d.seq).collect::<Vec<_>>()
+            e.deliveries().iter().map(|d| d.seq).collect::<Vec<_>>()
         };
         assert_ne!(run(1), run(2));
     }
@@ -2196,9 +2318,9 @@ mod tests {
         e.run_until(SimTime::from_millis(450));
         // Probes 0..4 injected by 400 ms have completed (RTT 24 ms each);
         // probe 5 at 500 ms has not even been injected.
-        assert_eq!(e.probe_deliveries().count(), 5);
+        assert_eq!(e.deliveries().iter().count(), 5);
         e.run();
-        assert_eq!(e.probe_deliveries().count(), 10);
+        assert_eq!(e.deliveries().iter().count(), 10);
     }
 
     #[test]
@@ -2210,7 +2332,7 @@ mod tests {
             e.inject_probe(SimTime::from_millis(8 * n), 32, n);
         }
         e.run();
-        let delivered = e.probe_deliveries().count() as u64;
+        let delivered = e.deliveries().iter().count() as u64;
         let dropped = e
             .drops()
             .iter()
@@ -2222,7 +2344,7 @@ mod tests {
     #[test]
     fn a_port_reserves_records_for_every_source_attached_to_it() {
         let mut e = Engine::new(simple_path(128_000, 10), 1);
-        let arrivals = |n: u64| (0..n).map(|i| (SimTime::from_millis(i), 100));
+        let arrivals = |n: u64| stream((0..n).map(|i| (SimTime::from_millis(i), 100)));
         e.attach_cross_traffic(0, Direction::Outbound, arrivals(300));
         e.attach_cross_traffic(0, Direction::Outbound, arrivals(200));
         assert!(e.cross[0].deliveries.capacity() >= 500);
@@ -2237,9 +2359,10 @@ mod tests {
     #[test]
     fn a_cross_log_keeps_its_capacity_across_a_reset_onto_a_longer_path() {
         // 100 B take 6.25 ms at 128 kb/s: ten apart, none waits or drops.
-        let arrivals = (0..500u64).map(|i| (SimTime::from_millis(10 * i), 100u32));
+        let arrivals: Arc<[Arrival]> =
+            stream((0..500u64).map(|i| (SimTime::from_millis(10 * i), 100))).into();
         let mut e = Engine::new(simple_path(128_000, 10), 1);
-        e.attach_cross_traffic(0, Direction::Inbound, arrivals.clone());
+        e.attach_cross_traffic(0, Direction::Inbound, Arc::clone(&arrivals));
         e.run();
         assert_eq!(e.cross_deliveries(0, Direction::Inbound).len(), 500);
         let capacity = e.cross[1].deliveries.capacity();
@@ -2268,8 +2391,8 @@ mod tests {
                 e.inject_probe(SimTime::from_millis(10 * n), 32, n);
             }
             e.run();
-            let seqs: Vec<u64> = e.probe_deliveries().map(|d| d.seq).collect();
-            let rtts: Vec<_> = e.probe_deliveries().map(|d| d.rtt()).collect();
+            let seqs: Vec<u64> = e.deliveries().iter().map(|d| d.seq).collect();
+            let rtts: Vec<_> = e.deliveries().iter().map(|d| d.rtt()).collect();
             (seqs, rtts, e.drops().len(), e.stats().events_processed)
         };
         let mut fresh = Engine::new(path.clone(), 11);
@@ -2289,7 +2412,7 @@ mod tests {
         e.schedule_propagation_change(0, SimTime::from_millis(1), SimDuration::from_millis(50));
         e.inject_probe(SimTime::from_millis(2), 32, 0);
         e.run();
-        let slow = e.probe_deliveries().next().unwrap().rtt();
+        let slow = e.deliveries().iter().next().unwrap().rtt();
         assert!(slow > SimDuration::from_millis(100), "rtt {slow:?}");
 
         // After reset the link is back to its configured 10 ms.
@@ -2297,7 +2420,7 @@ mod tests {
         e.inject_probe(SimTime::from_millis(2), 32, 0);
         e.run();
         assert_eq!(
-            e.probe_deliveries().next().unwrap().rtt(),
+            e.deliveries().iter().next().unwrap().rtt(),
             SimDuration::from_millis(24)
         );
     }
@@ -2310,7 +2433,7 @@ mod tests {
         e.attach_cross_traffic(
             0,
             Direction::Outbound,
-            vec![(SimTime::ZERO, 64u32), (SimTime::from_millis(100), 64)],
+            stream([(SimTime::ZERO, 64), (SimTime::from_millis(100), 64)]),
         );
         e.schedule_propagation_change(0, SimTime::from_millis(50), SimDuration::from_millis(50));
         e.run();
@@ -2323,6 +2446,98 @@ mod tests {
             delivered,
             [SimTime::from_millis(14), SimTime::from_millis(154)]
         );
+    }
+
+    /// A duplicating port keeps the queued path. Each copy it delivers
+    /// has its own runtime id and its original's sequence number and
+    /// injection instant, so a record of `(source, index)` alone could
+    /// not tell the two apart.
+    #[test]
+    fn a_duplicating_ports_cross_records_keep_each_copys_id_and_seq() {
+        let path = Path::new(
+            vec!["src".into(), "echo".into()],
+            vec![
+                LinkSpec::new(128_000, SimDuration::from_millis(10)).with_impairments(
+                    ImpairmentSpec::none().with_duplicate(1.0, SimDuration::from_millis(1)),
+                ),
+            ],
+        );
+        let mut e = Engine::new(path, 1);
+        // 64 B take 4 ms: a copy 1 ms behind its original waits for it.
+        e.attach_cross_traffic(
+            0,
+            Direction::Outbound,
+            stream((0..3u64).map(|i| (SimTime::from_millis(100 * i), 64))),
+        );
+        e.run();
+        let records: Vec<(u64, u64, SimTime, SimTime)> = e
+            .cross_deliveries(0, Direction::Outbound)
+            .iter()
+            .map(|d| (d.id.0, d.seq, d.injected_at, d.delivered_at))
+            .collect();
+        let copy = |n: u64| RUNTIME_ID_BIT | n;
+        let ms = SimTime::from_millis;
+        assert_eq!(
+            records,
+            [
+                (0, 0, ms(0), ms(14)),
+                (copy(0), 0, ms(0), ms(18)),
+                (1, 1, ms(100), ms(114)),
+                (copy(1), 1, ms(100), ms(118)),
+                (2, 2, ms(200), ms(214)),
+                (copy(2), 2, ms(200), ms(218)),
+            ]
+        );
+    }
+
+    /// One stream attached to two ports of two engines is read in place
+    /// by all four, and each port's records are those of its own copy.
+    #[test]
+    fn a_shared_stream_feeds_every_port_it_is_attached_to() {
+        let shared: Arc<[Arrival]> =
+            stream((0..200u64).map(|i| (SimTime::from_millis(3 * i), 100))).into();
+        let copied = shared.to_vec();
+        let records = |arrivals: [Arc<[Arrival]>; 2]| {
+            let mut e = Engine::new(simple_path(128_000, 10), 7);
+            let [outbound, inbound] = arrivals;
+            e.attach_cross_traffic(0, Direction::Outbound, outbound);
+            e.attach_cross_traffic(0, Direction::Inbound, inbound);
+            e.inject_probe_train(SimTime::ZERO, SimDuration::from_millis(20), 32, 30);
+            e.run();
+            let log = |d: Direction| {
+                let deliveries: Vec<_> = e
+                    .cross_deliveries(0, d)
+                    .iter()
+                    .map(|d| (d.id, d.seq, d.injected_at, d.delivered_at))
+                    .collect();
+                (deliveries, e.cross_drops(0, d).len())
+            };
+            let probes: Vec<_> = e.deliveries().iter().map(|d| d.rtt()).collect();
+            (log(Direction::Outbound), log(Direction::Inbound), probes)
+        };
+        let one = records([Arc::clone(&shared), Arc::clone(&shared)]);
+        let two = records([Arc::clone(&shared), Arc::clone(&shared)]);
+        let own = records([copied.clone().into(), copied.into()]);
+        assert_eq!(one, own);
+        assert_eq!(two, own);
+        assert_eq!(one.0 .0.len() + one.0 .1, 200);
+        // Every engine let go of it when it was dropped.
+        assert_eq!(Arc::strong_count(&shared), 1);
+    }
+
+    #[test]
+    fn released_streams_are_no_longer_held() {
+        let shared: Arc<[Arrival]> =
+            stream((0..50u64).map(|i| (SimTime::from_millis(5 * i), 100))).into();
+        let mut e = Engine::new(simple_path(128_000, 10), 1);
+        e.attach_cross_traffic(0, Direction::Outbound, Arc::clone(&shared));
+        e.inject_probe_train(SimTime::ZERO, SimDuration::from_millis(20), 32, 10);
+        e.run();
+        assert_eq!(Arc::strong_count(&shared), 2);
+        e.release_streams();
+        assert_eq!(Arc::strong_count(&shared), 1);
+        assert!(e.cross_deliveries(0, Direction::Outbound).is_empty());
+        assert_eq!(e.deliveries().len(), 10);
     }
 
     #[test]

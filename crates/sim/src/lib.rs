@@ -30,7 +30,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use probenet_sim::{Direction, Engine, Path, SimTime};
+//! use probenet_sim::{Arrival, Direction, Engine, Path, SimTime};
 //!
 //! // The paper's INRIA -> University of Maryland path, July 1992.
 //! let path = Path::inria_umd_1992();
@@ -38,7 +38,9 @@
 //! let mut engine = Engine::new(path, 42);
 //!
 //! // A 512-byte Internet packet every 30 ms competes at the bottleneck.
-//! let cross = (0..160u64).map(|n| (SimTime::from_millis(30 * n), 512));
+//! let cross: Vec<Arrival> = (0..160u64)
+//!     .map(|n| Arrival { at: SimTime::from_millis(30 * n), size: 512 })
+//!     .collect();
 //! engine.attach_cross_traffic(bottleneck, Direction::Outbound, cross);
 //!
 //! // Send 100 32-byte probes, one every 50 ms (one of the paper's settings).
@@ -48,7 +50,7 @@
 //! engine.run();
 //!
 //! // Every probe either completed a round trip or was dropped.
-//! let delivered = engine.probe_deliveries().count();
+//! let delivered = engine.deliveries().len();
 //! let dropped = engine.drops().len();
 //! assert_eq!(delivered + dropped, 100);
 //!
@@ -76,13 +78,13 @@ pub use impair::{
     DuplicateSpec, FlapWindow, GilbertElliott, ImpairmentSpec, ReorderSpec, RouteShift,
 };
 pub use packet::{
-    Delivery, Direction, DropReason, DropRecord, FlowClass, Packet, PacketId, TtlExceeded,
+    Arrival, Delivery, Direction, DropReason, DropRecord, FlowClass, Packet, PacketId, TtlExceeded,
     DEFAULT_TTL,
 };
 pub use parallel::{
     run_partitioned, CrossAttachment, InjectionPlan, ParallelOutcome, ProbeInjection,
 };
 pub use path::{figure3_model, BufferLimit, LinkSpec, Path, PathBuilder};
-pub use queue::{Admission, Port, PortStats};
+pub use queue::{Admission, Occupant, Port, PortStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceKind};

@@ -53,7 +53,8 @@ pub struct Packet {
     pub class: FlowClass,
     /// For a TTL-exceeded reply ([`FlowClass::Control`]), the index of the
     /// node that sent it, so the reply needs no lookup when it is
-    /// delivered; 0 for every other class.
+    /// delivered; for cross traffic, the index of the engine's traffic
+    /// source it came from, which its delivery record keeps; 0 for probes.
     pub flow: u32,
     /// Size on the wire, in bytes (headers included).
     pub size: u32,
@@ -76,6 +77,18 @@ pub struct Packet {
     /// partitioned run deliver the packet in a different partition from
     /// the one that echoed it without any shared mutable state.
     pub echoed_at: Option<SimTime>,
+}
+
+/// One pre-generated cross-traffic packet: when it reaches its queue and
+/// how big it is. A stream of them is what
+/// [`Engine::attach_cross_traffic`](crate::Engine::attach_cross_traffic)
+/// takes, shared by reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arrival {
+    /// Arrival instant at the attachment queue.
+    pub at: SimTime,
+    /// Wire size in bytes.
+    pub size: u32,
 }
 
 /// Record of a packet that completed its round trip (or one-way journey for

@@ -37,10 +37,10 @@
 //! the serial run of the same plan at any partition count.
 
 use std::ops::Range;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::engine::{Engine, EngineStats, RemoteArrival};
-use crate::packet::{Delivery, Direction, DropRecord, PacketId, TtlExceeded};
+use crate::packet::{Arrival, Delivery, Direction, DropRecord, PacketId, TtlExceeded};
 use crate::path::{LinkSpec, Path};
 use crate::queue::PortStats;
 use crate::time::SimTime;
@@ -67,8 +67,8 @@ pub struct CrossAttachment {
     pub link: usize,
     /// Direction (selects the port at that link).
     pub direction: Direction,
-    /// `(time, size)` arrivals, in time order.
-    pub arrivals: Vec<(SimTime, u32)>,
+    /// The arrival stream, shared with whoever else attaches it.
+    pub arrivals: Arc<[Arrival]>,
     /// Id of the first packet; the rest follow consecutively (see
     /// [`InjectionPlan::with_serial_ids`]).
     pub base_id: u64,
@@ -318,7 +318,7 @@ pub fn run_partitioned(
         engines[owner].attach_cross_traffic_with_base_id(
             c.link,
             c.direction,
-            c.arrivals.iter().copied(),
+            Arc::clone(&c.arrivals),
             c.base_id,
         );
     }
@@ -441,9 +441,9 @@ mod tests {
                 link: cross_link,
                 direction: dir,
                 arrivals: (0..count)
-                    .map(|i| {
-                        let size = 40 + ((i * 97) % 1460) as u32;
-                        (SimTime::from_nanos(i as u64 * stride_us * 1000), size)
+                    .map(|i| Arrival {
+                        at: SimTime::from_nanos(i as u64 * stride_us * 1000),
+                        size: 40 + ((i * 97) % 1460) as u32,
                     })
                     .collect(),
                 base_id: 0,
@@ -613,13 +613,25 @@ mod tests {
                 CrossAttachment {
                     link: 0,
                     direction: Direction::Outbound,
-                    arrivals: vec![(SimTime::ZERO, 100), (SimTime::from_millis(1), 100)],
+                    arrivals: Arc::from([
+                        Arrival {
+                            at: SimTime::ZERO,
+                            size: 100,
+                        },
+                        Arrival {
+                            at: SimTime::from_millis(1),
+                            size: 100,
+                        },
+                    ]),
                     base_id: 999,
                 },
                 CrossAttachment {
                     link: 1,
                     direction: Direction::Inbound,
-                    arrivals: vec![(SimTime::ZERO, 100)],
+                    arrivals: Arc::from([Arrival {
+                        at: SimTime::ZERO,
+                        size: 100,
+                    }]),
                     base_id: 999,
                 },
             ],

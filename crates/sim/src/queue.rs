@@ -5,10 +5,12 @@
 //! "single server queue with finite buffer and FIFO service discipline" of
 //! the paper's Figure 3, instantiated once per hop and direction.
 //!
-//! Ports hold [`PacketRef`] handles into the engine's [`crate::arena`]
-//! rather than packets by value: admitting a packet moves 12 bytes instead
-//! of cloning the struct, and the packet itself stays in one place from
-//! injection to delivery.
+//! A port keeps one queue whose head is in service. Its entries are
+//! [`Occupant`]s rather than packets by value: a [`PacketRef`] handle into
+//! the engine's [`crate::arena`], so admitting a packet moves a handle
+//! instead of cloning the struct and the packet stays in one place from
+//! injection to delivery, or a folded cross-traffic packet's place in its
+//! source, which never enters the arena.
 
 use std::collections::VecDeque;
 
@@ -38,8 +40,9 @@ pub struct PortStats {
     pub max_occupancy: usize,
     /// Total time the server spent transmitting.
     pub busy_time: SimDuration,
-    /// ∫ occupancy dt, in packet·nanoseconds — divide by observed time for
-    /// the time-average number in system.
+    /// ∫ occupancy dt, in packet·nanoseconds, up to the last
+    /// [`Port::finalize`] — divide by observed time for the time-average
+    /// number in system.
     pub occupancy_integral: u128,
 }
 
@@ -61,6 +64,32 @@ impl PortStats {
     }
 }
 
+/// What a port holds for one packet: a packet of the network, in the
+/// engine's arena, or a folded cross-traffic packet, which exists only as
+/// its place in its traffic source (DESIGN.md §9, "Cross traffic folded
+/// into its port").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Occupant {
+    /// A packet in the engine's [`crate::arena::PacketArena`].
+    Packet(PacketRef),
+    /// Packet `index` of the engine's traffic source `source`.
+    Folded {
+        /// The source's index in the engine.
+        source: u32,
+        /// The packet's index in the source's stream.
+        index: u32,
+    },
+}
+
+/// A packet the port holds, with its wire size and transmission time
+/// beside it, so byte accounting and service never touch the arena.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    what: Occupant,
+    size: u32,
+    tx: SimDuration,
+}
+
 /// One transmit queue + server.
 #[derive(Debug)]
 pub struct Port {
@@ -69,18 +98,20 @@ pub struct Port {
     /// Cached `spec.impair.is_inert()` — read on every arrival; the spec's
     /// impairment set is fixed for the port's lifetime.
     pub impair_inert: bool,
-    /// `(handle, wire size, transmission time)` — size and service time
-    /// ride beside the handle, so byte accounting and service never touch
-    /// the arena.
-    queue: VecDeque<(PacketRef, u32, SimDuration)>,
+    /// Every packet the port holds, in service order: the head is in
+    /// service while the port is busy.
+    queue: VecDeque<Entry>,
+    /// Bytes of the packets behind the head.
     queued_bytes: u64,
-    /// Packet currently being transmitted, if any.
-    in_service: Option<(PacketRef, u32)>,
     service_started: SimTime,
     /// When the last packet admitted finishes transmission (meaningful
     /// while the port is busy).
     drain_at: SimTime,
-    last_change: SimTime,
+    /// Σ departure instants − Σ admission instants, in ns, of the packets
+    /// admitted so far (wrapping): the occupancy integral up to `t` is
+    /// this plus `occupancy · t`, so a packet adds once on the way in and
+    /// once on the way out.
+    sojourn: u128,
     /// Running statistics.
     pub stats: PortStats,
 }
@@ -105,17 +136,16 @@ impl Port {
             spec,
             queue: VecDeque::new(),
             queued_bytes: 0,
-            in_service: None,
             service_started: SimTime::ZERO,
             drain_at: SimTime::ZERO,
-            last_change: SimTime::ZERO,
+            sojourn: 0,
             stats: PortStats::default(),
         }
     }
 
     /// Packets in the system (queued + in service).
     pub fn occupancy(&self) -> usize {
-        self.queue.len() + usize::from(self.in_service.is_some())
+        self.queue.len()
     }
 
     /// Bytes waiting in the buffer (not counting the packet in service).
@@ -125,12 +155,12 @@ impl Port {
 
     /// True if the server is transmitting.
     pub fn busy(&self) -> bool {
-        self.in_service.is_some()
+        !self.queue.is_empty()
     }
 
     /// The packet being transmitted, if any.
-    pub fn in_service(&self) -> Option<PacketRef> {
-        self.in_service.map(|(r, _)| r)
+    pub fn in_service(&self) -> Option<Occupant> {
+        self.queue.front().map(|e| e.what)
     }
 
     /// When the packet admitted last finishes transmission: FIFO service
@@ -149,84 +179,62 @@ impl Port {
         s.arrivals == out + self.occupancy() as u64
     }
 
-    fn integrate(&mut self, now: SimTime) {
-        let span = now.saturating_since(self.last_change).as_nanos();
-        self.stats.occupancy_integral += span as u128 * self.occupancy() as u128;
-        self.last_change = now;
-    }
-
-    /// Offer the packet behind `r` (of wire size `size`) to the queue at
-    /// instant `now`: drop-tail admission, which draws no randomness.
+    /// Offer `what` (of wire size `size`) to the queue at instant `now`:
+    /// drop-tail admission, which draws no randomness.
     ///
     /// Random-loss is **not** applied here — the engine decides that before
     /// calling, so the port stays a pure FIFO queue.
-    pub fn offer(&mut self, now: SimTime, r: PacketRef, size: u32) -> Admission {
+    #[inline(always)]
+    pub fn offer(&mut self, now: SimTime, what: Occupant, size: u32) -> Admission {
         self.stats.arrivals += 1;
-        let admitted = self
-            .spec
-            .buffer
-            .admits(self.queue.len(), self.queued_bytes, size);
-        if !admitted {
+        let waiting = self.queue.len().saturating_sub(1);
+        if !self.spec.buffer.admits(waiting, self.queued_bytes, size) {
             self.stats.overflow_drops += 1;
             return Admission::Overflow;
         }
-        self.integrate(now);
-        self.queued_bytes += size as u64;
-        let d = SimDuration::transmission(size, self.spec.bandwidth_bps);
-        self.drain_at = if self.in_service.is_some() {
-            self.drain_at + d
-        } else {
-            now + d
-        };
-        self.queue.push_back((r, size, d));
-        let occ = self.occupancy();
+        self.sojourn = self.sojourn.wrapping_sub(u128::from(now.as_nanos()));
+        let tx = SimDuration::transmission(size, self.spec.bandwidth_bps);
+        let idle = self.queue.is_empty();
+        self.queue.push_back(Entry { what, size, tx });
+        let occ = self.queue.len();
         if occ > self.stats.max_occupancy {
             self.stats.max_occupancy = occ;
         }
-        if self.in_service.is_none() {
-            let d = self.start_next(now).expect("queue is non-empty");
-            Admission::StartService(d)
+        if idle {
+            self.service_started = now;
+            self.drain_at = now + tx;
+            Admission::StartService(tx)
         } else {
+            self.queued_bytes += u64::from(size);
+            self.drain_at += tx;
             Admission::Queued
         }
     }
 
-    /// Begin serving the head-of-line packet; returns its transmission time,
-    /// or `None` if the queue is empty.
-    fn start_next(&mut self, now: SimTime) -> Option<SimDuration> {
-        debug_assert!(self.in_service.is_none());
-        let (r, size, d) = self.queue.pop_front()?;
-        self.queued_bytes -= size as u64;
-        self.in_service = Some((r, size));
-        self.service_started = now;
-        Some(d)
-    }
-
     /// Complete the in-flight transmission at instant `now`.
     ///
-    /// Returns the transmitted packet's handle and, if another packet
-    /// immediately enters service, its transmission time (the caller
-    /// schedules the next `TxDone`).
+    /// Returns what was transmitted and, if another packet immediately
+    /// enters service, its transmission time (the caller schedules the
+    /// next `TxDone`).
     ///
     /// # Panics
     /// Panics if no packet was in service — a scheduling bug.
-    pub fn complete(&mut self, now: SimTime) -> (PacketRef, Option<SimDuration>) {
-        assert!(
-            self.in_service.is_some(),
-            "TxDone for an idle port: scheduling bug"
-        );
-        // Fold the busy span into the occupancy integral while the departing
-        // packet still counts toward the occupancy.
-        self.integrate(now);
-        let (r, size) = self.in_service.take().expect("checked above");
+    #[inline(always)]
+    pub fn complete(&mut self, now: SimTime) -> (Occupant, Option<SimDuration>) {
+        self.sojourn = self.sojourn.wrapping_add(u128::from(now.as_nanos()));
+        let done = self
+            .queue
+            .pop_front()
+            .expect("TxDone for an idle port: scheduling bug");
         self.stats.served += 1;
-        self.stats.bytes_served += size as u64;
+        self.stats.bytes_served += u64::from(done.size);
         self.stats.busy_time += now - self.service_started;
-        let next = self.start_next(now);
-        if next.is_some() {
+        let next = self.queue.front().map(|next| {
+            self.queued_bytes -= u64::from(next.size);
             self.service_started = now;
-        }
-        (r, next)
+            next.tx
+        });
+        (done.what, next)
     }
 
     /// Record a random-loss drop (bookkeeping only; the packet never enters
@@ -243,10 +251,12 @@ impl Port {
         self.stats.impair_drops += 1;
     }
 
-    /// Fold the idle/busy area up to `now` into the occupancy integral;
-    /// call once at the end of a run before reading statistics.
+    /// Bring the occupancy integral up to `now`, which no arrival or
+    /// completion so far follows; call at the end of a run before reading
+    /// statistics.
     pub fn finalize(&mut self, now: SimTime) {
-        self.integrate(now);
+        let in_system = u128::from(now.as_nanos()) * self.occupancy() as u128;
+        self.stats.occupancy_integral = self.sojourn.wrapping_add(in_system);
     }
 }
 
@@ -274,7 +284,14 @@ mod tests {
     /// Allocate a test packet and offer it.
     fn offer(a: &mut PacketArena, p: &mut Port, at: SimTime, id: u64, size: u32) -> Admission {
         let r = a.alloc(pkt(id, size));
-        p.offer(at, r, size)
+        p.offer(at, Occupant::Packet(r), size)
+    }
+
+    fn packet(what: Occupant) -> PacketRef {
+        match what {
+            Occupant::Packet(r) => r,
+            Occupant::Folded { .. } => panic!("a network packet was offered"),
+        }
     }
 
     fn port(buffer: BufferLimit) -> Port {
@@ -307,16 +324,16 @@ mod tests {
 
         let t1 = SimTime::from_millis(2);
         let (done, next) = p.complete(t1);
-        assert_eq!(a.get(done).id, PacketId(0));
+        assert_eq!(a.get(packet(done)).id, PacketId(0));
         assert_eq!(next, Some(SimDuration::from_millis(2)));
 
         let t2 = SimTime::from_millis(4);
         let (done, next) = p.complete(t2);
-        assert_eq!(a.get(done).id, PacketId(1));
+        assert_eq!(a.get(packet(done)).id, PacketId(1));
         assert_eq!(next, Some(SimDuration::from_millis(2)));
 
         let (done, next) = p.complete(SimTime::from_millis(6));
-        assert_eq!(a.get(done).id, PacketId(2));
+        assert_eq!(a.get(packet(done)).id, PacketId(2));
         assert_eq!(next, None);
         assert!(!p.busy());
         assert_eq!(p.stats.served, 3);

@@ -2,9 +2,11 @@
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
 use probenet_sim::{
-    BufferLimit, Delivery, Direction, DropReason, DropRecord, Engine, FlowClass, GilbertElliott,
-    ImpairmentSpec, LinkSpec, Path, SimDuration, SimTime, TraceKind,
+    Arrival, BufferLimit, Delivery, Direction, DropReason, DropRecord, Engine, FlowClass,
+    GilbertElliott, ImpairmentSpec, LinkSpec, Path, SimDuration, SimTime, TraceKind,
 };
 
 /// Build a random linear path from proptest-chosen hop parameters.
@@ -40,7 +42,7 @@ proptest! {
             );
         }
         engine.run();
-        let delivered: Vec<u64> = engine.probe_deliveries().map(|d| d.seq).collect();
+        let delivered: Vec<u64> = engine.deliveries().iter().map(|d| d.seq).collect();
         let dropped: Vec<u64> = engine
             .drops()
             .iter()
@@ -68,7 +70,7 @@ proptest! {
             engine.inject_probe(SimTime::from_micros(spacing_us * n), 72, n);
         }
         engine.run();
-        for d in engine.probe_deliveries() {
+        for d in engine.deliveries().iter() {
             prop_assert!(d.rtt() >= base, "rtt {:?} below base {:?}", d.rtt(), base);
         }
     }
@@ -86,7 +88,7 @@ proptest! {
         }
         engine.run();
         // Deliveries are recorded in completion order.
-        let seqs: Vec<u64> = engine.probe_deliveries().map(|d| d.seq).collect();
+        let seqs: Vec<u64> = engine.deliveries().iter().map(|d| d.seq).collect();
         for w in seqs.windows(2) {
             prop_assert!(w[0] < w[1], "reordered: {} after {}", w[1], w[0]);
         }
@@ -103,7 +105,7 @@ proptest! {
             engine.inject_probe(SimTime::from_millis(20 * n), 72, n);
         }
         engine.run();
-        for d in engine.probe_deliveries() {
+        for d in engine.deliveries().iter() {
             let out = d.outbound_delay().expect("probes are echoed");
             let back = d.inbound_delay().expect("probes are echoed");
             prop_assert_eq!(out + back, d.rtt());
@@ -139,7 +141,7 @@ proptest! {
                 .iter()
                 .map(|t| (t.at.as_nanos(), t.seq))
                 .collect();
-            (trace, e.probe_deliveries().count(), e.drops().len())
+            (trace, e.deliveries().iter().count(), e.drops().len())
         };
         prop_assert_eq!(build(), build());
     }
@@ -165,7 +167,7 @@ proptest! {
         e.run();
         let trace = e.take_trace();
         let delivered: std::collections::HashSet<u64> =
-            e.probe_deliveries().map(|d| d.seq).collect();
+            e.deliveries().iter().map(|d| d.seq).collect();
         for &seq in &delivered {
             let echoes = trace
                 .iter()
@@ -211,7 +213,7 @@ fn loss_flags(path: Path, seed: u64, n: usize, delta: SimDuration) -> Vec<bool> 
     }
     e.run();
     let mut flags = vec![true; n];
-    for d in e.probe_deliveries() {
+    for d in e.deliveries().iter() {
         flags[d.seq as usize] = false;
     }
     flags
@@ -296,7 +298,7 @@ proptest! {
         }
         e.run();
         let mut ids: Vec<u64> = e
-            .probe_deliveries()
+            .deliveries().iter()
             .map(|d| d.id.0)
             .chain(e.drops().iter().map(|d| d.id.0))
             .collect();
@@ -309,7 +311,7 @@ proptest! {
         prop_assert_eq!(unique, ids.len(), "a packet finished twice");
         // Duplicates mean ≥ n_probes terminal events; every seq accounted.
         let mut seqs: Vec<u64> = e
-            .probe_deliveries()
+            .deliveries().iter()
             .map(|d| d.seq)
             .chain(e.drops().iter().map(|d| d.seq))
             .collect();
@@ -340,7 +342,7 @@ proptest! {
             }
             e.run();
             let del: Vec<(u64, u64)> = e
-                .probe_deliveries()
+                .deliveries().iter()
                 .map(|d| (d.seq, d.delivered_at.as_nanos()))
                 .collect();
             let drops: Vec<(u64, u8)> = e
@@ -391,7 +393,7 @@ fn flap_window_drops_exactly_inside_outage() {
         );
     }
     // Probes clearly outside the window all return.
-    let delivered: std::collections::HashSet<u64> = e.probe_deliveries().map(|d| d.seq).collect();
+    let delivered: std::collections::HashSet<u64> = e.deliveries().iter().map(|d| d.seq).collect();
     for k in 0..60u64 {
         let sent_ms = 5 * k;
         if !(85..205).contains(&sent_ms) {
@@ -442,7 +444,7 @@ fn duplicates_surface_as_repeated_sequence_numbers() {
     }
     e.run();
     let mut per_seq = std::collections::HashMap::new();
-    for d in e.probe_deliveries() {
+    for d in e.deliveries().iter() {
         *per_seq.entry(d.seq).or_insert(0u32) += 1;
     }
     assert!(
@@ -613,6 +615,9 @@ proptest! {
     /// `inject_probe_train`; the other gets one single-packet call per
     /// cross packet — a one-packet source is the eager schedule by
     /// construction — and the `inject_probe` loop the train replaces.
+    /// The lazy engine's streams are shared slices: the outbound one is
+    /// attached a second time, to the inbound port, and each source reads
+    /// it through its own cursor.
     /// Arrival times are unsorted, repeat within a call, and sit on the
     /// same 1 ms grid as probe injections and every `TxDone` (72 B take
     /// 1 ms on the first link and 2 ms on the second, 144 B twice that).
@@ -636,9 +641,10 @@ proptest! {
         );
         let (mut outbound, mut inbound) = (Vec::new(), Vec::new());
         for &(ms, big, out) in &cross {
-            let packet = (SimTime::from_millis(ms), if big { 144u32 } else { 72 });
+            let packet = Arrival { at: SimTime::from_millis(ms), size: if big { 144 } else { 72 } };
             if out { outbound.push(packet) } else { inbound.push(packet) }
         }
+        let (outbound, inbound): (Arc<[Arrival]>, Arc<[Arrival]>) = (outbound.into(), inbound.into());
         let interval = SimDuration::from_millis(probe_ms);
         let engine = || {
             let mut e = Engine::new(path.clone(), seed);
@@ -647,15 +653,16 @@ proptest! {
         };
 
         let mut lazy = engine();
-        lazy.attach_cross_traffic(1, Direction::Outbound, outbound.iter().copied());
-        lazy.attach_cross_traffic(0, Direction::Inbound, inbound.iter().copied());
+        lazy.attach_cross_traffic(1, Direction::Outbound, Arc::clone(&outbound));
+        lazy.attach_cross_traffic(0, Direction::Inbound, Arc::clone(&inbound));
+        lazy.attach_cross_traffic(0, Direction::Inbound, Arc::clone(&outbound));
         lazy.inject_probe_train(SimTime::ZERO, interval, 72, n_probes);
 
         let mut eager = engine();
-        for &packet in &outbound {
+        for &packet in outbound.iter() {
             eager.attach_cross_traffic(1, Direction::Outbound, [packet]);
         }
-        for &packet in &inbound {
+        for &packet in inbound.iter().chain(outbound.iter()) {
             eager.attach_cross_traffic(0, Direction::Inbound, [packet]);
         }
         for n in 0..n_probes {
@@ -846,7 +853,11 @@ fn load_replay(
             cross
                 .iter()
                 .filter(|c| usize::from(c.2) == source)
-                .map(|&(us, big, _)| (SimTime::from_micros(us), if big { 576 } else { 72 })),
+                .map(|&(us, big, _)| Arrival {
+                    at: SimTime::from_micros(us),
+                    size: if big { 576 } else { 72 },
+                })
+                .collect::<Vec<_>>(),
         );
     }
     if !ttl {
@@ -1043,10 +1054,13 @@ fn load_varied(e: &mut Engine, cross: &[(u64, bool, usize, bool)], probes: u64, 
     let links = e.path().links.len();
     for link in 0..links {
         for (inbound, direction) in [(false, Direction::Outbound), (true, Direction::Inbound)] {
-            let arrivals: Vec<(SimTime, u32)> = cross
+            let arrivals: Vec<Arrival> = cross
                 .iter()
                 .filter(|c| c.2 % links == link && c.3 == inbound)
-                .map(|&(us, big, _, _)| (SimTime::from_micros(us), if big { 576 } else { 72 }))
+                .map(|&(us, big, _, _)| Arrival {
+                    at: SimTime::from_micros(us),
+                    size: if big { 576 } else { 72 },
+                })
                 .collect();
             if !arrivals.is_empty() {
                 e.attach_cross_traffic(link, direction, arrivals);

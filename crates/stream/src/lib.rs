@@ -64,7 +64,8 @@ pub use collector::{
 };
 pub use fnv::{fnv1a_hex, fnv1a_u64s};
 pub use lindley::{
-    workload_bytes, workload_layout, StreamingWorkload, WorkloadSnapshot, WorkloadWireState,
+    interarrival_ms, workload_bytes, workload_layout, StreamingWorkload, WorkloadSnapshot,
+    WorkloadWireState,
 };
 pub use loss::{Chi2Snapshot, LossSnapshot, LossWireState, RunsTestSnapshot, StreamingLoss};
 pub use phase::{PhaseDensity, PhaseSnapshot, PhaseWireState};

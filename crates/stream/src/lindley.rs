@@ -95,6 +95,14 @@ pub fn workload_layout(max_ms: f64, clock_resolution_ns: u64) -> (f64, usize) {
     (bin_ms, ((max_ms / bin_ms).ceil() as usize).max(10))
 }
 
+/// The return interarrival `g_n = rtt_{n+1} − rtt_n + δ` in ms of two
+/// consecutive delivered probes whose RTTs are `prev_ns` and `cur_ns`, at
+/// probe interval `delta_ms`: the workspace's one definition.
+#[inline]
+pub fn interarrival_ms(prev_ns: u64, cur_ns: u64, delta_ms: f64) -> f64 {
+    (cur_ns as f64 - prev_ns as f64) / 1e6 + delta_ms
+}
+
 /// The paper's equation (6), the workspace's one definition: the workload
 /// `b̂ = μ·g − P` in bytes that a return interarrival of `g_ms` implies at a
 /// bottleneck of `mu_bps` for probes of `p_bits`, clamped at zero (a
@@ -143,7 +151,7 @@ impl StreamingWorkload {
 
     fn fold_pair(&mut self, prev: Option<u64>, cur: Option<u64>) {
         if let (Some(a), Some(b)) = (prev, cur) {
-            let g_ms = (b as f64 - a as f64) / 1e6 + self.delta_ms;
+            let g_ms = interarrival_ms(a, b, self.delta_ms);
             self.hist.add(g_ms);
             self.b_sum += workload_bytes(self.mu_bps, g_ms, self.p_bits);
             self.pairs += 1;

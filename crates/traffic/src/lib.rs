@@ -36,4 +36,4 @@ pub use process::{
     exponential, geometric, pareto, BatchPoissonStream, OnOffStream, ParetoOnOffStream,
     PeriodicStream, PoissonStream,
 };
-pub use stream::{delay, merge, offered_bps, thin, to_pairs, total_bytes, Arrival, PacketSize};
+pub use stream::{delay, merge, offered_bps, thin, total_bytes, Arrival, PacketSize};

@@ -3,31 +3,12 @@
 //! A traffic stream is a finite, time-sorted sequence of [`Arrival`]s — one
 //! per cross-traffic packet. Streams are plain vectors so they can be
 //! generated up front, merged, thinned and inspected deterministically, then
-//! handed to the simulator (`Engine::attach_cross_traffic`).
+//! handed to the simulator (`Engine::attach_cross_traffic`), which reads
+//! them in place. [`Arrival`] is the simulator's type, re-exported.
 
+pub use probenet_sim::Arrival;
 use probenet_sim::{SimDuration, SimTime};
 use rand::Rng;
-
-/// One cross-traffic packet: when it reaches the queue and how big it is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Arrival {
-    /// Arrival instant at the attachment queue.
-    pub at: SimTime,
-    /// Wire size in bytes.
-    pub size: u32,
-}
-
-impl Arrival {
-    /// Convert to the `(time, size)` pairs the simulator consumes.
-    pub fn into_pair(self) -> (SimTime, u32) {
-        (self.at, self.size)
-    }
-}
-
-/// Convert a stream to the simulator's `(time, size)` representation.
-pub fn to_pairs(stream: &[Arrival]) -> Vec<(SimTime, u32)> {
-    stream.iter().map(|a| a.into_pair()).collect()
-}
 
 /// A packet-size distribution.
 ///

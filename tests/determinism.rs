@@ -7,7 +7,7 @@ use probenet::core::{
     delta_sweep, delta_sweep_serial, run_campaign, run_campaign_serial, PaperScenario,
 };
 use probenet::netdyn::{to_csv, ExperimentConfig};
-use probenet::sim::{Direction, Engine, Path, SimDuration, SimTime};
+use probenet::sim::{Arrival, Direction, Engine, Path, SimDuration, SimTime};
 
 fn run_scenario(seed: u64) -> probenet::netdyn::RttSeries {
     let sc = PaperScenario::inria_umd(seed);
@@ -96,7 +96,12 @@ fn run_until_then_continue_equals_run_straight_through() {
         e.attach_cross_traffic(
             4,
             Direction::Outbound,
-            (0..500u64).map(|i| (SimTime::from_millis(37 * i), 512u32)),
+            (0..500u64)
+                .map(|i| Arrival {
+                    at: SimTime::from_millis(37 * i),
+                    size: 512,
+                })
+                .collect::<Vec<_>>(),
         );
         for n in 0..400u64 {
             e.inject_probe(SimTime::from_millis(50 * n), 72, n);

@@ -5,7 +5,7 @@
 use probenet::core::PaperScenario;
 use probenet::netdyn::{from_csv, to_csv, ExperimentConfig, RttRecord, RttSeries};
 use probenet::queueing::{BatchModelSolver, BatchSizeDist, BolotModel};
-use probenet::sim::{Direction, Engine, Path, SimDuration, SimTime};
+use probenet::sim::{Arrival, Direction, Engine, Path, SimDuration, SimTime};
 
 fn scenario_series(delta_ms: u64, count: usize, seed: u64) -> RttSeries {
     let sc = PaperScenario::inria_umd(seed);
@@ -56,13 +56,14 @@ fn analytic_model_tracks_simulated_compression_mass() {
             engine.attach_cross_traffic(
                 0,
                 Direction::Outbound,
-                (0..batch).map(move |_| (t, 512u32)),
+                vec![Arrival { at: t, size: 512 }; batch],
             );
         }
     }
     engine.run();
     let mut recv: Vec<(u64, f64)> = engine
-        .probe_deliveries()
+        .deliveries()
+        .iter()
         .map(|d| (d.seq, d.rtt().as_secs_f64()))
         .collect();
     recv.sort_by_key(|&(s, _)| s);
@@ -122,7 +123,7 @@ fn route_shortening_reorders_in_flight_probes() {
             rtt: None,
         })
         .collect();
-    for d in engine.probe_deliveries() {
+    for d in engine.deliveries().iter() {
         records[d.seq as usize].rtt = Some(d.rtt().as_nanos());
     }
     let series = RttSeries::new(SimDuration::from_millis(20), 72, SimDuration::ZERO, records);
@@ -146,7 +147,7 @@ fn route_shortening_reorders_in_flight_probes() {
             rtt: None,
         })
         .collect();
-    for d in engine.probe_deliveries() {
+    for d in engine.deliveries().iter() {
         records[d.seq as usize].rtt = Some(d.rtt().as_nanos());
     }
     let series = RttSeries::new(SimDuration::from_millis(20), 72, SimDuration::ZERO, records);

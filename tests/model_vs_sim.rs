@@ -11,7 +11,8 @@ use probenet::core::workload_estimates;
 use probenet::netdyn::{RttRecord, RttSeries};
 use probenet::queueing::{finite_queue, md1_mean_wait, Batch, BolotModel, Outcome};
 use probenet::sim::{
-    figure3_model, BufferLimit, Direction, Engine, FlowClass, LinkSpec, Path, SimDuration, SimTime,
+    figure3_model, Arrival, BufferLimit, Direction, Engine, FlowClass, LinkSpec, Path, SimDuration,
+    SimTime,
 };
 use probenet::traffic::PoissonStream;
 use proptest::prelude::*;
@@ -79,13 +80,18 @@ fn engine_reproduces_bolot_model_exactly() {
         if b.bits > 0.0 {
             let k = (b.bits / 4096.0) as u32;
             let at = SimTime::from_secs_f64(delta_s * (i + 1) as f64 + b.offset);
-            engine.attach_cross_traffic(0, Direction::Outbound, (0..k).map(move |_| (at, 512u32)));
+            engine.attach_cross_traffic(
+                0,
+                Direction::Outbound,
+                vec![Arrival { at, size: 512 }; k as usize],
+            );
         }
     }
     engine.run();
 
     let mut got: Vec<(u64, f64)> = engine
-        .probe_deliveries()
+        .deliveries()
+        .iter()
         .map(|d| (d.seq, d.rtt().as_secs_f64()))
         .collect();
     got.sort_by_key(|&(seq, _)| seq);
@@ -215,7 +221,11 @@ fn engine_matches_lindley_finite_queue() {
         Direction::Outbound,
         arrivals_ms
             .iter()
-            .map(|&ms| (SimTime::from_millis(ms), size)),
+            .map(|&ms| Arrival {
+                at: SimTime::from_millis(ms),
+                size,
+            })
+            .collect::<Vec<_>>(),
     );
     engine.run();
 
@@ -277,11 +287,7 @@ fn md1_queue_matches_pollaczek_khinchine() {
     let n = arrivals.len();
 
     let mut engine = Engine::new(bare_queue(mu), 1);
-    engine.attach_cross_traffic(
-        0,
-        Direction::Outbound,
-        arrivals.iter().map(|a| a.into_pair()),
-    );
+    engine.attach_cross_traffic(0, Direction::Outbound, arrivals);
     engine.run();
 
     let total_wait: f64 = engine
@@ -313,7 +319,7 @@ fn probe_saturation_yields_exact_compression_spacing() {
         engine.inject_probe(SimTime::from_millis(2 * n), probe, n);
     }
     engine.run();
-    let mut recv: Vec<SimTime> = engine.probe_deliveries().map(|d| d.delivered_at).collect();
+    let mut recv: Vec<SimTime> = engine.deliveries().iter().map(|d| d.delivered_at).collect();
     recv.sort();
     assert_eq!(recv.len(), 200);
     for w in recv.windows(2) {
@@ -338,7 +344,7 @@ fn bernoulli_loss_path_has_clp_equal_ulp() {
     }
     engine.run();
     let mut flags = vec![true; n as usize];
-    for d in engine.probe_deliveries() {
+    for d in engine.deliveries().iter() {
         flags[d.seq as usize] = false;
     }
     let analysis = probenet::core::analyze_loss_flags(&flags);
@@ -538,7 +544,11 @@ fn tandem_queue_oracle() {
                 direction,
                 arrivals
                     .iter()
-                    .map(|&(a, bytes)| (SimTime::from_nanos(a), bytes)),
+                    .map(|&(a, bytes)| Arrival {
+                        at: SimTime::from_nanos(a),
+                        size: bytes,
+                    })
+                    .collect::<Vec<_>>(),
             );
         }
         let (shift_link, shift_at, shorter) = t.shift;
@@ -556,7 +566,7 @@ fn tandem_queue_oracle() {
         engine.run();
 
         let mut got = vec![None; t.probes as usize];
-        for d in engine.probe_deliveries() {
+        for d in engine.deliveries().iter() {
             assert!(
                 got[d.seq as usize].is_none(),
                 "seed {seed}: probe {} twice",
