@@ -396,6 +396,57 @@ struct CrossDelivery {
 
 const _: () = assert!(std::mem::size_of::<CrossDelivery>() <= 24);
 
+impl CrossDelivery {
+    fn build(&self, class: FlowClass, arrivals: &[Arrival]) -> Delivery {
+        Delivery {
+            id: self.id,
+            class,
+            seq: u64::from(self.index),
+            injected_at: arrivals[self.index as usize].at,
+            echoed_at: None,
+            delivered_at: self.delivered_at,
+        }
+    }
+}
+
+/// A port's cross-traffic deliveries taken out of an engine, as a
+/// partitioned run returns them ([`crate::ParallelOutcome`]): the records
+/// the port logged and the streams they index. Nothing is built until
+/// [`CrossDeliveries::build`] is called.
+#[derive(Debug, Default)]
+pub struct CrossDeliveries {
+    records: Vec<CrossDelivery>,
+    /// Class and arrivals of each of the engine's sources, by source
+    /// index; `None` for a probe train.
+    sources: Vec<Option<(FlowClass, Arc<[Arrival]>)>>,
+}
+
+impl CrossDeliveries {
+    /// The deliveries in service order, as [`Engine::cross_deliveries`]
+    /// builds them.
+    pub fn build(&self) -> Vec<Delivery> {
+        self.records
+            .iter()
+            .map(|d| {
+                let (class, arrivals) = self.sources[d.source as usize]
+                    .as_ref()
+                    .expect("cross records come from streams");
+                d.build(*class, arrivals)
+            })
+            .collect()
+    }
+
+    /// Number of deliveries.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the port delivered no cross packet.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+}
+
 /// A port's cross-traffic records: deliveries in service order, drops in
 /// drop order (arrival order on a port that folds).
 ///
@@ -455,10 +506,6 @@ struct FoldCtx<'a> {
 /// completion as its `TxDone`. At one instant every arrival precedes the
 /// completion ([`completes_first`]). Returns the logical events handled
 /// and the latest instant reached, which the engine adds to its own.
-///
-/// The port's state comes in as separate borrows, not as fields of one
-/// struct, so the compiler knows they do not overlap and keeps the loop's
-/// state in registers.
 fn fold_port(
     fold: &mut Fold,
     queue: &mut Port,
@@ -2013,20 +2060,11 @@ impl Engine {
         let log = &self.cross[self.cross_slot(self.port_index(link, direction))];
         log.deliveries
             .iter()
-            .map(|d| self.cross_delivery(d))
+            .map(|d| {
+                let source = &self.sources[d.source as usize];
+                d.build(source.class, &source.feed.stream().arrivals)
+            })
             .collect()
-    }
-
-    fn cross_delivery(&self, d: &CrossDelivery) -> Delivery {
-        let source = &self.sources[d.source as usize];
-        Delivery {
-            id: d.id,
-            class: source.class,
-            seq: u64::from(d.index),
-            injected_at: source.feed.stream().arrivals[d.index as usize].at,
-            echoed_at: None,
-            delivered_at: d.delivered_at,
-        }
     }
 
     /// The cross-traffic drops of the port serving (`link`, `direction`),
@@ -2042,11 +2080,21 @@ impl Engine {
         &mut self,
         link: usize,
         direction: Direction,
-    ) -> (Vec<Delivery>, Vec<DropRecord>) {
-        let deliveries = self.cross_deliveries(link, direction);
+    ) -> (CrossDeliveries, Vec<DropRecord>) {
+        let sources = self
+            .sources
+            .iter()
+            .map(|s| match &s.feed {
+                Feed::Stream(stream) => Some((s.class, Arc::clone(&stream.arrivals))),
+                Feed::Train { .. } => None,
+            })
+            .collect();
         let slot = self.cross_slot(self.port_index(link, direction));
         let log = &mut self.cross[slot];
-        log.deliveries.clear();
+        let deliveries = CrossDeliveries {
+            records: std::mem::take(&mut log.deliveries),
+            sources,
+        };
         (deliveries, std::mem::take(&mut log.drops))
     }
 

@@ -72,7 +72,9 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{PacketArena, PacketRef};
-pub use engine::{discover_route, Engine, EngineStats, RemoteArrival, TTL_REPLY_SIZE};
+pub use engine::{
+    discover_route, CrossDeliveries, Engine, EngineStats, RemoteArrival, TTL_REPLY_SIZE,
+};
 pub use event::EventQueue;
 pub use impair::{
     DuplicateSpec, FlapWindow, GilbertElliott, ImpairmentSpec, ReorderSpec, RouteShift,

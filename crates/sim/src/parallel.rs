@@ -39,7 +39,7 @@
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::engine::{Engine, EngineStats, RemoteArrival};
+use crate::engine::{CrossDeliveries, Engine, EngineStats, RemoteArrival};
 use crate::packet::{Arrival, Delivery, Direction, DropRecord, PacketId, TtlExceeded};
 use crate::path::{LinkSpec, Path};
 use crate::queue::PortStats;
@@ -130,8 +130,9 @@ pub struct ParallelOutcome {
     /// taken from the partition that owns the port.
     pub port_stats: Vec<PortStats>,
     /// Each port's cross-traffic deliveries, indexed like `port_stats`, as
-    /// [`Engine::cross_deliveries`] of the partition that owns the port.
-    pub cross_deliveries: Vec<Vec<Delivery>>,
+    /// the partition that owns the port logged them;
+    /// [`CrossDeliveries::build`] gives [`Engine::cross_deliveries`].
+    pub cross_deliveries: Vec<CrossDeliveries>,
     /// Each port's cross-traffic drops, indexed like `port_stats`, as
     /// [`Engine::cross_drops`] of the partition that owns the port.
     pub cross_drops: Vec<Vec<DropRecord>>,
@@ -522,7 +523,7 @@ mod tests {
         let cd = o
             .cross_deliveries
             .iter()
-            .map(|log| log.iter().map(delivery_key).collect())
+            .map(|log| log.build().iter().map(delivery_key).collect())
             .collect();
         let cr = o
             .cross_drops

@@ -40,9 +40,8 @@ pub struct PortStats {
     pub max_occupancy: usize,
     /// Total time the server spent transmitting.
     pub busy_time: SimDuration,
-    /// ∫ occupancy dt, in packet·nanoseconds, up to the last
-    /// [`Port::finalize`] — divide by observed time for the time-average
-    /// number in system.
+    /// ∫ occupancy dt, in packet·nanoseconds — divide by observed time for
+    /// the time-average number in system.
     pub occupancy_integral: u128,
 }
 
@@ -107,11 +106,7 @@ pub struct Port {
     /// When the last packet admitted finishes transmission (meaningful
     /// while the port is busy).
     drain_at: SimTime,
-    /// Σ departure instants − Σ admission instants, in ns, of the packets
-    /// admitted so far (wrapping): the occupancy integral up to `t` is
-    /// this plus `occupancy · t`, so a packet adds once on the way in and
-    /// once on the way out.
-    sojourn: u128,
+    last_change: SimTime,
     /// Running statistics.
     pub stats: PortStats,
 }
@@ -138,7 +133,7 @@ impl Port {
             queued_bytes: 0,
             service_started: SimTime::ZERO,
             drain_at: SimTime::ZERO,
-            sojourn: 0,
+            last_change: SimTime::ZERO,
             stats: PortStats::default(),
         }
     }
@@ -179,6 +174,12 @@ impl Port {
         s.arrivals == out + self.occupancy() as u64
     }
 
+    fn integrate(&mut self, now: SimTime) {
+        let span = now.saturating_since(self.last_change).as_nanos();
+        self.stats.occupancy_integral += span as u128 * self.occupancy() as u128;
+        self.last_change = now;
+    }
+
     /// Offer `what` (of wire size `size`) to the queue at instant `now`:
     /// drop-tail admission, which draws no randomness.
     ///
@@ -192,7 +193,7 @@ impl Port {
             self.stats.overflow_drops += 1;
             return Admission::Overflow;
         }
-        self.sojourn = self.sojourn.wrapping_sub(u128::from(now.as_nanos()));
+        self.integrate(now);
         let tx = SimDuration::transmission(size, self.spec.bandwidth_bps);
         let idle = self.queue.is_empty();
         self.queue.push_back(Entry { what, size, tx });
@@ -221,7 +222,9 @@ impl Port {
     /// Panics if no packet was in service — a scheduling bug.
     #[inline(always)]
     pub fn complete(&mut self, now: SimTime) -> (Occupant, Option<SimDuration>) {
-        self.sojourn = self.sojourn.wrapping_add(u128::from(now.as_nanos()));
+        // Fold the busy span into the occupancy integral while the departing
+        // packet still counts toward the occupancy.
+        self.integrate(now);
         let done = self
             .queue
             .pop_front()
@@ -251,12 +254,10 @@ impl Port {
         self.stats.impair_drops += 1;
     }
 
-    /// Bring the occupancy integral up to `now`, which no arrival or
-    /// completion so far follows; call at the end of a run before reading
-    /// statistics.
+    /// Fold the idle/busy area up to `now` into the occupancy integral;
+    /// call once at the end of a run before reading statistics.
     pub fn finalize(&mut self, now: SimTime) {
-        let in_system = u128::from(now.as_nanos()) * self.occupancy() as u128;
-        self.stats.occupancy_integral = self.sojourn.wrapping_add(in_system);
+        self.integrate(now);
     }
 }
 
